@@ -11,41 +11,45 @@ with lam_pair the coefficient of the expanded 6-factor product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from .arith import factorize, primes_up_to
-from .euler import EulerFactorPoly, expand_inverse, poly_mul
+from .euler import EulerFactorPoly, expand_inverse, multiplicative
 from .scalars import EXACT, check_mode, coerce, one, zero
 from .symfunc import Partition3, schur3
 
-_expansion_cache: dict[tuple, list] = {}
 
+class _LocalTables:
+    """The tables of one parameter set (alphas, gammas, central value), grown
+    on demand: the power series of the inverse pi, tau and pair factors
+    (expand_inverse) and the Schur values s_(k1+k2, k1, 0)(alphas) (schur3).
+    Neither table is filled from the other."""
 
-def _local_coeff(params: tuple, k: int, mode: str):
-    """Coefficient of X^k in 1 / prod(1 - a X), cached per parameter tuple."""
-    key = (params, mode)
-    table = _expansion_cache.get(key)
-    if table is None or len(table) <= k:
-        poly = EulerFactorPoly.from_roots_inverse(params, mode)
-        table = expand_inverse(poly, max(k, 16))
-        _expansion_cache[key] = table
-    return table[k]
+    __slots__ = ("alphas", "gammas", "central", "mode", "series", "schur")
 
+    def __init__(self, alphas: tuple, gammas: tuple, central, mode: str):
+        self.alphas, self.gammas, self.central, self.mode = alphas, gammas, central, mode
+        self.series: dict[str, list] = {}
+        self.schur: dict[tuple[int, int], object] = {}
 
-def _pair_local_coeff(alphas: tuple, gammas: tuple, k: int, mode: str):
-    """Coefficient of X^k in 1 / prod_{i,j} (1 - a_i g_j X), cached."""
-    key = (alphas, gammas, mode)
-    table = _expansion_cache.get(key)
-    if table is None or len(table) <= k:
-        poly = EulerFactorPoly.one(mode)
-        for a in alphas:
-            for g in gammas:
-                poly = poly_mul(poly, EulerFactorPoly.from_roots_inverse([a * g], mode))
-        table = expand_inverse(poly, max(k, 16))
-        _expansion_cache[key] = table
-    return table[k]
+    def expansion(self, factor: str, k: int):
+        """Coefficient of X^k in 1 / prod(1 - r X) over the roots of the
+        "pi", "tau" or "pair" factor."""
+        table = self.series.get(factor)
+        if table is None or len(table) <= k:
+            roots = {"pi": self.alphas, "tau": self.gammas,
+                     "pair": [a * g for a in self.alphas for g in self.gammas]}[factor]
+            poly = EulerFactorPoly.from_roots_inverse(roots, self.mode)
+            table = self.series[factor] = expand_inverse(poly, max(k, 16))
+        return table[k]
+
+    def schur_value(self, k1: int, k2: int):
+        value = self.schur.get((k1, k2))
+        if value is None:
+            value = self.schur[k1, k2] = schur3(Partition3(k1 + k2, k1, 0), self.alphas, self.mode)
+        return value
 
 
 def modulus_convention_central(gammas, mode: str = EXACT):
@@ -67,13 +71,17 @@ class CoeffData:
 
     pi maps p to three parameters, tau to two; central maps p to the value
     of the central character at p (callers must supply it at ramified p --
-    modulus_convention_central gives the conventional choice).
+    modulus_convention_central gives the conventional choice).  Every
+    coefficient at p reads all three.
     """
 
     pi: Mapping[int, tuple]
     tau: Mapping[int, tuple]
     central: Mapping[int, object]
     mode: str = EXACT
+    #: p -> the local tables at p, and the coerced parameter set -> the same
+    #: tables, so that primes with equal parameters share one
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_mode(self.mode)
@@ -112,17 +120,15 @@ class CoeffData:
         except KeyError:
             raise ValueError(f"no degree-2 parameters at p={p}") from None
 
-
-_schur_cache: dict[tuple, object] = {}
-
-
-def _schur_local(k1: int, k2: int, alphas: tuple, mode: str):
-    key = (k1, k2, alphas, mode)
-    val = _schur_cache.get(key)
-    if val is None:
-        val = schur3(Partition3(k1 + k2, k1, 0), alphas, mode)
-        _schur_cache[key] = val
-    return val
+    def _local(self, p: int) -> _LocalTables:
+        """The tables at p; the parameters are coerced once, on first use."""
+        local = self._tables.get(p)
+        if local is None:
+            key = (tuple(coerce(a, self.mode) for a in self.pi_at(p)),
+                   tuple(coerce(g, self.mode) for g in self.tau_at(p)),
+                   coerce(self.central[p], self.mode))
+            local = self._tables[p] = self._tables.setdefault(key, _LocalTables(*key, self.mode))
+        return local
 
 
 def lambda_double(m1: int, m2: int, data: CoeffData):
@@ -137,41 +143,37 @@ def lambda_double(m1: int, m2: int, data: CoeffData):
     for p, e in factorize(m2):
         exps.setdefault(p, [0, 0])[1] = e
     for p, (k1, k2) in exps.items():
-        acc *= _schur_local(k1, k2, tuple(coerce(a, data.mode) for a in data.pi_at(p)), data.mode)
+        acc *= data._local(p).schur_value(k1, k2)
     return acc
+
+
+def _expansion_stream(n: int, data: CoeffData, factor: str):
+    """n-th coefficient of the product over p of 1 / (the inverse `factor` at p)."""
+    if n < 1:
+        raise ValueError("index must be positive")
+    return multiplicative(n, lambda p, k: data._local(p).expansion(factor, k), data.mode)
 
 
 def lambda_std(n: int, data: CoeffData):
     """Single-indexed degree-3 coefficient via power-series expansion."""
-    if n < 1:
-        raise ValueError("index must be positive")
-    acc = one(data.mode)
-    for p, e in factorize(n):
-        acc *= _local_coeff(tuple(coerce(a, data.mode) for a in data.pi_at(p)), e, data.mode)
-    return acc
+    return _expansion_stream(n, data, "pi")
 
 
 def lambda_tau(n: int, data: CoeffData):
     """Single-indexed degree-2 coefficient via power-series expansion."""
-    if n < 1:
-        raise ValueError("index must be positive")
-    acc = one(data.mode)
-    for p, e in factorize(n):
-        acc *= _local_coeff(tuple(coerce(g, data.mode) for g in data.tau_at(p)), e, data.mode)
-    return acc
+    return _expansion_stream(n, data, "tau")
+
+
+def lambda_rs(n: int, data: CoeffData):
+    """Pairing coefficient from the expanded 6-factor local products."""
+    return _expansion_stream(n, data, "pair")
 
 
 def central_char(n: int, data: CoeffData):
     """omega(n) = prod_p central(p)^{v_p(n)} (0^k = 0 for k >= 1)."""
     if n < 1:
         raise ValueError("index must be positive")
-    acc = one(data.mode)
-    for p, e in factorize(n):
-        c = data.central.get(p)
-        if c is None:
-            raise ValueError(f"no central value supplied at p={p}")
-        acc *= coerce(c, data.mode) ** e
-    return acc
+    return multiplicative(n, lambda p, k: data._local(p).central ** k, data.mode)
 
 
 def standardcoeff_check(n: int, data: CoeffData):
@@ -190,18 +192,6 @@ def c_pi_tau(n: int, data: CoeffData):
             m2 = n // (m1 * m1)
             acc += lambda_double(m1, m2, data) * lambda_tau(m2, data) * central_char(m1, data)
         m1 += 1
-    return acc
-
-
-def lambda_rs(n: int, data: CoeffData):
-    """Pairing coefficient from the expanded 6-factor local products."""
-    if n < 1:
-        raise ValueError("index must be positive")
-    acc = one(data.mode)
-    for p, e in factorize(n):
-        alphas = tuple(coerce(a, data.mode) for a in data.pi_at(p))
-        gammas = tuple(coerce(g, data.mode) for g in data.tau_at(p))
-        acc *= _pair_local_coeff(alphas, gammas, e, data.mode)
     return acc
 
 
@@ -229,10 +219,7 @@ def twist_tau(data: CoeffData, units: Mapping[int, object] | int | Fraction) -> 
 def unit_value_at(n: int, units: Mapping[int, object] | int | Fraction, data: CoeffData):
     if not isinstance(units, Mapping):
         units = {p: units for p in data.tau}
-    acc = one(data.mode)
-    for p, e in factorize(n):
-        acc *= coerce(units[p], data.mode) ** e
-    return acc
+    return multiplicative(n, lambda p, k: coerce(units[p], data.mode) ** k, data.mode)
 
 
 def twist_compatibility_check(n: int, data: CoeffData, units) -> object:

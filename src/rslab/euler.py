@@ -7,12 +7,8 @@ a_p(0)=1, a_p(1), ...  Global series are assembled multiplicatively.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .arith import factorize
+from .arith import factorize, primes_up_to
 from .scalars import EXACT, check_mode, coerce, is_zero, one, zero
-
-DEFAULT_TRUNC = 10000
 
 
 class NotDivisibleError(ArithmeticError):
@@ -188,7 +184,15 @@ class DirichletSeries:
         return f"DirichletSeries([{head}, ...], N={self.trunc})"
 
 
-def assemble_global(local_factors: dict[int, EulerFactorPoly], trunc: int = DEFAULT_TRUNC,
+def multiplicative(n: int, local, mode: str):
+    """a(n) = prod_{p^k || n} local(p, k): the n-th term of a multiplicative stream."""
+    acc = one(mode)
+    for p, k in factorize(n):
+        acc *= local(p, k)
+    return acc
+
+
+def assemble_global(local_factors: dict[int, EulerFactorPoly], trunc: int,
                     mode: str = EXACT) -> DirichletSeries:
     """Multiplicative assembly a(n) = prod_{p^k || n} a_p(k) for n <= trunc.
 
@@ -196,7 +200,7 @@ def assemble_global(local_factors: dict[int, EulerFactorPoly], trunc: int = DEFA
     present.
     """
     check_mode(mode)
-    missing = [p for p in _primes_needed(trunc) if p not in local_factors]
+    missing = [p for p in primes_up_to(trunc) if p not in local_factors]
     if missing:
         raise ValueError(f"missing local factors at primes {missing[:10]} (need all p <= {trunc})")
     tables: dict[int, list] = {}
@@ -211,31 +215,5 @@ def assemble_global(local_factors: dict[int, EulerFactorPoly], trunc: int = DEFA
             kmax += 1
             pk *= p
         tables[p] = expand_inverse(f, kmax)
-    coeffs = [one(mode)] * trunc
-    for n in range(2, trunc + 1):
-        acc = one(mode)
-        for p, e in factorize(n):
-            acc *= tables[p][e]
-        coeffs[n - 1] = acc
+    coeffs = [multiplicative(n, lambda p, k: tables[p][k], mode) for n in range(1, trunc + 1)]
     return DirichletSeries(coeffs, mode, trunc)
-
-
-def _primes_needed(trunc: int) -> list[int]:
-    from .arith import primes_up_to
-
-    return primes_up_to(trunc)
-
-
-def local_coefficient(f: EulerFactorPoly, k: int):
-    """k-th power-series coefficient of 1/f (convenience wrapper)."""
-    return expand_inverse(f, k)[k]
-
-
-def geometric_factor(alpha, mode: str) -> EulerFactorPoly:
-    """(1 - alpha X), the inverse factor of a single parameter."""
-    return EulerFactorPoly.from_roots_inverse([alpha], mode)
-
-
-def rational(a: int, b: int = 1) -> Fraction:
-    """Shorthand used throughout the tests."""
-    return Fraction(a, b)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .arith import factorize, is_prime, primes_up_to, valuation
 from .characters import DirichletCharacter, gauss_classical
-from .euler import DirichletSeries, EulerFactorPoly, assemble_global, poly_divide_exact, poly_mul
+from .euler import DirichletSeries, EulerFactorPoly, assemble_global, poly_divide_exact
 from .scalars import EXACT, FLOAT, check_mode, coerce, format_scalar, is_zero, one, parse_scalar, zero
 
 
@@ -142,17 +142,9 @@ def block_local_data(blk: SteinbergBlock, p: int, mode: str) -> LocalData:
 def rs_naive_local(params_a, params_b, mode: str) -> EulerFactorPoly:
     """prod over parameter pairs of (1 - alpha*beta*X); zero pairs drop out."""
     check_mode(mode)
-    out = EulerFactorPoly.one(mode)
-    for a in params_a:
-        a = coerce(a, mode)
-        if is_zero(a, mode):
-            continue
-        for b in params_b:
-            b = coerce(b, mode)
-            if is_zero(b, mode):
-                continue
-            out = poly_mul(out, EulerFactorPoly.from_roots_inverse([a * b], mode))
-    return out
+    a_s = [a for a in (coerce(x, mode) for x in params_a) if not is_zero(a, mode)]
+    b_s = [b for b in (coerce(x, mode) for x in params_b) if not is_zero(b, mode)]
+    return EulerFactorPoly.from_roots_inverse([a * b for a in a_s for b in b_s], mode)
 
 
 def rs_full_local(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int, mode: str) -> EulerFactorPoly:
@@ -167,11 +159,8 @@ def rs_full_local(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int, mode: str)
         return EulerFactorPoly.one(mode)
     u = coerce(blk1.eta, mode) * coerce(blk2.eta, mode)
     lo, hi = sorted((blk1.b, blk2.b))
-    out = EulerFactorPoly.one(mode)
-    for i in range(lo):
-        root = u * coerce(Fraction(1, p ** (hi - 1 + i)), mode)
-        out = poly_mul(out, EulerFactorPoly.from_roots_inverse([root], mode))
-    return out
+    roots = [u * coerce(Fraction(1, p ** (hi - 1 + i)), mode) for i in range(lo)]
+    return EulerFactorPoly.from_roots_inverse(roots, mode)
 
 
 def rs_quotient_poly(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int, mode: str) -> EulerFactorPoly:

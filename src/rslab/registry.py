@@ -144,7 +144,7 @@ def _run_doublesum_anchor(cfg: RunConfig, rng: random.Random):
 
 
 def _run_doublesum_random(cfg: RunConfig, rng: random.Random):
-    n_max = min(cfg.n_max, 200)
+    n_max = cfg.n_max
     sets = [((1, 2, 3), (1, 2))]
     for _ in range(3):
         sets.append((_rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True)))
@@ -165,7 +165,7 @@ def _run_doublesum_random(cfg: RunConfig, rng: random.Random):
 
 
 def _run_standardcoeff(cfg: RunConfig, rng: random.Random):
-    n_max = min(cfg.n_max, 200)
+    n_max = cfg.n_max
     sets = [((1, 2, 3), (1, 2)), (_rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True))]
     for alphas, gammas in sets:
         data = CoeffData.constant(alphas, gammas, n_max, EXACT)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .euler import EulerFactorPoly, expand_inverse, poly_mul
+from .euler import EulerFactorPoly, expand_inverse
 from .scalars import EXACT, check_mode, coerce, one, zero
 
 #: largest first row accepted by the tableau enumerator (keeps the search small)
@@ -202,11 +202,8 @@ def schur_two_row(a: int, b: int, g1, g2, mode: str = EXACT):
 
 def _six_factor_expansion(alphas, gammas, kmax: int, mode: str):
     """Power-series coefficients of prod_{i,j} (1 - a_i g_j X)^(-1) up to X^kmax."""
-    prod = EulerFactorPoly.one(mode)
-    for ai in alphas:
-        for gj in gammas:
-            prod = poly_mul(prod, EulerFactorPoly.from_roots_inverse([ai * gj], mode))
-    return expand_inverse(prod, kmax)
+    roots = [ai * gj for ai in alphas for gj in gammas]
+    return expand_inverse(EulerFactorPoly.from_roots_inverse(roots, mode), kmax)
 
 
 def cauchy_check(alphas, gammas, kmax: int, mode: str = EXACT):

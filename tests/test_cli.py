@@ -69,6 +69,25 @@ def test_verify_fault_injection_exits_2():
     assert "reproduce" in err
 
 
+def test_verify_honours_n_max():
+    code, out, _ = run_cli("verify", "--suite", "doublesum", "--json", "--n-max", "300")
+    assert code == 0
+    details = {rec["check"]: rec["detail"] for rec in map(json.loads, out.splitlines())}
+    assert "n <= 300" in details["doublesum-random"]
+    assert "n <= 300" in details["standardcoeff"]
+
+
+def test_verify_rejects_n_max_above_bound(tmp_path):
+    too_big = str(10**5 + 1)
+    code, _, err = run_cli("verify", "--suite", "doublesum", "--n-max", too_big)
+    assert code == 3
+    assert "n_max" in err
+    cfgfile = tmp_path / "rs.cfg"
+    cfgfile.write_text(f"n_max={too_big}\n")
+    code, _, err = run_cli("verify", "--suite", "doublesum", "--config", str(cfgfile))
+    assert code == 3
+
+
 def test_verify_rejects_bad_suite():
     code, _, err = run_cli("verify", "--suite", "nope")
     assert code == 3
@@ -151,6 +170,20 @@ def test_dump_coeffs_csv(tmp_path):
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
 
 
+@pytest.mark.parametrize("name, extra", [
+    ("coeffs_anchor.csv", ()),
+    ("coeffs_mixed.csv", ("--alphas=-1/2,3,2/5", "--gammas=-3,1/7")),
+])
+def test_dump_coeffs_matches_golden(tmp_path, name, extra):
+    """Byte for byte the committed table: a fault shared by both routes of the
+    double sum leaves the residual column at 0, but not the values."""
+    target = tmp_path / name
+    code, _, _ = run_cli("dump", "coeffs", "--N", "120", *extra, "--out", str(target))
+    assert code == 0
+    golden = Path(__file__).resolve().parent / "golden" / name
+    assert target.read_bytes() == golden.read_bytes()
+
+
 def test_dump_gauss_matches_gauss_command(tmp_path):
     target = tmp_path / "g.jsonl"
     code, _, _ = run_cli("dump", "gauss", "--q", "7", "--out", str(target))
@@ -198,6 +231,13 @@ def test_reduce_command():
 def test_reduce_rejects_singular():
     code, _, err = run_cli("reduce", "--matrix", "1,1;1,1", "--ctx", "5,3,2")
     assert code == 3
+
+
+def test_reduce_rejects_non_integer_ctx():
+    code, out, err = run_cli("reduce", "--matrix", "1/5,0;3,5", "--ctx", "5,3,7/2")
+    assert code == 3
+    assert out == ""
+    assert "--ctx" in err
 
 
 def test_funceq_command():

@@ -3,6 +3,8 @@ coefficients, plus the standard-coefficient collapse and twist plumbing."""
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -17,6 +19,7 @@ from rslab.coeffs import (
     lambda_rs,
     lambda_std,
     lambda_tau,
+    modulus_convention_central,
     standardcoeff_check,
     twist_compatibility_check,
 )
@@ -128,3 +131,41 @@ def test_twist_compatibility():
     units = {p: Fraction(-1) for p in primes_up_to(30)}
     for n in (2, 3, 4, 6, 8, 12, 24):
         assert twist_compatibility_check(n, data, units) == 0, n
+
+
+def _h(k, xs):
+    """h_k(xs) summed monomial by monomial."""
+    return sum((prod(m, start=Fraction(1)) for m in combinations_with_replacement(xs, k)),
+               Fraction(0))
+
+
+def _varying_data(p_max=200):
+    """Parameters that change with p: 2 and 3 differ in both alphas and gammas,
+    5 and 7 repeat 2, 11 takes the alphas of 2 with the gammas of 3 and 13 the
+    reverse, and every other prime gets a third set."""
+    a2, g2 = (Fraction(1), Fraction(2), Fraction(3)), (Fraction(1), Fraction(2))
+    a3, g3 = (Fraction(-1, 2), Fraction(1, 3), Fraction(2)), (Fraction(3), Fraction(-1, 5))
+    rest = ((Fraction(2), Fraction(-1), Fraction(1, 4)), (Fraction(1, 2), Fraction(-2)))
+    special = {2: (a2, g2), 3: (a3, g3), 5: (a2, g2), 7: (a2, g2), 11: (a2, g3), 13: (a3, g2)}
+    params = {p: special.get(p, rest) for p in primes_up_to(p_max)}
+    return params, CoeffData(
+        pi={p: a for p, (a, _) in params.items()},
+        tau={p: g for p, (_, g) in params.items()},
+        central={p: modulus_convention_central(g) for p, (_, g) in params.items()},
+        mode=EXACT,
+    )
+
+
+def test_parameters_varying_by_prime():
+    """Each prime reads its own parameters, also where tables are shared."""
+    params, data = _varying_data()
+    for p, (alphas, gammas) in params.items():
+        k, pk = 1, p
+        while pk <= 200:
+            pairs = [a * g for a in alphas for g in gammas]
+            assert lambda_rs(pk, data) == c_pi_tau(pk, data) == _h(k, pairs), (p, k)
+            assert lambda_std(pk, data) == _h(k, alphas), (p, k)
+            assert lambda_tau(pk, data) == _h(k, gammas), (p, k)
+            k, pk = k + 1, pk * p
+    for n in range(1, 201):
+        assert double_sum_check(n, data) == 0, n

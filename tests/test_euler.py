@@ -12,23 +12,16 @@ from rslab.euler import (
     NotDivisibleError,
     assemble_global,
     expand_inverse,
-    geometric_factor,
-    local_coefficient,
+    multiplicative,
     poly_divide_exact,
     poly_mul,
-    rational,
 )
 from rslab.scalars import EXACT, FLOAT
 
 
-def test_rational_helper():
-    assert rational(3) == Fraction(3)
-    assert rational(3, 7) == Fraction(3, 7)
-
-
 def test_from_roots_inverse():
     # (1 - 2X)(1 - 3X) = 1 - 5X + 6X^2
-    f = EulerFactorPoly.from_roots_inverse([rational(2), rational(3)], EXACT)
+    f = EulerFactorPoly.from_roots_inverse([Fraction(2), Fraction(3)], EXACT)
     assert f.coeffs == (Fraction(1), Fraction(-5), Fraction(6))
     assert f.degree == 2
 
@@ -93,16 +86,21 @@ def test_poly_divide_exact_raises_with_remainder():
     assert exc.value.remainder is not None
 
 
-def test_local_coefficient_vs_expansion():
-    f = EulerFactorPoly((Fraction(1), Fraction(-2), Fraction(1, 3)), EXACT)
-    inv = expand_inverse(f, 10)
-    for k in range(11):
-        assert local_coefficient(f, k) == inv[k]
-
-
 def test_geometric_factor():
-    f = geometric_factor(Fraction(5, 7), EXACT)
+    f = EulerFactorPoly.from_roots_inverse([Fraction(5, 7)], EXACT)
     assert f.coeffs == (Fraction(1), Fraction(-5, 7))
+
+
+def test_multiplicative_reads_each_prime_power_once():
+    seen = []
+
+    def local(p, k):
+        seen.append((p, k))
+        return Fraction(-1) ** k * p  # so that a(n) = lambda(n) * rad(n)
+
+    assert multiplicative(1, local, EXACT) == 1 and seen == []
+    assert multiplicative(360, local, EXACT) == 30  # 2^3 3^2 5: six prime factors
+    assert seen == [(2, 3), (3, 2), (5, 1)]
 
 
 def test_dirichlet_series_multiplicativity():
