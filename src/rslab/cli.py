@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -318,17 +319,22 @@ def cmd_funceq(args) -> int:
         _die(f"--points: could not parse {args.points!r}")
     if not points:
         _die("--points is empty")
-    worst = 0.0
+    residuals = []
     for s in points:
-        res = fe.fe_residual_dirichlet(chi, s)
-        worst = max(worst, res)
+        try:
+            residuals.append(fe.fe_residual_dirichlet(chi, s))
+        except ValueError as exc:
+            _die(f"--points: {exc}")
+    for s, res in zip(points, residuals):
         print(
             json.dumps(
-                {"q": q, "chi_index": args.chi_index, "s": [s.real, s.imag], "residual": res},
+                {"q": q, "chi_index": args.chi_index, "s": [s.real, s.imag],
+                 "residual": res if math.isfinite(res) else None},
                 separators=(",", ":"),
             )
         )
-    return 0 if worst < 1e-8 else 2
+    # all(<), not max(): a NaN residual compares False and so fails
+    return 0 if all(res < 1e-8 for res in residuals) else 2
 
 
 # -- wiring -------------------------------------------------------------------

@@ -222,10 +222,14 @@ def unit_value_at(n: int, units: Mapping[int, object] | int | Fraction, data: Co
     return multiplicative(n, lambda p, k: coerce(units[p], data.mode) ** k, data.mode)
 
 
-def twist_compatibility_check(n: int, data: CoeffData, units) -> object:
-    """Residual of c_twisted(n) = u(n) * c(n) under an unramified unit twist."""
+def twist_compatibility_check(n_max: int, data: CoeffData, units) -> list:
+    """Residuals of c_twisted(n) = u(n) * c(n) under an unramified unit twist,
+    for n = 1..n_max; the twisted data is built once."""
     twisted = twist_tau(data, units)
-    return c_pi_tau(n, twisted) - unit_value_at(n, units, data) * c_pi_tau(n, data)
+    return [
+        c_pi_tau(n, twisted) - unit_value_at(n, units, data) * c_pi_tau(n, data)
+        for n in range(1, n_max + 1)
+    ]
 
 
 def coefficient_rows(n_max: int, data: CoeffData) -> list[tuple]:

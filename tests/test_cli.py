@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, JSON output, config and
-seed precedence, and the dump formats."""
+seed precedence, the dump formats, the console script, and a package that
+needs nothing outside the standard library."""
 
 import json
 import os
@@ -10,6 +11,15 @@ from pathlib import Path
 import pytest
 
 from rslab.cli import main, read_config
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _env_with_src():
+    """os.environ with the checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(*argv, env=None):
@@ -250,6 +260,22 @@ def test_funceq_command():
     assert all(rec["residual"] < 1e-8 for rec in records)
 
 
+@pytest.mark.parametrize("points", ["0", "1+1e-7j", "nan", "7.5+1j", "0.5+400j"])
+def test_funceq_rejects_points_outside_validated_range(points):
+    # index 2 mod 5 is even: Gamma_R(s) has a pole at 0 and Gamma_R(1-s) at 1
+    code, out, err = run_cli("funceq", "--q", "5", "--chi-index", "2", "--points", points)
+    assert code == 3, err
+    assert out == ""  # no record, so no NaN either
+
+
+def test_funceq_nan_residual_fails(monkeypatch):
+    monkeypatch.setattr("rslab.funceq.fe_residual_dirichlet", lambda chi, s: float("nan"))
+    code, out, _ = run_cli("funceq", "--q", "5", "--chi-index", "1", "--points", "0.5")
+    assert code == 2
+    assert "NaN" not in out
+    assert json.loads(out)["residual"] is None
+
+
 def test_funceq_rejects_imprimitive():
     # mod 4 has exactly one nontrivial character; index 0 is the trivial one
     code, _, err = run_cli("funceq", "--q", "4", "--chi-index", "0", "--points", "0.5")
@@ -264,8 +290,7 @@ def test_console_script_installed(tmp_path):
     is exercised from a plain checkout, without an install.
     """
     tomllib = pytest.importorskip("tomllib")
-    root = Path(__file__).resolve().parents[1]
-    with open(root / "pyproject.toml", "rb") as fh:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
         entry = tomllib.load(fh)["project"]["scripts"]["rslab"]
     module, func = entry.split(":")
     script = tmp_path / "rslab"
@@ -276,11 +301,8 @@ def test_console_script_installed(tmp_path):
         f"sys.exit({func}())\n"
     )
     script.chmod(0o755)
-    env = dict(os.environ)
+    env = _env_with_src()
     env["PATH"] = os.pathsep.join(filter(None, [str(tmp_path), env.get("PATH")]))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         ["rslab", "--help"],
         capture_output=True,
@@ -291,3 +313,28 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "verify" in proc.stdout, proc.stderr
+
+
+def test_import_loads_only_the_standard_library():
+    """`import rslab` adds no module from outside the standard library."""
+    code = (
+        "import sys; before = set(sys.modules); import rslab; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_env_with_src(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[0] for name in proc.stdout.split()}
+    assert "rslab" in loaded
+    assert loaded - {"rslab"} <= set(sys.stdlib_module_names), sorted(loaded)
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []

@@ -13,7 +13,7 @@ from rslab.funceq import (
     completed_g,
     dirichlet_L,
     fe_residual_dirichlet,
-    gamma_c,
+    gamma,
     gamma_r,
     hurwitz_zeta,
     hurwitz_zeta_star,
@@ -110,7 +110,50 @@ def test_dirichlet_L_trivial_character_is_deflated_zeta():
 
 def test_gamma_factors():
     assert abs(gamma_r(2) - math.pi ** (-1) * math.gamma(1)) < 1e-12
-    assert abs(gamma_c(2) - 2 * (2 * math.pi) ** (-2) * math.gamma(2)) < 1e-12
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def test_gamma_integers_and_half():
+    """Gamma(n) = (n-1)! for n <= 20 and Gamma(1/2) = sqrt(pi)."""
+    for n in range(1, 21):
+        assert _rel(gamma(n), math.factorial(n - 1)) < 1e-14, n
+    assert _rel(gamma(0.5), math.sqrt(math.pi)) < 1e-14
+
+
+def test_gamma_recurrence_reflection_duplication():
+    """Gamma(s+1) = s Gamma(s), Gamma(s) Gamma(1-s) = pi / sin(pi s) and
+    Gamma(s) Gamma(s+1/2) = 2^{1-2s} sqrt(pi) Gamma(2s) at 90 points with
+    Re s in [-10, 10], |Im s| <= 40, none on a pole."""
+    for s in (complex(x + 0.37, y) for x in range(-10, 10, 2) for y in range(-40, 41, 10)):
+        g = gamma(s)
+        assert _rel(gamma(s + 1), s * g) < 2e-13, s
+        assert _rel(g * gamma(1 - s), math.pi / cmath.sin(math.pi * s)) < 2e-13, s
+        want = 2 ** (1 - 2 * s) * math.sqrt(math.pi) * gamma(2 * s)
+        assert _rel(g * gamma(s + 0.5), want) < 2e-13, s
+
+
+def test_gamma_rejects_poles():
+    for s in (0, -1, -2):
+        with pytest.raises(ValueError):
+            gamma(s)
+    for s in (0, -2, -4):
+        with pytest.raises(ValueError):
+            gamma_r(s)
+
+
+def test_gamma_against_mpmath():
+    """Relative error <= 1e-13 against 40-digit mpmath for Re s in [-10, 10],
+    |Im s| <= 50, at least 0.1 from every pole."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for i in range(40):
+            for j in range(-10, 11):
+                s = complex(-10 + 0.5 * i + 0.1, 5.0 * j)
+                want = complex(mpmath.gamma(mpmath.mpc(s.real, s.imag)))
+                assert _rel(gamma(s), want) <= 1e-13, s
 
 
 def test_completed_g_even_odd():
