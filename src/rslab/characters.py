@@ -249,13 +249,18 @@ def gauss_beta(chi: DirichletCharacter, beta: Fraction, mode: str = EXACT):
     q = chi.group.q
     beta = Fraction(beta)
     if mode == EXACT:
-        acc = CycloElement.zero()
+        # with beta = r/m every term is e(k/L) at L = lcm(m, the group's
+        # orders): count the exponents, then build one CycloElement
+        m = beta.denominator
+        big = lcm(m, *chi.group.orders)
+        weights: dict[int, int] = {}
         for d in range(1, q + 1):
             z = chi.value(d)
             if z is None:
                 continue
-            acc = acc + CycloElement.from_root(z * RootOfUnity.from_fraction(d * beta))
-        return acc
+            k = (z.k * (big // z.n) + d * beta.numerator * (big // m)) % big
+            weights[k] = weights.get(k, 0) + 1
+        return CycloElement.from_exponents(big, weights)
     acc = 0j
     for d in range(1, q + 1):
         z = chi.value(d)
@@ -290,24 +295,6 @@ def nonvanishing_window_check(chi: DirichletCharacter, q2: int):
     return (not failures, failures)
 
 
-def orthogonality_avg(gamma: Fraction, q1: int) -> Fraction:
-    """(1/q1) * sum_{d mod q1} e(d * gamma), summed exactly.
-
-    Detects integrality: 1 when gamma is an integer, 0 when its denominator
-    divides q1 nontrivially; raises if the exact average is irrational.
-    """
-    if q1 < 1:
-        raise ValueError("q1 must be positive")
-    gamma = Fraction(gamma)
-    acc = CycloElement.zero()
-    for d in range(q1):
-        acc = acc + CycloElement.from_root(RootOfUnity.from_fraction(d * gamma))
-    r = acc.as_rational()
-    if r is None:
-        raise ValueError(f"average of e(d*{gamma}) over d mod {q1} is not rational")
-    return r / q1
-
-
 def addtomult_check(chi: DirichletCharacter, n: int, mode: str = FLOAT) -> float:
     """Residual of the additive-to-multiplicative identity at n.
 
@@ -321,12 +308,8 @@ def addtomult_check(chi: DirichletCharacter, n: int, mode: str = FLOAT) -> float
         raise ValueError("identity requires a primitive character")
     chibar = chi.conjugate()
     if mode == EXACT:
-        acc = CycloElement.zero()
-        for a in range(1, q + 1):
-            z = chibar.value(-a)
-            if z is None:
-                continue
-            acc = acc + CycloElement.from_root(z * RootOfUnity(a * n, q))
+        # sum_a conj(chi)(-a) e(a n / q) = conj(chi)(-1) tau_q(conj(chi), n / q)
+        acc = gauss_beta(chibar, Fraction(n, q), EXACT) * CycloElement.from_root(chibar.value(-1))
         lhs = gauss_classical(chi, EXACT) * acc * Fraction(1, q)
         zn = chi.value(n)
         rhs = CycloElement.zero() if zn is None else CycloElement.from_root(zn)

@@ -88,20 +88,6 @@ def _resolve_config(args) -> registry.RunConfig:
         _die(str(exc))
 
 
-def _jvalue(x):
-    """JSON-safe rendering: Fractions as strings, complex as [re, im]."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, (int, float, str, bool)) or x is None:
-        return x
-    if hasattr(x, "to_complex"):
-        z = x.to_complex()
-        return [z.real, z.imag]
-    return str(x)
-
-
 def _jmat(m: Mat) -> list:
     rows, cols = m.shape
     return [[str(m[i, j]) for j in range(cols)] for i in range(rows)]

@@ -93,6 +93,16 @@ class CycloElement:
     def from_root(cls, z: RootOfUnity) -> "CycloElement":
         return cls(z.n, {z.k: Fraction(1)})
 
+    @classmethod
+    def from_exponents(cls, n: int, weights: dict[int, int | Fraction]) -> "CycloElement":
+        """sum_k w_k zeta_n^k from a map {k mod n: w_k}, at the order
+        n / gcd(n, every key) that adding the terms one by one reaches
+        (zero-weight keys count), so both give the same n and coeffs."""
+        g = n
+        for k in weights:
+            g = gcd(g, k)
+        return cls(n // g, {k // g: w for k, w in weights.items()})
+
     # -- ring structure -----------------------------------------------
 
     def _unified(self, other: "CycloElement") -> tuple[int, dict, dict]:

@@ -176,6 +176,18 @@ def _gamma_r_pole_distance(s: complex) -> float:
     return abs(s + 2 * max(0, round(-s.real / 2)))
 
 
+def _require_validated(s: complex, a: int) -> None:
+    """The validated-range test of fe_residual_dirichlet at parity a."""
+    if not cmath.isfinite(s):
+        raise ValueError(f"s = {s} is not finite")
+    if abs(s.real - 0.5) > FE_RE_RADIUS or abs(s.imag) > FE_IM_MAX:
+        raise ValueError(
+            f"s = {s} is outside |Re s - 1/2| <= {FE_RE_RADIUS:g}, |Im s| <= {FE_IM_MAX:g}"
+        )
+    if min(_gamma_r_pole_distance(s + a), _gamma_r_pole_distance(1 - s + a)) < POLE_MARGIN:
+        raise ValueError(f"s = {s} is within {POLE_MARGIN:g} of a Gamma_R pole")
+
+
 def fe_residual_dirichlet(chi: DirichletCharacter, s: complex) -> float:
     """Relative defect of  G(s, chi) = eps(chi) q^{1/2-s} G(1-s, conj chi).
 
@@ -187,15 +199,7 @@ def fe_residual_dirichlet(chi: DirichletCharacter, s: complex) -> float:
     if chi.is_trivial():
         raise ValueError("use a nontrivial character (zeta has a pole)")
     s = complex(s)
-    if not cmath.isfinite(s):
-        raise ValueError(f"s = {s} is not finite")
-    if abs(s.real - 0.5) > FE_RE_RADIUS or abs(s.imag) > FE_IM_MAX:
-        raise ValueError(
-            f"s = {s} is outside |Re s - 1/2| <= {FE_RE_RADIUS:g}, |Im s| <= {FE_IM_MAX:g}"
-        )
-    a = chi.parity
-    if min(_gamma_r_pole_distance(s + a), _gamma_r_pole_distance(1 - s + a)) < POLE_MARGIN:
-        raise ValueError(f"s = {s} is within {POLE_MARGIN:g} of a Gamma_R pole")
+    _require_validated(s, chi.parity)
     q = chi.group.q
     lhs = completed_g(s, chi)
     rhs = dirichlet_root_number(chi) * q ** (0.5 - s) * completed_g(1 - s, chi.conjugate())
@@ -211,7 +215,6 @@ class SyntheticFEReport:
     eps: complex
     conductor: int
     residuals: list  # (s, relative residual)
-    skipped: list  # s values too close to a zeta pole
 
     @property
     def max_residual(self) -> float:
@@ -228,7 +231,9 @@ def synthetic_fe_check(chi: DirichletCharacter, ts: tuple, u1: float,
         Lam(s) = eps(chi)^3 q^{-i(sum t + 3 u1)} (q^3)^{1/2-s} Lam~(1-s)
 
     with Lam~ the same product built from conj(chi) and negated shifts.
-    Points whose zeta-factor argument sits on 0 or 1 are skipped.
+    Raises ValueError unless every factor's argument (s plus its shift)
+    passes the validated-range test of fe_residual_dirichlet, the
+    zeta-factors' poles at 0 and 1 included.
     """
     if not chi.is_primitive() or chi.is_trivial():
         raise ValueError("need a primitive nontrivial character")
@@ -247,14 +252,15 @@ def synthetic_fe_check(chi: DirichletCharacter, ts: tuple, u1: float,
             out *= completed_g(s + sgn * 1j * t, None)
         return out
 
-    residuals, skipped = [], []
+    a = chi.parity
+    residuals = []
     for s in s_values:
         s = complex(s)
-        if any(min(abs(s + 1j * t), abs(s + 1j * t - 1)) < POLE_MARGIN for t in ts):
-            skipped.append(s)
-            continue
+        for t in ts:
+            _require_validated(s + 1j * (t + u1), a)
+            _require_validated(s + 1j * t, 0)
         lhs = lam(s, False)
         rhs = eps * conductor ** (0.5 - s) * lam(1 - s, True)
         scale = max(abs(lhs), abs(rhs), 1e-300)
         residuals.append((s, abs(lhs - rhs) / scale))
-    return SyntheticFEReport(eps, conductor, residuals, skipped)
+    return SyntheticFEReport(eps, conductor, residuals)

@@ -645,8 +645,15 @@ def check_ids() -> list[str]:
 
 
 def run_check(check: Check, cfg: RunConfig) -> CheckResult:
+    """Run one check; an exception inside it fails the check (traceback to stderr)."""
     rng = random.Random(f"{cfg.seed}:{check.check_id}")
-    ok, detail = check.runner(cfg, rng)
+    try:
+        ok, detail = check.runner(cfg, rng)
+    except Exception as exc:
+        import traceback  # here, not at the top: it adds 3 ms to `import rslab`
+
+        traceback.print_exc()
+        ok, detail = False, f"error: {type(exc).__name__}: {exc}"
     return CheckResult(check.check_id, check.suite, ok, detail)
 
 

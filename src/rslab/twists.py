@@ -97,18 +97,24 @@ def gl31_decomposition_check(chi: DirichletCharacter, data: CoeffData, n: int) -
     """
     q = chi.group.q
     a = chi.parity
+    chibar = chi.conjugate()
     mode = data.mode
     lam = lambda_std(n, data)
     scale = max(1.0, q * abs(complex(lam)))
     if mode == EXACT:
-        acc = CycloElement.zero()
+        # fold the terms conj(chi)(-r) lam unit_average(n r / q) into one map
+        big = lcm(q, *chi.group.orders)
+        weights: dict[int, Fraction] = {}
         for r in range(1, q + 1):
-            z = chi.conjugate().value(-r)
+            z = chibar.value(-r)
             if z is None:
                 continue
-            acc = acc + CycloElement.from_root(z) * (
-                lam * unit_average(Fraction(n * r, q), q, a, 0.0, EXACT)
-            )
+            avg = unit_average(Fraction(n * r, q), q, a, 0.0, EXACT)
+            kz = z.k * (big // z.n)
+            for k, c in avg.coeffs.items():
+                key = (kz + k * (big // avg.n)) % big
+                weights[key] = weights.get(key, 0) + lam * c
+        acc = CycloElement.from_exponents(big, weights)
         tau = gauss_beta(chi, Fraction(1, q), EXACT)
         zn = chi.value(n)
         lhs = CycloElement.from_rational(q * lam) * (
@@ -118,7 +124,7 @@ def gl31_decomposition_check(chi: DirichletCharacter, data: CoeffData, n: int) -
         return 0.0 if diff.is_zero() else abs(diff.to_complex()) / scale
     acc = 0j
     for r in range(1, q + 1):
-        zc = chi.conjugate().value_complex(-r)
+        zc = chibar.value_complex(-r)
         if zc == 0:
             continue
         acc += zc * lam * unit_average(n * r / q, q, a, 0.0, FLOAT)

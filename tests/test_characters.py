@@ -17,8 +17,8 @@ from rslab.characters import (
     gauss_factorization_residual,
     induce_character,
     nonvanishing_window_check,
-    orthogonality_avg,
 )
+from rslab.cyclotomic import CycloElement
 from rslab.scalars import EXACT, FLOAT, RootOfUnity
 
 
@@ -104,22 +104,6 @@ def test_decompose_reassembles():
                 assert prod == chi.value(a)
 
 
-def test_orthogonality_average_detects_integrality():
-    """(1/q1) sum_d e(d*gamma) is 1 for integer gamma and 0 when the
-    denominator of gamma divides q1 nontrivially."""
-    assert orthogonality_avg(Fraction(3), 5) == 1
-    assert orthogonality_avg(Fraction(0), 1) == 1
-    assert orthogonality_avg(Fraction(1, 4), 8) == 0
-    assert orthogonality_avg(Fraction(5, 6), 6) == 0
-    rng = random.Random(88)
-    for _ in range(20):
-        q1 = rng.randint(2, 12)
-        num = rng.randint(1, q1 - 1)
-        gamma = Fraction(num, q1)
-        want = 1 if gamma.denominator == 1 else 0
-        assert orthogonality_avg(gamma, q1) == want
-
-
 def test_gauss_classical_quadratic_anchors():
     """tau(chi_3) = i*sqrt(3) and tau(chi_4) = 2i for the odd quadratic
     characters mod 3 and mod 4."""
@@ -152,6 +136,32 @@ def test_gauss_beta_exact_matches_float():
                 exact = gauss_beta(chi, beta, mode=EXACT)
                 approx = gauss_beta(chi, beta, mode=FLOAT)
                 assert abs(exact.to_complex() - approx) < 1e-10
+
+
+def test_gauss_beta_exact_matches_termwise_sum():
+    """The exponent-map sum gives the same n and coeffs, in the same order,
+    as adding one CycloElement per term; same order keeps to_complex()
+    bit-identical too."""
+    for q in range(1, 25):
+        for chi in char_group(q).characters():
+            values = [(d, chi.value(d)) for d in range(1, q + 1) if gcd(d, q) == 1]
+            for m in sorted({1, q, 7, 12}):
+                for r in range(m):
+                    beta = Fraction(r, m)
+                    ref = CycloElement.zero()
+                    for d, z in values:
+                        ref = ref + CycloElement.from_root(z * RootOfUnity.from_fraction(d * beta))
+                    got = gauss_beta(chi, beta, EXACT)
+                    assert got.n == ref.n, (chi, beta)
+                    assert list(got.coeffs.items()) == list(ref.coeffs.items()), (chi, beta)
+
+
+def test_addtomult_exact_proves_the_identity():
+    for q in range(3, 17):
+        for chi in char_group(q).characters():
+            if chi.is_primitive():
+                for n in range(1, 2 * q + 1):
+                    assert addtomult_check(chi, n, EXACT) == 0.0, (chi, n)
 
 
 def test_gauss_beta_substitution_symmetry():

@@ -98,6 +98,25 @@ def test_verify_rejects_n_max_above_bound(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("exc", [ValueError("bad knob"), ZeroDivisionError("division by zero")])
+def test_verify_reports_an_error_inside_a_check(monkeypatch, exc):
+    """A check that raises fails with an `error:` record and its traceback
+    on stderr; the checks after it still run and verify exits 2."""
+    from rslab import registry
+
+    def broken(cfg, rng):
+        raise exc
+
+    fine = next(c for c in registry.CHECKS if c.check_id == "conductor-exp")
+    monkeypatch.setattr(registry, "CHECKS", (registry.Check("broken", "matid", "raises", broken), fine))
+    code, out, err = run_cli("verify", "--suite", "matid", "--json")
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["check"], r["ok"]) for r in records] == [("broken", False), ("conductor-exp", True)]
+    assert records[0]["detail"] == f"error: {type(exc).__name__}: {exc}"
+    assert "Traceback" in err and str(exc) in err
+
+
 def test_verify_rejects_bad_suite():
     code, _, err = run_cli("verify", "--suite", "nope")
     assert code == 3

@@ -194,6 +194,18 @@ def test_synthetic_fe_product():
     assert report.max_residual < 1e-8
 
 
+@pytest.mark.parametrize("s, why", [
+    (-0.7j, "Gamma_R pole"),  # a chi-factor's argument hits the pole at 0
+    (1 - 0.5j, "Gamma_R pole"),  # a zeta-factor's argument hits its pole at 1
+    (7.5 + 1j, "outside"),  # the Euler-Maclaurin tail gives a false 5.5e-3 there
+])
+def test_synthetic_fe_rejects_points_outside_validated_range(s, why):
+    even = char_group(5).character((2,))
+    assert even.is_primitive() and even.parity == 0
+    with pytest.raises(ValueError, match=why):
+        synthetic_fe_check(even, (0.5, -0.3, 0.1), 0.2, [0.5, s])
+
+
 def test_root_number_feeds_fe():
     """The root number from the completed FE matches the Gauss-sum one."""
     for q in (3, 5, 7):
