@@ -1,10 +1,10 @@
 """Dirichlet characters mod q with exact root-of-unity values.
 
-The unit group mod q is split into prime-power components; each component
-carries explicit generators and a discrete-log table, so a character is
-just a tuple of exponents (one per generator).  Values come back as exact
-roots of unity, and Gauss sums can be formed either as floats or as exact
-cyclotomic elements.
+The unit group mod q is split into prime-power components with explicit
+generators, so a character is just a tuple of exponents (one per generator);
+one table per modulus of the units' discrete logs makes each value a lookup.
+Values come back as exact roots of unity, and Gauss sums can be formed
+either as floats or as exact cyclotomic elements.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, pi
+from operator import mul
 
 from .arith import euler_phi, factorize, primitive_root, radical, valuation
 from .cyclotomic import CycloElement
@@ -22,36 +23,21 @@ from .scalars import EXACT, FLOAT, RootOfUnity, check_mode
 
 
 class _Component:
-    """One prime-power block p^e of (Z/q)^*, with generators and dlog table."""
+    """One prime-power block p^e of (Z/q)^*, with its generators and their orders."""
 
-    __slots__ = ("pe", "p", "e", "gens", "orders", "dlog")
+    __slots__ = ("pe", "p", "e", "gens", "orders")
 
     def __init__(self, p: int, e: int):
         self.p, self.e, self.pe = p, e, p**e
         if p == 2:
             if e == 1:
                 self.gens, self.orders = (), ()
-                self.dlog = {1: ()}
             elif e == 2:
                 self.gens, self.orders = (3,), (2,)
-                self.dlog = {1: (0,), 3: (1,)}
             else:
-                half = 2 ** (e - 2)
-                self.gens, self.orders = (self.pe - 1, 5), (2, half)
-                self.dlog = {}
-                for s in range(2):
-                    for t in range(half):
-                        r = (pow(-1, s, self.pe) * pow(5, t, self.pe)) % self.pe
-                        self.dlog[r] = (s, t)
+                self.gens, self.orders = (self.pe - 1, 5), (2, 2 ** (e - 2))
         else:
-            g = primitive_root(self.pe)
-            n = euler_phi(self.pe)
-            self.gens, self.orders = (g,), (n,)
-            self.dlog = {}
-            r = 1
-            for j in range(n):
-                self.dlog[r] = (j,)
-                r = r * g % self.pe
+            self.gens, self.orders = (primitive_root(self.pe),), (euler_phi(self.pe),)
 
 
 class CharGroup:
@@ -65,6 +51,9 @@ class CharGroup:
         self.orders: tuple[int, ...] = tuple(
             n for comp in self.components for n in comp.orders
         )
+        #: the group exponent L = lcm(orders): every value is e(k/L)
+        self.exponent = lcm(*self.orders)
+        self._table = None
 
     def __len__(self) -> int:
         return euler_phi(self.q)
@@ -96,6 +85,32 @@ class CharGroup:
                     out.append(x % self.q)
         return out
 
+    def value_table(self) -> tuple[list, list, list]:
+        """(logs, roots, complexes), built on first use.
+
+        logs[a] for 0 <= a < q is the tuple of discrete logs of a to the
+        generators, each scaled by L / order to the exponent L, or None when
+        gcd(a, q) > 1; a character with exponents e_i then has
+        chi(a) = e(k/L) with k = sum e_i logs[a][i] mod L.  roots[k] is
+        RootOfUnity(k, L) and complexes[k] its to_complex().
+        """
+        if self._table is None:
+            q, big = self.q, self.exponent
+            units = [(1 % q, ())]
+            for g, n in zip(self.generator_residues(), self.orders):
+                step, grown = big // n, []
+                for r, ls in units:
+                    for j in range(n):
+                        grown.append((r, ls + (j * step,)))
+                        r = r * g % q
+                units = grown
+            logs = [None] * q
+            for r, ls in units:
+                logs[r] = ls
+            roots = [RootOfUnity(k, big) for k in range(big)]
+            self._table = (logs, roots, [z.to_complex() for z in roots])
+        return self._table
+
 
 @lru_cache(maxsize=None)
 def char_group(q: int) -> CharGroup:
@@ -118,26 +133,21 @@ class DirichletCharacter:
     def modulus(self) -> int:
         return self.group.q
 
+    def _k(self, a: int) -> int | None:
+        """k with chi(a) = e(k/L), L the group exponent; None when gcd(a, q) > 1."""
+        row = self.group.value_table()[0][a % self.group.q]
+        if row is None:
+            return None
+        return sum(map(mul, self.exps, row)) % self.group.exponent
+
     def value(self, a: int) -> RootOfUnity | None:
         """chi(a) as an exact root of unity; None when gcd(a, q) > 1."""
-        q = self.group.q
-        if q == 1:
-            return RootOfUnity.one()
-        a %= q
-        if gcd(a, q) != 1:
-            return None
-        t = Fraction(0)
-        slot = 0
-        for comp in self.group.components:
-            ds = comp.dlog[a % comp.pe]
-            for d, n in zip(ds, comp.orders):
-                t += Fraction(self.exps[slot] * d, n)
-                slot += 1
-        return RootOfUnity.from_fraction(t)
+        k = self._k(a)
+        return None if k is None else self.group.value_table()[1][k]
 
     def value_complex(self, a: int) -> complex:
-        z = self.value(a)
-        return 0j if z is None else z.to_complex()
+        k = self._k(a)
+        return 0j if k is None else self.group.value_table()[2][k]
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exps)
@@ -215,26 +225,6 @@ class DirichletCharacter:
         return f"chi(q={self.group.q}; {','.join(map(str, self.exps))})"
 
 
-def induce_character(chi: DirichletCharacter, q: int) -> DirichletCharacter:
-    """The character mod q agreeing with chi on everything coprime to q.
-
-    Requires chi's modulus to divide q.  (Values at residues sharing a factor
-    with q are dropped, as usual for induction to a larger modulus.)
-    """
-    c = chi.group.q
-    if q % c != 0:
-        raise ValueError(f"{c} does not divide {q}")
-    grp = char_group(q)
-    exps = []
-    for g, n in zip(grp.generator_residues(), grp.orders):
-        z = chi.value(g % c if c > 1 else 0)
-        assert z is not None, "generator not coprime to the smaller modulus?"
-        e = z.exponent * n
-        assert e.denominator == 1, "induced exponent is not integral"
-        exps.append(int(e))
-    return grp.character(exps)
-
-
 # -- Gauss sums ----------------------------------------------------------
 
 
@@ -249,24 +239,25 @@ def gauss_beta(chi: DirichletCharacter, beta: Fraction, mode: str = EXACT):
     q = chi.group.q
     beta = Fraction(beta)
     if mode == EXACT:
-        # with beta = r/m every term is e(k/L) at L = lcm(m, the group's
-        # orders): count the exponents, then build one CycloElement
+        # with beta = r/m every term is e(k/big) at big = lcm(m, L): count
+        # the exponents, then build one CycloElement
         m = beta.denominator
-        big = lcm(m, *chi.group.orders)
+        big = lcm(m, chi.group.exponent)
+        scale, shift = big // chi.group.exponent, beta.numerator * (big // m)
+        logs, exps = chi.group.value_table()[0], chi.exps
         weights: dict[int, int] = {}
         for d in range(1, q + 1):
-            z = chi.value(d)
-            if z is None:
+            row = logs[d % q]
+            if row is None:
                 continue
-            k = (z.k * (big // z.n) + d * beta.numerator * (big // m)) % big
+            k = (sum(map(mul, exps, row)) * scale + d * shift) % big
             weights[k] = weights.get(k, 0) + 1
         return CycloElement.from_exponents(big, weights)
     acc = 0j
     for d in range(1, q + 1):
-        z = chi.value(d)
-        if z is None:
-            continue
-        acc += z.to_complex() * cmath.exp(2j * pi * float(d * beta))
+        z = chi.value_complex(d)
+        if z:  # 0j off the units
+            acc += z * cmath.exp(2j * pi * float(d * beta))
     return acc
 
 
@@ -295,34 +286,43 @@ def nonvanishing_window_check(chi: DirichletCharacter, q2: int):
     return (not failures, failures)
 
 
-def addtomult_check(chi: DirichletCharacter, n: int, mode: str = FLOAT) -> float:
-    """Residual of the additive-to-multiplicative identity at n.
+def addtomult_residuals(chi: DirichletCharacter, ns, mode: str = FLOAT) -> list[float]:
+    """Residuals of the additive-to-multiplicative identity, one per n in ns.
 
     For primitive chi:  (tau(chi)/q) * sum_a conj(chi)(-a) e(a n / q) = chi(n),
-    including chi(n) = 0 when gcd(n, q) > 1.  Returns |LHS - RHS| (0.0 when
-    the exact route proves equality).
+    including chi(n) = 0 when gcd(n, q) > 1.  Each residual is |LHS - RHS|
+    (0.0 when the exact route proves equality); tau(chi) and the values of
+    conj(chi) are computed once for all n.
     """
     check_mode(mode)
     q = chi.group.q
     if not chi.is_primitive():
         raise ValueError("identity requires a primitive character")
     chibar = chi.conjugate()
+    out = []
     if mode == EXACT:
         # sum_a conj(chi)(-a) e(a n / q) = conj(chi)(-1) tau_q(conj(chi), n / q)
-        acc = gauss_beta(chibar, Fraction(n, q), EXACT) * CycloElement.from_root(chibar.value(-1))
-        lhs = gauss_classical(chi, EXACT) * acc * Fraction(1, q)
-        zn = chi.value(n)
-        rhs = CycloElement.zero() if zn is None else CycloElement.from_root(zn)
-        diff = lhs - rhs
-        return 0.0 if diff.is_zero() else abs(diff.to_complex())
-    acc = 0j
-    for a in range(1, q + 1):
-        z = chibar.value(-a)
-        if z is None:
-            continue
-        acc += z.to_complex() * cmath.exp(2j * pi * a * n / q)
-    lhs = gauss_classical(chi, FLOAT) / q * acc
-    return abs(lhs - chi.value_complex(n))
+        tau = gauss_classical(chi, EXACT)
+        sign = CycloElement.from_root(chibar.value(-1))
+        for n in ns:
+            lhs = tau * (gauss_beta(chibar, Fraction(n, q), EXACT) * sign) * Fraction(1, q)
+            zn = chi.value(n)
+            diff = lhs - (CycloElement.zero() if zn is None else CycloElement.from_root(zn))
+            out.append(0.0 if diff.is_zero() else abs(diff.to_complex()))
+        return out
+    terms = [(a, chibar.value_complex(-a)) for a in range(1, q + 1) if gcd(a, q) == 1]
+    tau_over_q = gauss_classical(chi, FLOAT) / q
+    for n in ns:
+        acc = 0j
+        for a, z in terms:
+            acc += z * cmath.exp(2j * pi * a * n / q)
+        out.append(abs(tau_over_q * acc - chi.value_complex(n)))
+    return out
+
+
+def addtomult_check(chi: DirichletCharacter, n: int, mode: str = FLOAT) -> float:
+    """The residual of addtomult_residuals at one n."""
+    return addtomult_residuals(chi, [n], mode)[0]
 
 
 def dirichlet_root_number(chi: DirichletCharacter) -> complex:

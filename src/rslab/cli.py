@@ -24,6 +24,11 @@ from .scalars import EXACT, FLOAT, MODES
 
 DEFAULT_SEED = 1729
 CONFIG_KEYS = ("mode", "n_max", "p_max", "seed")
+# --q bounds where the command takes about a minute on 2 vCPUs; a prime q
+# costs most: `gauss --q 223` takes 59 s (phi(q)^2 sums of q terms), and
+# `funceq --q 399989 --chi-index 1` 58 s (q Hurwitz zeta values per point)
+GAUSS_Q_MAX = 225
+FUNCEQ_Q_MAX = 4 * 10**5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,6 +84,8 @@ def _resolve_config(args) -> registry.RunConfig:
         _die("seed, n_max and p_max must be integers")
     if n_max > 10**5:  # `verify --suite doublesum` takes about 50 s there on 2 vCPUs
         _die("n_max must be <= 10^5")
+    if p_max > 350:  # `verify --suite gauss` takes about 50 s there on 2 vCPUs
+        _die("p_max must be <= 350")
     try:
         return registry.RunConfig(
             mode=mode, n_max=n_max, p_max=p_max, seed=seed,
@@ -243,21 +250,21 @@ def cmd_dump(args) -> int:
             sys.stdout.write(text)
         return 0
     if args.kind == "gauss":
-        records = _gauss_records(_check_q(args.q))
+        records = _gauss_records(_check_q(args.q, GAUSS_Q_MAX))
     else:  # twist
         records = _twist_records(args)
     _emit_json_lines(records, args.out, to_stdout=args.out is None)
     return 0
 
 
-def _check_q(q: int) -> int:
-    if q < 1 or q > 10**6:
-        _die("--q out of range")
+def _check_q(q: int, bound: int) -> int:
+    if q < 1 or q > bound:
+        _die(f"--q must be in [1, {bound}]")
     return q
 
 
 def cmd_gauss(args) -> int:
-    _emit_json_lines(_gauss_records(_check_q(args.q)), None, True)
+    _emit_json_lines(_gauss_records(_check_q(args.q, GAUSS_Q_MAX)), None, True)
     return 0
 
 
@@ -292,7 +299,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_funceq(args) -> int:
-    q = _check_q(args.q)
+    q = _check_q(args.q, FUNCEQ_Q_MAX)
     chars = list(char_group(q).characters())
     if not 0 <= args.chi_index < len(chars):
         _die(f"--chi-index must be in [0, {len(chars) - 1}] for q={q}")

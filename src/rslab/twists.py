@@ -12,6 +12,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, log, pi
+from operator import mul
 
 from .arith import radical, valuation
 from .characters import DirichletCharacter, gauss_beta
@@ -57,79 +58,61 @@ def unit_average(x, q: int, parity: int, t: float = 0.0, mode: str = FLOAT):
     return (one_term(xf) + one_term(-xf)) / 2
 
 
-@dataclass
-class AdditiveTwistSeries:
-    """Coefficients a(n) = lam(n) * unit_average(n*beta) for n = 1..trunc."""
-
-    beta: Fraction
-    q: int
-    parity: int
-    t: float
-    mode: str
-    coeffs: list
-
-    @property
-    def trunc(self) -> int:
-        return len(self.coeffs)
-
-    def a(self, n: int):
-        return self.coeffs[n - 1]
-
-
-def gl31_twist(data: CoeffData, beta, q: int, parity: int, trunc: int,
-               t: float = 0.0) -> AdditiveTwistSeries:
-    """Additive twist of the degree-3 coefficient stream by e(n*beta)."""
-    beta = Fraction(beta)
-    coeffs = [
-        lambda_std(n, data) * unit_average(n * beta, q, parity, t, data.mode)
-        for n in range(1, trunc + 1)
-    ]
-    return AdditiveTwistSeries(beta, q, parity, t, data.mode, coeffs)
-
-
-def gl31_decomposition_check(chi: DirichletCharacter, data: CoeffData, n: int) -> float:
-    """Residual of  q * lam(n) chi(n) = tau(chi) * sum_r conj(chi)(-r) a_r(n),
+def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -> list[float]:
+    """Residuals of  q * lam(n) chi(n) = tau(chi) * sum_r conj(chi)(-r) a_r(n),
+    one per n in ns,
 
     where a_r is the additive twist at beta = r/q with parity matched to chi.
     Exact data gives an exact verdict (0.0 or the size of the defect).  Float
     residuals are normalized by the scale q * |lam(n)| of the two sides, so
-    the tolerance means the same thing at every n.
+    the tolerance means the same thing at every n.  tau(chi) and the values
+    of conj(chi) are computed once for all n.
     """
     q = chi.group.q
     a = chi.parity
     chibar = chi.conjugate()
-    mode = data.mode
-    lam = lambda_std(n, data)
-    scale = max(1.0, q * abs(complex(lam)))
-    if mode == EXACT:
-        # fold the terms conj(chi)(-r) lam unit_average(n r / q) into one map
-        big = lcm(q, *chi.group.orders)
-        weights: dict[int, Fraction] = {}
-        for r in range(1, q + 1):
-            z = chibar.value(-r)
-            if z is None:
-                continue
-            avg = unit_average(Fraction(n * r, q), q, a, 0.0, EXACT)
-            kz = z.k * (big // z.n)
-            for k, c in avg.coeffs.items():
-                key = (kz + k * (big // avg.n)) % big
-                weights[key] = weights.get(key, 0) + lam * c
-        acc = CycloElement.from_exponents(big, weights)
+    out = []
+    if data.mode == EXACT:
+        # conj(chi)(-r) = e(kz/big) on the units r; fold the terms
+        # conj(chi)(-r) lam unit_average(n r / q) into one map per n
+        logs = chi.group.value_table()[0]
+        big = lcm(q, chi.group.exponent)
+        lift = big // chi.group.exponent
+        terms = [(r, sum(map(mul, chibar.exps, logs[-r % q])) * lift)
+                 for r in range(1, q + 1) if logs[-r % q] is not None]
         tau = gauss_beta(chi, Fraction(1, q), EXACT)
-        zn = chi.value(n)
-        lhs = CycloElement.from_rational(q * lam) * (
-            CycloElement.from_root(zn) if zn is not None else CycloElement.zero()
-        )
-        diff = lhs - tau * acc
-        return 0.0 if diff.is_zero() else abs(diff.to_complex()) / scale
-    acc = 0j
-    for r in range(1, q + 1):
-        zc = chibar.value_complex(-r)
-        if zc == 0:
-            continue
-        acc += zc * lam * unit_average(n * r / q, q, a, 0.0, FLOAT)
+        for n in ns:
+            lam = lambda_std(n, data)
+            weights: dict[int, Fraction] = {}
+            for r, kz in terms:
+                avg = unit_average(Fraction(n * r, q), q, a, 0.0, EXACT)
+                for k, c in avg.coeffs.items():
+                    key = (kz + k * (big // avg.n)) % big
+                    weights[key] = weights.get(key, 0) + lam * c
+            acc = CycloElement.from_exponents(big, weights)
+            zn = chi.value(n)
+            lhs = CycloElement.from_rational(q * lam) * (
+                CycloElement.from_root(zn) if zn is not None else CycloElement.zero()
+            )
+            diff = lhs - tau * acc
+            scale = max(1.0, q * abs(complex(lam)))
+            out.append(0.0 if diff.is_zero() else abs(diff.to_complex()) / scale)
+        return out
+    terms = [(r, chibar.value_complex(-r)) for r in range(1, q + 1) if gcd(r, q) == 1]
     tau = gauss_beta(chi, Fraction(1, q), FLOAT)
-    return abs(q * lam * chi.value_complex(n) - tau * acc) / scale
+    for n in ns:
+        lam = lambda_std(n, data)
+        acc = 0j
+        for r, zc in terms:
+            acc += zc * lam * unit_average(n * r / q, q, a, 0.0, FLOAT)
+        scale = max(1.0, q * abs(complex(lam)))
+        out.append(abs(q * lam * chi.value_complex(n) - tau * acc) / scale)
+    return out
+
+
+def gl31_decomposition_check(chi: DirichletCharacter, data: CoeffData, n: int) -> float:
+    """The residual of gl31_decomposition_residuals at one n."""
+    return gl31_decomposition_residuals(chi, data, [n])[0]
 
 
 # -- the assembled twisted series -------------------------------------------

@@ -15,7 +15,7 @@ from math import gcd, lcm, sqrt
 
 from rslab.arith import divisors, primes_up_to, radical
 from rslab.characters import (
-    addtomult_check,
+    addtomult_residuals,
     char_group,
     gauss_beta,
     gauss_classical,
@@ -50,7 +50,7 @@ from rslab.symfunc import (
     schur3_bialternant,
     schur3_tableau,
 )
-from rslab.twists import fe_root_number, gl31_decomposition_check
+from rslab.twists import fe_root_number, gl31_decomposition_residuals
 
 
 def _rand_param_set(rng):
@@ -181,8 +181,8 @@ def test_gauss_sums_modulus_window_nonvanishing_additive():
         for chi in char_group(q).characters():
             if not chi.is_primitive():
                 continue
-            for n in range(1, 201):
-                assert addtomult_check(chi, n) < 1e-10, (q, n)
+            for n, res in enumerate(addtomult_residuals(chi, range(1, 201)), 1):
+                assert res < 1e-10, (q, n)
 
 
 def test_standard_coefficient_collapse_to_2000():
@@ -285,8 +285,8 @@ def test_gl31_decomposition_to_1000():
         for chi in char_group(q).characters():
             if not chi.is_primitive():
                 continue
-            for n in range(1, 1001):
-                assert gl31_decomposition_check(chi, data, n) < 1e-10, (q, n)
+            for n, res in enumerate(gl31_decomposition_residuals(chi, data, range(1, 1001)), 1):
+                assert res < 1e-10, (q, n)
 
     exact_data = CoeffData.constant(
         (Fraction(1), Fraction(2), Fraction(3)), (Fraction(1), Fraction(2)), 60, EXACT
@@ -295,8 +295,8 @@ def test_gl31_decomposition_to_1000():
         for chi in char_group(q).characters():
             if not chi.is_primitive():
                 continue
-            for n in range(1, 61):
-                assert gl31_decomposition_check(chi, exact_data, n) == 0.0, (q, n)
+            for n, res in enumerate(gl31_decomposition_residuals(chi, exact_data, range(1, 61)), 1):
+                assert res == 0.0, (q, n)
 
 
 def test_functional_equations_and_root_numbers():

@@ -1,6 +1,7 @@
 """Dirichlet characters, Gauss sums, and the additive-twist windows."""
 
 import cmath
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, sqrt
@@ -15,7 +16,6 @@ from rslab.characters import (
     gauss_beta,
     gauss_classical,
     gauss_factorization_residual,
-    induce_character,
     nonvanishing_window_check,
 )
 from rslab.cyclotomic import CycloElement
@@ -38,6 +38,34 @@ def test_character_values_multiplicative():
                     assert vab is None
                 else:
                     assert vab == va * vb
+
+
+def test_value_table_against_brute_force_logs():
+    """Every value for q <= 64 and a in -q..2q against the definition: the
+    logs d_i of a unit a are found by searching all products of powers of the
+    generator residues, and chi(a) = e(sum e_i d_i / n_i); off the units the
+    value is None.  The float value is the exact one's to_complex(), bit for
+    bit (repr tells -0.0 from 0.0)."""
+    for q in range(1, 65):
+        grp = char_group(q)
+        gens = grp.generator_residues()
+        logs = {}
+        for ds in itertools.product(*(range(n) for n in grp.orders)):
+            a = 1 % q
+            for g, d in zip(gens, ds):
+                a = a * pow(g, d, q) % q
+            logs[a] = ds
+        assert len(logs) == euler_phi(q), q
+        for chi in grp.characters():
+            for a in range(-q, 2 * q + 1):
+                v = chi.value(a)
+                if gcd(a, q) > 1:
+                    assert v is None, (chi, a)
+                    assert chi.value_complex(a) == 0j, (chi, a)
+                    continue
+                t = sum(Fraction(e * d, n) for e, d, n in zip(chi.exps, logs[a % q], grp.orders))
+                assert v == RootOfUnity.from_fraction(t), (chi, a)
+                assert repr(chi.value_complex(a)) == repr(v.to_complex()), (chi, a)
 
 
 def test_trivial_character():
@@ -80,15 +108,6 @@ def test_conductor_and_primitivity():
     # the quadratic character mod 3 induced to 12 has conductor 3
     found = [chi for chi in grp.characters() if chi.conductor() == 3]
     assert found
-
-
-def test_induce_character():
-    base = next(c for c in char_group(3).characters() if not c.is_trivial())
-    lifted = induce_character(base, 12)
-    for a in range(1, 13):
-        if gcd(a, 12) == 1:
-            assert lifted.value(a) == base.value(a)
-    assert lifted.conductor() == 3
 
 
 def test_decompose_reassembles():

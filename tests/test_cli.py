@@ -98,6 +98,38 @@ def test_verify_rejects_n_max_above_bound(tmp_path):
     assert code == 3
 
 
+def test_verify_honours_p_max():
+    counts = {}
+    for p_max in ("40", "50"):
+        code, out, _ = run_cli("verify", "--suite", "gauss", "--json", "--p-max", p_max)
+        assert code == 0
+        details = {rec["check"]: rec["detail"] for rec in map(json.loads, out.splitlines())}
+        counts[p_max] = details["gauss-modulus"].split(" over ")[1]
+    # primitive characters with 2 <= q <= 40, and with 2 <= q <= 50
+    assert counts == {"40": "284 primitive characters", "50": "470 primitive characters"}
+
+
+def test_verify_rejects_p_max_above_bound(tmp_path):
+    code, out, err = run_cli("verify", "--suite", "gauss", "--p-max", "351")
+    assert (code, out) == (3, "")
+    assert "p_max" in err
+    cfgfile = tmp_path / "rs.cfg"
+    cfgfile.write_text("p_max=351\n")
+    code, out, _ = run_cli("verify", "--suite", "gauss", "--config", str(cfgfile))
+    assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gauss", "--q", "226"),
+    ("dump", "gauss", "--q", "226"),
+    ("funceq", "--q", str(4 * 10**5 + 1), "--chi-index", "1"),
+])
+def test_q_above_bound_exits_3(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, "")
+    assert "--q" in err
+
+
 @pytest.mark.parametrize("exc", [ValueError("bad knob"), ZeroDivisionError("division by zero")])
 def test_verify_reports_an_error_inside_a_check(monkeypatch, exc):
     """A check that raises fails with an `error:` record and its traceback
