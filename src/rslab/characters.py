@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd, lcm, pi
 from operator import mul
 
-from .arith import euler_phi, factorize, primitive_root, radical, valuation
+from .arith import divisors, euler_phi, factorize, primitive_root, radical, valuation
 from .cyclotomic import CycloElement
 from .scalars import EXACT, FLOAT, RootOfUnity, check_mode
 
@@ -69,6 +69,17 @@ class CharGroup:
         for exps in itertools.product(*(range(n) for n in self.orders)):
             yield self.character(exps)
 
+    def character_at(self, index: int) -> "DirichletCharacter":
+        """list(self.characters())[index], without listing them: the
+        exponents are the mixed-radix digits of index, the last the fastest."""
+        if not 0 <= index < len(self):
+            raise IndexError(f"character index {index} out of range for q={self.q}")
+        exps = []
+        for n in reversed(self.orders):
+            index, e = divmod(index, n)
+            exps.append(e)
+        return self.character(reversed(exps))
+
     def generator_residues(self) -> list[int]:
         """CRT lifts of the component generators: g_i mod q, congruent to 1
         in every other component."""
@@ -85,14 +96,14 @@ class CharGroup:
                     out.append(x % self.q)
         return out
 
-    def value_table(self) -> tuple[list, list, list]:
-        """(logs, roots, complexes), built on first use.
+    def value_table(self) -> tuple[list, list]:
+        """(logs, complexes), built on first use.
 
         logs[a] for 0 <= a < q is the tuple of discrete logs of a to the
         generators, each scaled by L / order to the exponent L, or None when
         gcd(a, q) > 1; a character with exponents e_i then has
-        chi(a) = e(k/L) with k = sum e_i logs[a][i] mod L.  roots[k] is
-        RootOfUnity(k, L) and complexes[k] its to_complex().
+        chi(a) = e(k/L) with k = sum e_i logs[a][i] mod L.  complexes[k] is
+        RootOfUnity(k, L).to_complex().
         """
         if self._table is None:
             q, big = self.q, self.exponent
@@ -107,8 +118,7 @@ class CharGroup:
             logs = [None] * q
             for r, ls in units:
                 logs[r] = ls
-            roots = [RootOfUnity(k, big) for k in range(big)]
-            self._table = (logs, roots, [z.to_complex() for z in roots])
+            self._table = (logs, [RootOfUnity(k, big).to_complex() for k in range(big)])
         return self._table
 
 
@@ -129,10 +139,6 @@ class DirichletCharacter:
             self, "exps", tuple(e % n for e, n in zip(self.exps, self.group.orders))
         )
 
-    @property
-    def modulus(self) -> int:
-        return self.group.q
-
     def _k(self, a: int) -> int | None:
         """k with chi(a) = e(k/L), L the group exponent; None when gcd(a, q) > 1."""
         row = self.group.value_table()[0][a % self.group.q]
@@ -143,11 +149,11 @@ class DirichletCharacter:
     def value(self, a: int) -> RootOfUnity | None:
         """chi(a) as an exact root of unity; None when gcd(a, q) > 1."""
         k = self._k(a)
-        return None if k is None else self.group.value_table()[1][k]
+        return None if k is None else RootOfUnity(k, self.group.exponent)
 
     def value_complex(self, a: int) -> complex:
         k = self._k(a)
-        return 0j if k is None else self.group.value_table()[2][k]
+        return 0j if k is None else self.group.value_table()[1][k]
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exps)
@@ -261,20 +267,25 @@ def gauss_beta(chi: DirichletCharacter, beta: Fraction, mode: str = EXACT):
     return acc
 
 
+def window_moduli(chi: DirichletCharacter) -> list[int]:
+    """The window of chi, ascending: every q2 with
+    cond(chi) | q2 | lcm(cond(chi), rad(q))."""
+    c = chi.conductor()
+    return [d for d in divisors(lcm(c, radical(chi.group.q))) if d % c == 0]
+
+
 def nonvanishing_window_check(chi: DirichletCharacter, q2: int):
     """Exact nonvanishing of tau_q(chi, r/q2) over all r coprime to q2.
 
-    q2 must sit in the window  cond(chi) | q2 | lcm(cond(chi), rad(q)).
+    q2 must sit in the window of chi (see window_moduli).
     Returns (ok, failures) where failures lists the r with a vanishing sum.
     """
-    q = chi.group.q
-    c = chi.conductor()
-    if q2 < 1 or q2 > q or c == 0:
-        raise ValueError("bad window modulus")
-    window_top = lcm(c, radical(q))
-    if q2 % c != 0 or window_top % q2 != 0:
+    if q2 not in window_moduli(chi):
+        if q2 < 1 or q2 > chi.group.q:
+            raise ValueError("bad window modulus")
+        c = chi.conductor()
         raise ValueError(
-            f"q2={q2} outside the window: need {c} | q2 and q2 | {window_top}"
+            f"q2={q2} outside the window: need {c} | q2 and q2 | {lcm(c, radical(chi.group.q))}"
         )
     failures = []
     for r in range(1, q2 + 1):

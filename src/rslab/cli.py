@@ -26,9 +26,13 @@ DEFAULT_SEED = 1729
 CONFIG_KEYS = ("mode", "n_max", "p_max", "seed")
 # --q bounds where the command takes about a minute on 2 vCPUs; a prime q
 # costs most: `gauss --q 223` takes 59 s (phi(q)^2 sums of q terms), and
-# `funceq --q 399989 --chi-index 1` 58 s (q Hurwitz zeta values per point)
+# `funceq --q 399989 --chi-index 1` 58 s (q Hurwitz zeta values per point,
+# so funceq bounds q times the number of points)
 GAUSS_Q_MAX = 225
 FUNCEQ_Q_MAX = 4 * 10**5
+# CosetContext tests p and p_prime for primality by trial division: 0.08 s
+# at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs
+REDUCE_CTX_MAX = 10**12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -278,6 +282,8 @@ def cmd_reduce(args) -> int:
     ctx_args = parse_fraction_list(args.ctx, 3, "--ctx")
     if any(x.denominator != 1 for x in ctx_args):
         _die(f"--ctx needs three integers, got {args.ctx!r}")
+    if any(abs(x) > REDUCE_CTX_MAX for x in ctx_args):
+        _die(f"--ctx entries must be at most 10^12 in absolute value, got {args.ctx!r}")
     p, qp, pp = (int(x) for x in ctx_args)
     try:
         ctx = CosetContext(p, qp, pp)
@@ -300,10 +306,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_funceq(args) -> int:
     q = _check_q(args.q, FUNCEQ_Q_MAX)
-    chars = list(char_group(q).characters())
-    if not 0 <= args.chi_index < len(chars):
-        _die(f"--chi-index must be in [0, {len(chars) - 1}] for q={q}")
-    chi = chars[args.chi_index]
+    group = char_group(q)
+    if not 0 <= args.chi_index < len(group):
+        _die(f"--chi-index must be in [0, {len(group) - 1}] for q={q}")
+    chi = group.character_at(args.chi_index)
     if not chi.is_primitive() or chi.is_trivial():
         _die("the reflection formula needs a primitive nontrivial character")
     try:
@@ -312,6 +318,8 @@ def cmd_funceq(args) -> int:
         _die(f"--points: could not parse {args.points!r}")
     if not points:
         _die("--points is empty")
+    if q * len(points) > FUNCEQ_Q_MAX:
+        _die(f"--q times the number of --points must be <= {FUNCEQ_Q_MAX}, got {q * len(points)}")
     residuals = []
     for s in points:
         try:

@@ -136,9 +136,6 @@ class CycloElement:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return CycloElement(self.n, {k: c * other for k, c in self.coeffs.items()})
@@ -155,9 +152,6 @@ class CycloElement:
 
     def conjugate(self) -> "CycloElement":
         return CycloElement(self.n, {(-k) % self.n: c for k, c in self.coeffs.items()})
-
-    def scale(self, x) -> "CycloElement":
-        return self * Fraction(x)
 
     # -- predicates and conversions -------------------------------------
 
@@ -181,14 +175,7 @@ class CycloElement:
         mass = float(self.coeff_mass())
         if abs(self.to_complex()) > _PREFILTER_REL * max(1.0, mass):
             return False
-        den = 1
-        for c in self.coeffs.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        poly = [0] * self.n
-        for k, c in self.coeffs.items():
-            poly[k] = int(c * den)
-        _, rem = _divmod_int(poly, cyclotomic_poly(self.n))
-        return not rem
+        return not self._reduced()[0]
 
     def as_rational(self) -> Fraction | None:
         """The element as a Fraction if it is rational, else None.
@@ -198,6 +185,15 @@ class CycloElement:
         """
         if not self.coeffs:
             return Fraction(0)
+        rem, den = self._reduced()
+        if len(rem) <= 1:
+            return Fraction(rem[0] if rem else 0, den)
+        return None
+
+    def _reduced(self) -> tuple[list[int], int]:
+        """(rem, den): den is the lcm of the coefficient denominators and rem
+        the integer polynomial den * self reduced modulo the ambient
+        cyclotomic polynomial; self is zero iff rem is empty."""
         den = 1
         for c in self.coeffs.values():
             den = den * c.denominator // gcd(den, c.denominator)
@@ -205,9 +201,7 @@ class CycloElement:
         for k, c in self.coeffs.items():
             poly[k] = int(c * den)
         _, rem = _divmod_int(poly, cyclotomic_poly(self.n))
-        if len(rem) <= 1:
-            return Fraction(rem[0] if rem else 0, den)
-        return None
+        return rem, den
 
     def __eq__(self, other) -> bool:
         try:

@@ -82,13 +82,6 @@ class EulerFactorPoly:
     def __repr__(self):
         return f"EulerFactorPoly({list(self.coeffs)!r}, mode={self.mode!r})"
 
-    def __call__(self, x):
-        x = coerce(x, self.mode)
-        acc = zero(self.mode)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def is_one(self) -> bool:
         return self.degree == 0
 

@@ -10,14 +10,13 @@ product.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import factorize, is_prime, primes_up_to, valuation
 from .characters import DirichletCharacter, gauss_classical
 from .euler import DirichletSeries, EulerFactorPoly, assemble_global, poly_divide_exact
-from .scalars import EXACT, FLOAT, check_mode, coerce, format_scalar, is_zero, one, parse_scalar, zero
+from .scalars import EXACT, FLOAT, check_mode, coerce, is_zero, one, parse_scalar, zero
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,6 @@ class GlobalRep:
         missing = [p for p in primes_up_to(self.p_max) if p not in self.locals]
         if missing:
             raise ValueError(f"missing local data at primes {missing[:10]}")
-
-    def local(self, p: int) -> LocalData:
-        return self.locals[p]
 
     def local_factor(self, p: int) -> EulerFactorPoly:
         return self.locals[p].local_factor(self.mode)
@@ -134,11 +130,6 @@ def block_params(blk: SteinbergBlock, p: int, mode: str) -> tuple:
     return (lead,) + (zero(mode),) * (blk.b - 1)
 
 
-def block_local_data(blk: SteinbergBlock, p: int, mode: str) -> LocalData:
-    m = blk.b if blk.ramified else blk.b - 1
-    return LocalData(p, block_params(blk, p, mode), m)
-
-
 def rs_naive_local(params_a, params_b, mode: str) -> EulerFactorPoly:
     """prod over parameter pairs of (1 - alpha*beta*X); zero pairs drop out."""
     check_mode(mode)
@@ -187,48 +178,6 @@ def isobaric_local(d1: LocalData, d2: LocalData) -> LocalData:
     return LocalData(d1.p, d1.params + d2.params, m, root)
 
 
-def contragredient_params(params) -> tuple:
-    """Inverse parameters (zeros stay zero); exact inputs stay exact."""
-    out = []
-    for x in params:
-        if x == 0:
-            out.append(x)
-        elif isinstance(x, (int, Fraction)):
-            out.append(Fraction(1) / Fraction(x))
-        else:
-            out.append(1 / x)
-    return tuple(out)
-
-
-def twist_unramified(rep: GlobalRep, t) -> GlobalRep:
-    """Scale every local parameter at p by u_p.
-
-    t may be a real number (u_p = p^{-it}, float mode only) or a mapping
-    p -> nonzero value.  Coefficients of the twisted series pick up the
-    completely multiplicative factor u(n).
-    """
-    def unit(p: int):
-        if isinstance(t, Mapping):
-            u = t[p]
-        else:
-            if t == 0:
-                return one(rep.mode)
-            if rep.mode == EXACT:
-                raise ValueError("a real twist parameter needs float mode")
-            u = p ** (-1j * t)
-        u = coerce(u, rep.mode)
-        if u == 0:
-            raise ValueError(f"twist value at p={p} must be nonzero")
-        return u
-
-    locs = {}
-    for p, d in rep.locals.items():
-        u = unit(p)
-        params = tuple(x if x == 0 else coerce(x, rep.mode) * u for x in d.params)
-        locs[p] = LocalData(p, params, d.m, d.root_number)
-    return GlobalRep(rep.degree, rep.mode, rep.p_max, locs)
-
-
 # -- rep files --------------------------------------------------------------
 
 
@@ -256,16 +205,6 @@ def parse_rep_file(text: str, degree: int, mode: str, p_max: int) -> GlobalRep:
             raise ValueError(f"line {lineno}: duplicate prime {p}")
         locals_[p] = LocalData(p, params, m, root)
     return GlobalRep(degree, mode, p_max, locals_)
-
-
-def format_rep_file(rep: GlobalRep) -> str:
-    lines = [f"# degree {rep.degree}, mode {rep.mode}, primes up to {rep.p_max}"]
-    for p in sorted(rep.locals):
-        d = rep.locals[p]
-        fields = [str(p), str(d.m), format_scalar(coerce(d.root_number, rep.mode), rep.mode)]
-        fields += [format_scalar(coerce(x, rep.mode), rep.mode) for x in d.params]
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"
 
 
 # -- degree-1 seeding from a character --------------------------------------

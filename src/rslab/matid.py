@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import frac_gcd, is_prime, valuation, xgcd
+from .arith import frac_gcd, is_prime, xgcd
 
 
 class Mat:
@@ -64,23 +64,11 @@ class Mat:
     def __rmul__(self, other):
         return Mat([[Fraction(other) * x for x in row] for row in self.rows])
 
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
-
-    def transpose(self) -> "Mat":
-        n, m = self.shape
-        return Mat([[self.rows[i][j] for i in range(n)] for j in range(m)])
 
     def det(self) -> Fraction:
         n, m = self.shape
@@ -234,22 +222,7 @@ def coset_in_support(gamma1: Fraction, gamma2: Fraction, ctx: CosetContext) -> b
     if g1 == 0 or g2 == 0:
         raise ValueError("parameters must be nonzero")
     p = ctx.p
-    ok1 = valuation(g1, p) >= 1 and all(
-        pr == p or e >= 0 for pr, e in _prime_valuations(g1)
-    )
-    ok2 = valuation(g2, p) >= -2 and all(
-        pr == p or e >= 0 for pr, e in _prime_valuations(g2)
-    )
-    return ok1 and ok2
-
-
-def _prime_valuations(x: Fraction):
-    from .arith import factorize
-
-    for p, e in factorize(x.numerator if x.numerator > 0 else -x.numerator):
-        yield p, e
-    for p, e in factorize(x.denominator):
-        yield p, -e
+    return (g1 / p).denominator == 1 and (g2 * p * p).denominator == 1
 
 
 def verify_lower_unipotent_split(uval, wval) -> tuple[bool, tuple[Mat, Mat, Mat]]:

@@ -267,20 +267,12 @@ def _run_gauss_modulus(cfg: RunConfig, rng: random.Random):
 
 
 def _run_gauss_window(cfg: RunConfig, rng: random.Random):
-    from math import lcm
-
-    from .arith import divisors, radical
-
     tried = 0
     for q in (9, 12, 16, 18, 24):
         chars = list(char_group(q).characters())
         rng.shuffle(chars)
         for chi in chars[:3]:
-            c = chi.conductor()
-            top = lcm(c, radical(q))
-            for q2 in divisors(top):
-                if q2 % c != 0:
-                    continue
+            for q2 in characters.window_moduli(chi):
                 ok, failures = characters.nonvanishing_window_check(chi, q2)
                 if not ok:
                     return False, f"vanishing twisted sum at q={q}, q2={q2}, r={failures[:3]}"
@@ -352,21 +344,10 @@ def _run_twisted_series(cfg: RunConfig, rng: random.Random):
         if got != coeffs.lambda_rs(n, data):
             return False, f"level-1 stream differs at n={n}"
     # zeta = 1: prefactor equals the twisted sum itself
-    from math import lcm
-
-    from .arith import divisors, radical, valuation
-
     data12 = CoeffData.constant((1, 2, 3), (1, 2), 12, EXACT)
     for chi in list(char_group(12).characters())[:6]:
-        c = chi.conductor()
-        for q2 in divisors(lcm(c, radical(12))):
-            if q2 % c:
-                continue
-            forced = 1
-            for p in (2, 3):
-                if valuation(q2, p) < valuation(12, p):
-                    forced *= p ** valuation(12, p)
-            t = twists.assemble_twisted_series(chi, forced, q2, 1, 1, data12, 3)
+        for q2 in characters.window_moduli(chi):
+            t = twists.assemble_twisted_series(chi, twists.forced_q1(12, q2), q2, 1, 1, data12, 3)
             tau = characters.gauss_beta(chi, Fraction(1, q2), EXACT)
             if not (t.prefactor - tau).is_zero():
                 return False, f"prefactor != twisted sum at q2={q2} for {chi}"

@@ -82,13 +82,6 @@ def parse_scalar(text: str, mode: str):
     return complex(float(text), 0.0)
 
 
-def format_scalar(x, mode: str) -> str:
-    if mode == EXACT:
-        return str(Fraction(x))
-    z = complex(x)
-    return f"{z.real!r},{z.imag!r}"
-
-
 @dataclass(frozen=True)
 class RootOfUnity:
     """The exact root of unity e(k/n) = exp(2*pi*i*k/n), stored in lowest terms."""

@@ -33,13 +33,6 @@ class Partition3:
     def parts(self) -> tuple[int, int, int]:
         return (self.l1, self.l2, self.l3)
 
-    @property
-    def size(self) -> int:
-        return self.l1 + self.l2 + self.l3
-
-    def __iter__(self):
-        return iter(self.parts)
-
 
 def partitions3_of(d: int):
     """Yield all Partition3 of total size d."""

@@ -11,11 +11,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, log, pi
+from math import gcd, isqrt, lcm, log, pi, prod
 from operator import mul
 
-from .arith import radical, valuation
-from .characters import DirichletCharacter, gauss_beta
+from .arith import factorize, radical, valuation
+from .characters import DirichletCharacter, gauss_beta, window_moduli
 from .coeffs import CoeffData, lambda_rs, lambda_std, lambda_tau
 from .cyclotomic import CycloElement
 from .scalars import EXACT, FLOAT, RootOfUnity, check_mode
@@ -110,11 +110,6 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
     return out
 
 
-def gl31_decomposition_check(chi: DirichletCharacter, data: CoeffData, n: int) -> float:
-    """The residual of gl31_decomposition_residuals at one n."""
-    return gl31_decomposition_residuals(chi, data, [n])[0]
-
-
 # -- the assembled twisted series -------------------------------------------
 
 
@@ -129,23 +124,23 @@ class TwistedSeries:
     beta2: Fraction
 
 
-def _validate_window(q: int, cond: int, q1: int, q2: int) -> None:
-    top = lcm(cond, radical(q))
-    if q2 < 1 or q2 % cond != 0 or top % q2 != 0:
-        raise ValueError(f"q2={q2} violates {cond} | q2 | {top}")
-    # every prime where q2 falls short of q must appear in q1 at full weight,
-    # which is what makes lcm(q1, q2) = q
-    forced = 1
-    for p in _prime_divisors(q):
-        if valuation(q2, p) < valuation(q, p):
-            forced *= p ** valuation(q, p)
+def forced_q1(q: int, q2: int) -> int:
+    """The part of q that q1 must contain: p^ord_p(q) for every prime p where
+    q2 falls short of q, which is what makes lcm(q1, q2) = q."""
+    return prod(p**e for p, e in factorize(q) if valuation(q2, p) < e)
+
+
+def _validate_window(chi: DirichletCharacter, q1: int, q2: int) -> None:
+    q = chi.group.q
+    if q2 not in window_moduli(chi):
+        cond = chi.conductor()
+        raise ValueError(f"q2={q2} violates {cond} | q2 | {lcm(cond, radical(q))}")
+    forced = forced_q1(q, q2)
     if q1 < 1 or q1 % forced != 0 or q % q1 != 0:
         raise ValueError(f"q1={q1} violates {forced} | q1 | {q}")
 
 
 def _prime_divisors(n: int):
-    from .arith import factorize
-
     return [p for p, _ in factorize(n)] if n > 1 else []
 
 
@@ -166,7 +161,7 @@ def assemble_twisted_series(chi: DirichletCharacter, q1: int, q2: int, r: int,
     """
     q = chi.group.q
     cond = chi.conductor()
-    _validate_window(q, cond, q1, q2)
+    _validate_window(chi, q1, q2)
     if gcd(r, q2) != 1:
         raise ValueError("beta2 = r/q2 must have gcd(r, q2) = 1")
     if zeta < 1:

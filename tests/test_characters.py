@@ -17,6 +17,7 @@ from rslab.characters import (
     gauss_classical,
     gauss_factorization_residual,
     nonvanishing_window_check,
+    window_moduli,
 )
 from rslab.cyclotomic import CycloElement
 from rslab.scalars import EXACT, FLOAT, RootOfUnity
@@ -25,6 +26,14 @@ from rslab.scalars import EXACT, FLOAT, RootOfUnity
 def test_group_sizes():
     for q in (1, 2, 3, 8, 12, 15, 16):
         assert len(list(char_group(q).characters())) == euler_phi(q)
+
+
+def test_character_at_matches_enumeration():
+    for q in range(1, 65):
+        grp = char_group(q)
+        assert [grp.character_at(i) for i in range(len(grp))] == list(grp.characters()), q
+        with pytest.raises(IndexError):
+            grp.character_at(len(grp))
 
 
 def test_character_values_multiplicative():
@@ -230,9 +239,9 @@ def test_nonvanishing_window():
         for chi in char_group(q).characters():
             cond = chi.conductor()
             top = lcm(cond, radical(q))
-            for q2 in divisors(q):
-                if q2 % cond != 0 or top % q2 != 0:
-                    continue
+            window = [q2 for q2 in divisors(q) if q2 % cond == 0 and top % q2 == 0]
+            assert window_moduli(chi) == window
+            for q2 in window:
                 ok, failures = nonvanishing_window_check(chi, q2)
                 assert ok, failures
 

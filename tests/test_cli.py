@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,8 @@ def test_verify_rejects_p_max_above_bound(tmp_path):
     ("gauss", "--q", "226"),
     ("dump", "gauss", "--q", "226"),
     ("funceq", "--q", str(4 * 10**5 + 1), "--chi-index", "1"),
+    # each point costs q Hurwitz zeta values: q = 30011 at 14 points is past the bound
+    ("funceq", "--q", "30011", "--chi-index", "1", "--points", ",".join(["0.5"] * 14)),
 ])
 def test_q_above_bound_exits_3(argv):
     code, out, err = run_cli(*argv)
@@ -298,6 +301,31 @@ def test_reduce_rejects_non_integer_ctx():
     code, out, err = run_cli("reduce", "--matrix", "1/5,0;3,5", "--ctx", "5,3,7/2")
     assert code == 3
     assert out == ""
+    assert "--ctx" in err
+
+
+@pytest.mark.parametrize("matrix, ctx, want", [
+    ("1,0;0,1", "100000007,3,7",
+     '{"gamma1":"100000007","gamma2":"1/10000001400000049","u":[["1","47619051/100000007"],'
+     '["0","1"]],"g":[["-10","-47619051"],["21","100000007"]],"canonical":'
+     '[["1/100000007","0"],["21","100000007"]],"in_support":true}'),
+    ("1,0;0,10000001400000049", "5,3,7",
+     '{"gamma1":"50000007000000245","gamma2":"1/250000035000001225","u":[["1",'
+     '"1/50000007000000245"],["0","1"]],"g":[["-4","-1"],["21","5"]],"canonical":'
+     '[["1/5","0"],["210000029400001029","50000007000000245"]],"in_support":false}'),
+])
+def test_reduce_large_entries_are_fast(matrix, ctx, want):
+    """The support predicate needs no factorization: these inputs, where
+    factoring p^2 by trial division took 5-12 s, finish at once."""
+    start = time.perf_counter()
+    code, out, _ = run_cli("reduce", "--matrix", matrix, "--ctx", ctx)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, want + "\n")
+
+
+def test_reduce_rejects_ctx_above_bound():
+    code, out, err = run_cli("reduce", "--matrix", "1,0;0,1", "--ctx", "1000000000039,3,7")
+    assert (code, out) == (3, "")
     assert "--ctx" in err
 
 

@@ -41,7 +41,7 @@ def test_cyclo_element_arithmetic_matches_complex():
         a = CycloElement.from_root(RootOfUnity(rng.randrange(n), n))
         b = CycloElement.from_root(RootOfUnity(rng.randrange(n), n))
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        expr = (a + b) * a - b.scale(c)
+        expr = (a + b) * a - b * c
         za, zb = a.to_complex(), b.to_complex()
         want = (za + zb) * za - complex(c) * zb
         assert abs(expr.to_complex() - want) < 1e-12

@@ -127,12 +127,6 @@ def test_assemble_global_float_mode():
     assert abs(series.a(6) - (0.5 * (-1 / 3))) < 1e-12
 
 
-def test_euler_factor_poly_call():
-    f = EulerFactorPoly((Fraction(1), Fraction(-1), Fraction(2)), EXACT)
-    x = Fraction(1, 3)
-    assert f(x) == 1 - x + 2 * x * x
-
-
 def test_is_one():
     assert EulerFactorPoly.one(EXACT).is_one()
     assert not EulerFactorPoly((Fraction(1), Fraction(1)), EXACT).is_one()

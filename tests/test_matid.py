@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rslab.arith import factorize, valuation
 from rslab.matid import (
     CanonicalCoset,
     CosetContext,
@@ -119,6 +120,23 @@ def test_coset_in_support():
     ctx = CosetContext(5, 3, 2)
     red = coset_reduce(Mat([[Fraction(5), Fraction(0)], [Fraction(0), Fraction(1, 5)]]), ctx)
     assert isinstance(coset_in_support(red.gamma1, red.gamma2, ctx), bool)
+
+
+def _support_by_valuations(g1, g2, p):
+    """The support predicate from its definition, prime by prime: v_p(g1) >= 1,
+    v_p(g2) >= -2, and no other prime in either denominator."""
+    def ok(x, least):
+        return valuation(x, p) >= least and all(pr == p for pr, _ in factorize(x.denominator))
+    return ok(g1, 1) and ok(g2, -2)
+
+
+def test_coset_in_support_matches_valuations():
+    fracs = [Fraction(s * a, b) for s in (1, -1) for a in (1, 2, 3, 5, 7, 10, 49)
+             for b in (1, 2, 3, 5, 7, 25, 49, 75, 125, 343)]
+    for ctx in (CosetContext(5, 3, 7), CosetContext(7, 4, 3), CosetContext(2, 9, 5)):
+        for g1 in fracs:
+            for g2 in fracs:
+                assert coset_in_support(g1, g2, ctx) == _support_by_valuations(g1, g2, ctx.p)
 
 
 def test_lower_unipotent_split_anchor():

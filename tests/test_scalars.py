@@ -10,7 +10,6 @@ from rslab.scalars import (
     RootOfUnity,
     check_mode,
     coerce,
-    format_scalar,
     is_zero,
     one,
     parse_scalar,
@@ -60,9 +59,6 @@ def test_parse_and_format_roundtrip():
     assert parse_scalar("-2", EXACT) == Fraction(-2)
     assert parse_scalar("1.5,2", FLOAT) == 1.5 + 2j
     assert parse_scalar("0.25", FLOAT) == 0.25 + 0j
-    assert format_scalar(Fraction(3, 4), EXACT) == "3/4"
-    assert parse_scalar(format_scalar(Fraction(-7, 11), EXACT), EXACT) == Fraction(-7, 11)
-    assert parse_scalar(format_scalar(1.5 + 2j, FLOAT), FLOAT) == 1.5 + 2j
 
 
 def test_root_of_unity_normalization():

@@ -60,7 +60,7 @@ def test_partitions3_of():
     parts = list(partitions3_of(4))
     assert Partition3(4, 0, 0) in parts
     assert Partition3(2, 1, 1) in parts
-    assert all(p.size == 4 for p in parts)
+    assert all(sum(p.parts) == 4 for p in parts)
     assert len(parts) == len(set(parts))
     # count of partitions of 4 into at most 3 parts is 4
     assert len(parts) == 4

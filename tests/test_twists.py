@@ -15,7 +15,8 @@ from rslab.twists import (
     assemble_twisted_series,
     conductor_exponent_check,
     fe_root_number,
-    gl31_decomposition_check,
+    forced_q1,
+    gl31_decomposition_residuals,
     unit_average,
 )
 
@@ -84,8 +85,7 @@ def test_gl31_decomposition_float():
         for chi in char_group(q).characters():
             if not chi.is_primitive():
                 continue
-            for n in range(1, 40):
-                assert gl31_decomposition_check(chi, data, n) < 1e-10
+            assert max(gl31_decomposition_residuals(chi, data, range(1, 40))) < 1e-10
 
 
 def test_gl31_decomposition_exact():
@@ -93,8 +93,7 @@ def test_gl31_decomposition_exact():
     gammas = (Fraction(1), Fraction(2))
     data = CoeffData.constant(alphas, gammas, 30, EXACT)
     chi = next(c for c in char_group(3).characters() if not c.is_trivial())
-    for n in range(1, 25):
-        assert gl31_decomposition_check(chi, data, n) == 0.0
+    assert gl31_decomposition_residuals(chi, data, range(1, 25)) == [0.0] * 24
 
 
 def test_assemble_twisted_series_trivial_level():
@@ -137,6 +136,8 @@ def test_assemble_twisted_series_forced_q1():
     assemble_twisted_series(chi12, 12, 3, 1, 1, data, trunc=10)
     with pytest.raises(ValueError):
         assemble_twisted_series(chi12, 2, 3, 1, 1, data, trunc=10)
+    assert [forced_q1(12, q2) for q2 in (1, 2, 3, 4, 6, 12)] == [12, 12, 4, 3, 4, 1]
+    assert forced_q1(1, 1) == 1
 
 
 def test_assemble_twisted_series_zeta_rules():
