@@ -54,6 +54,8 @@ class CharGroup:
         #: the group exponent L = lcm(orders): every value is e(k/L)
         self.exponent = lcm(*self.orders)
         self._table = None
+        #: float tau(chi) by exponent tuple, filled by gauss_classical
+        self._tau: dict[tuple[int, ...], complex] = {}
 
     def __len__(self) -> int:
         return euler_phi(self.q)
@@ -235,8 +237,16 @@ class DirichletCharacter:
 
 
 def gauss_classical(chi: DirichletCharacter, mode: str = EXACT):
-    """tau(chi) = sum_{a mod q} chi(a) e(a/q), exact or float."""
-    return gauss_beta(chi, Fraction(1, chi.group.q), mode)
+    """tau(chi) = sum_{a mod q} chi(a) e(a/q), exact or float.
+
+    The float value is computed once per character and kept on its group."""
+    if mode != FLOAT:
+        return gauss_beta(chi, Fraction(1, chi.group.q), mode)
+    cache = chi.group._tau
+    tau = cache.get(chi.exps)
+    if tau is None:
+        tau = cache[chi.exps] = gauss_beta(chi, Fraction(1, chi.group.q), FLOAT)
+    return tau
 
 
 def gauss_beta(chi: DirichletCharacter, beta: Fraction, mode: str = EXACT):
@@ -340,9 +350,7 @@ def dirichlet_root_number(chi: DirichletCharacter) -> complex:
     """epsilon(chi) = tau(chi) / (i^a sqrt(q)) for primitive chi; |eps| = 1."""
     if not chi.is_primitive():
         raise ValueError("root number needs a primitive character")
-    q = chi.group.q
-    tau = gauss_beta(chi, Fraction(1, q), FLOAT)
-    return tau / (1j**chi.parity * q**0.5)
+    return gauss_classical(chi, FLOAT) / (1j**chi.parity * chi.group.q**0.5)
 
 
 def gauss_factorization_residual(chi: DirichletCharacter) -> float:

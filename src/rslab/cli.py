@@ -224,7 +224,7 @@ def _twist_records(args) -> list:
     q_mod = beta.denominator
     records = []
     for n in range(1, n_max + 1):
-        coeff = series.a(n) * twists.unit_average(n * beta, q_mod, args.parity, 0.0, FLOAT)
+        coeff = series.a(n) * twists.unit_average(n * beta, q_mod, args.parity)
         coeff = complex(coeff)
         records.append({"n": n, "coeff": [coeff.real, coeff.imag]})
     return records
@@ -399,8 +399,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: options whose value may start with '-' (a negative entry or point)
+SIGNED_VALUE_OPTIONS = frozenset({"--matrix", "--ctx", "--alphas", "--gammas", "--beta", "--points"})
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite '--matrix -1,0;0,1' as '--matrix=-1,0;0,1' (and so on for
+    SIGNED_VALUE_OPTIONS): argparse reads a separate word that starts with
+    '-' as an option, but takes it as the value after '='.  A word that
+    starts with '--' is left alone, so a missing value is still reported."""
+    out = []
+    for word in argv:
+        if (out and out[-1] in SIGNED_VALUE_OPTIONS and word.startswith("-")
+                and not word.startswith("--")):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_signed_values(argv))
     return args.func(args)
 
 

@@ -12,24 +12,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .arith import frac_gcd, is_prime, xgcd
 
 
 class Mat:
-    """Immutable matrix over Q."""
+    """Immutable matrix over Q, held as integer numerators over one positive
+    common denominator in lowest terms: entry (i, j) is num[i][j] / den and
+    gcd(den, every numerator) = 1, so equal matrices have equal (num, den)."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("num", "den")
 
     def __init__(self, rows):
-        rs = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        # ints carry numerator and denominator too, and skip the Fraction
+        rs = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in rows]
         if not rs or any(len(r) != len(rs[0]) for r in rs):
             raise ValueError("matrix rows must be nonempty and of equal length")
-        self.rows = rs
+        # the lcm of lowest-terms denominators is already coprime to the numerators
+        den = lcm(*(x.denominator for r in rs for x in r))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rs)
+        self.den = den
+
+    @classmethod
+    def _make(cls, num, den: int) -> "Mat":
+        """The matrix num / den for integer rows num and den != 0, reduced."""
+        g = gcd(den, *(x for r in num for x in r))
+        if den < 0:
+            g = -g
+        m = object.__new__(cls)
+        m.num = tuple(tuple(x // g for x in r) for r in num)
+        m.den = den // g
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._make([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def diag(cls, *entries) -> "Mat":
@@ -37,96 +56,100 @@ class Mat:
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
+    def rows(self) -> tuple:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in r) for r in self.num)
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]))
+        return (len(self.num), len(self.num[0]))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def row(self, i: int) -> tuple:
-        return self.rows[i]
+        return tuple(Fraction(x, self.den) for x in self.num[i])
 
     def __mul__(self, other):
         if isinstance(other, Mat):
-            n, k = self.shape
-            k2, m = other.shape
-            if k != k2:
+            if self.shape[1] != other.shape[0]:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            return Mat(
-                [
-                    [sum(self.rows[i][t] * other.rows[t][j] for t in range(k)) for j in range(m)]
-                    for i in range(n)
-                ]
-            )
-        return Mat([[x * Fraction(other) for x in row] for row in self.rows])
+            cols = tuple(zip(*other.num))
+            num = [[sum(map(mul, r, c)) for c in cols] for r in self.num]
+            return Mat._make(num, self.den * other.den)
+        x = Fraction(other)
+        return Mat._make([[x.numerator * a for a in r] for r in self.num],
+                         x.denominator * self.den)
 
-    def __rmul__(self, other):
-        return Mat([[Fraction(other) * x for x in row] for row in self.rows])
+    __rmul__ = __mul__  # scalars commute with every entry
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.rows == other.rows
+        return isinstance(other, Mat) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, self.num))
 
     def det(self) -> Fraction:
+        """Bareiss' fraction-free elimination on the numerators: every
+        division is exact, and det = det(num) / den^n."""
         n, m = self.shape
         if n != m:
             raise ValueError("determinant needs a square matrix")
-        a = [list(r) for r in self.rows]
-        d = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
+        a = [list(r) for r in self.num]
+        sign, prev = 1, 1
+        for k in range(n - 1):
+            piv = next((r for r in range(k, n) if a[r][k]), None)
             if piv is None:
                 return Fraction(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                d = -d
-            d *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                f = a[r][col] * inv
-                if f:
-                    for c in range(col, n):
-                        a[r][c] -= f * a[col][c]
-        return d
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            akk, rk = a[k][k], a[k]
+            for r in range(k + 1, n):
+                ar, ark = a[r], a[r][k]
+                for c in range(k + 1, n):
+                    ar[c] = (akk * ar[c] - ark * rk[c]) // prev
+            prev = akk
+        return Fraction(sign * a[n - 1][n - 1], self.den**n)
 
     def inverse(self) -> "Mat":
+        """Fraction-free Gauss-Jordan on [num | I]: it ends at [d I | d num^-1]
+        with d = +-det(num), so the inverse is den * (d num^-1) / d."""
         n, m = self.shape
         if n != m:
             raise ValueError("inverse needs a square matrix")
-        a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
+        a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.num)]
+        prev = 1
+        for k in range(n):
+            piv = next((r for r in range(k, n) if a[r][k]), None)
             if piv is None:
                 raise ZeroDivisionError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
+            a[k], a[piv] = a[piv], a[k]
+            akk, rk = a[k][k], a[k]
             for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return Mat([row[n:] for row in a])
+                if r != k:
+                    ar, ark = a[r], a[r][k]
+                    a[r] = [(akk * x - ark * y) // prev for x, y in zip(ar, rk)]
+            prev = akk
+        return Mat._make([[self.den * x for x in r[n:]] for r in a], prev)
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
+        return self.den == 1
 
     def block_diag(self, *others) -> "Mat":
         mats = (self,) + others
-        size = sum(m.shape[0] for m in mats)
-        out = [[Fraction(0)] * size for _ in range(size)]
-        off = 0
-        for m in mats:
-            n, k = m.shape
-            if n != k:
-                raise ValueError("block_diag needs square blocks")
-            for i in range(n):
-                for j in range(n):
-                    out[off + i][off + j] = m.rows[i][j]
-            off += n
-        return Mat(out)
+        if any(k.shape[0] != k.shape[1] for k in mats):
+            raise ValueError("block_diag needs square blocks")
+        den = lcm(*(k.den for k in mats))
+        size = sum(k.shape[0] for k in mats)
+        out, off = [], 0
+        for k in mats:
+            s = den // k.den
+            for r in k.num:
+                out.append([0] * off + [s * x for x in r] + [0] * (size - off - len(r)))
+            off += len(k.num)
+        return Mat._make(out, den)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
@@ -260,8 +283,6 @@ class FactorizationInstance:
     a_k: Fraction = Fraction(1)
 
     def __post_init__(self):
-        from math import gcd
-
         if self.q < 1 or self.n < 1:
             raise ValueError("q and n must be positive")
         if gcd(self.n, self.q) != 1:

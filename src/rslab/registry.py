@@ -402,7 +402,11 @@ def _run_clgp_random(cfg: RunConfig, rng: random.Random):
         for _ in range(10):
             M = _rand_matrix(rng)
             out = matid.coset_reduce(M, ctx)
-            if (out.u * M * out.g) != out.canonical_matrix():
+            g = out.g
+            if cfg.inject_fault == "clgp-random":
+                # a wrong witness: the top-right entry of u*M*g becomes gamma1*gamma2 != 0
+                g = g * Mat([[1, 1], [0, 1]])
+            if (out.u * M * g) != out.canonical_matrix():
                 return False, f"witnesses do not reproduce the canonical form for {M}"
             if out.gamma1 <= 0 or out.gamma2 == 0:
                 return False, f"degenerate invariants ({out.gamma1}, {out.gamma2})"
@@ -616,7 +620,7 @@ SUITES: tuple[str, ...] = (
     "cauchy", "doublesum", "aux", "gauss", "addtomult", "clgp", "matid", "funceq",
 )
 
-FAULT_CAPABLE: frozenset = frozenset({"doublesum-random", "gauss-modulus"})
+FAULT_CAPABLE: frozenset = frozenset({"doublesum-random", "gauss-modulus", "clgp-random"})
 
 
 def check_ids() -> list[str]:

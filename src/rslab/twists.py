@@ -15,35 +15,23 @@ from math import gcd, isqrt, lcm, log, pi, prod
 from operator import mul
 
 from .arith import factorize, radical, valuation
-from .characters import DirichletCharacter, gauss_beta, window_moduli
+from .characters import DirichletCharacter, gauss_beta, gauss_classical, window_moduli
 from .coeffs import CoeffData, lambda_rs, lambda_std, lambda_tau
 from .cyclotomic import CycloElement
-from .scalars import EXACT, FLOAT, RootOfUnity, check_mode
+from .scalars import EXACT, FLOAT
 
 
-def unit_average(x, q: int, parity: int, t: float = 0.0, mode: str = FLOAT):
+def unit_average(x, q: int, parity: int, t: float = 0.0) -> complex:
     """Average of e(ux) w(ux)^{-1} over units u = 1 mod q, w = sign^parity |.|^{it}.
 
     For q <= 2 every unit is congruent to 1 and the average is the single
     term e(x) sign(x)^parity |x|^{-it}; for q > 2 it is the mean of the two
-    terms at +-x.  sign(0) counts as +1.  Exact mode requires t = 0 and
-    returns a cyclotomic element.
+    terms at +-x.  sign(0) counts as +1.
     """
-    check_mode(mode)
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     if q < 1:
         raise ValueError("q must be positive")
-    if mode == EXACT:
-        if t != 0:
-            raise ValueError("exact mode needs t = 0")
-        x = Fraction(x)
-        s = 1 if x >= 0 else -1
-        term = CycloElement.from_root(RootOfUnity.from_fraction(x)) * Fraction(s**parity)
-        if q <= 2:
-            return term
-        term2 = CycloElement.from_root(RootOfUnity.from_fraction(-x)) * Fraction((-s) ** parity)
-        return (term + term2) * Fraction(1, 2)
     xf = float(x)
     if xf == 0 and t != 0:
         raise ValueError("|x|^{-it} is undefined at x = 0")
@@ -73,22 +61,27 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
     chibar = chi.conjugate()
     out = []
     if data.mode == EXACT:
-        # conj(chi)(-r) = e(kz/big) on the units r; fold the terms
-        # conj(chi)(-r) lam unit_average(n r / q) into one map per n
+        # conj(chi)(-r) = e(kz/big) on the units r, and as n r > 0 the term
+        # lam * unit_average(n r / q) is lam/2 e(n r / q) + (-1)^a lam/2 e(-n r / q)
+        # (just lam e(n r / q) for q <= 2): fold both into one exponent map per n
         logs = chi.group.value_table()[0]
         big = lcm(q, chi.group.exponent)
-        lift = big // chi.group.exponent
+        lift, step = big // chi.group.exponent, big // q
         terms = [(r, sum(map(mul, chibar.exps, logs[-r % q])) * lift)
                  for r in range(1, q + 1) if logs[-r % q] is not None]
         tau = gauss_beta(chi, Fraction(1, q), EXACT)
         for n in ns:
             lam = lambda_std(n, data)
+            plus = lam if q <= 2 else lam / 2
+            minus = -plus if a else plus
             weights: dict[int, Fraction] = {}
             for r, kz in terms:
-                avg = unit_average(Fraction(n * r, q), q, a, 0.0, EXACT)
-                for k, c in avg.coeffs.items():
-                    key = (kz + k * (big // avg.n)) % big
-                    weights[key] = weights.get(key, 0) + lam * c
+                shift = n * r * step
+                key = (kz + shift) % big
+                weights[key] = weights.get(key, 0) + plus
+                if q > 2:
+                    key = (kz - shift) % big
+                    weights[key] = weights.get(key, 0) + minus
             acc = CycloElement.from_exponents(big, weights)
             zn = chi.value(n)
             lhs = CycloElement.from_rational(q * lam) * (
@@ -99,12 +92,12 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
             out.append(0.0 if diff.is_zero() else abs(diff.to_complex()) / scale)
         return out
     terms = [(r, chibar.value_complex(-r)) for r in range(1, q + 1) if gcd(r, q) == 1]
-    tau = gauss_beta(chi, Fraction(1, q), FLOAT)
+    tau = gauss_classical(chi, FLOAT)
     for n in ns:
         lam = lambda_std(n, data)
         acc = 0j
         for r, zc in terms:
-            acc += zc * lam * unit_average(n * r / q, q, a, 0.0, FLOAT)
+            acc += zc * lam * unit_average(n * r / q, q, a)
         scale = max(1.0, q * abs(complex(lam)))
         out.append(abs(q * lam * chi.value_complex(n) - tau * acc) / scale)
     return out

@@ -248,6 +248,18 @@ def test_dump_coeffs_matches_golden(tmp_path, name, extra):
     assert target.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["1729", "7"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_all_json_matches_golden(seed, mode):
+    """`verify --suite all --json` is byte-identical to the committed records:
+    a change of speed or layout may not change a verdict, a count or a
+    printed residual."""
+    code, out, err = run_cli("verify", "--suite", "all", "--json", "--seed", seed, "--mode", mode)
+    assert code == 0, err
+    golden = Path(__file__).resolve().parent / "golden" / f"verify_seed{seed}_{mode}.jsonl"
+    assert out.encode() == golden.read_bytes()
+
+
 def test_dump_gauss_matches_gauss_command(tmp_path):
     target = tmp_path / "g.jsonl"
     code, _, _ = run_cli("dump", "gauss", "--q", "7", "--out", str(target))
@@ -258,14 +270,18 @@ def test_dump_gauss_matches_gauss_command(tmp_path):
     assert dumped == direct
 
 
-def test_twist_command(tmp_path):
-    rep = tmp_path / "pi.rep"
-    lines = []
+def _write_rep(tmp_path) -> Path:
+    """A degree-3 local-parameter file for every prime up to 50."""
     from rslab.arith import primes_up_to
 
-    for p in primes_up_to(50):
-        lines.append(f"{p} 0 1 0.9 1.1 {1/(0.9*1.1):.17g}")
+    rep = tmp_path / "pi.rep"
+    lines = [f"{p} 0 1 0.9 1.1 {1/(0.9*1.1):.17g}" for p in primes_up_to(50)]
     rep.write_text("\n".join(lines) + "\n")
+    return rep
+
+
+def test_twist_command(tmp_path):
+    rep = _write_rep(tmp_path)
     code, out, _ = run_cli("twist", "--pi-file", str(rep), "--beta", "1/4", "--N", "20")
     assert code == 0
     records = [json.loads(l) for l in out.splitlines() if l.strip()]
@@ -290,6 +306,35 @@ def test_reduce_command():
     assert rec["gamma1"] == "5"
     assert rec["gamma2"] == "1/25"
     assert rec["in_support"] in (True, False)
+
+
+@pytest.mark.parametrize("head, option, value, want", [
+    (("reduce", "--ctx", "5,3,2"), "--matrix", "-1,0;0,1", 0),
+    # no valid context starts with '-': the value must reach CosetContext
+    (("reduce", "--matrix", "1,0;0,1"), "--ctx", "-5,3,2", 3),
+    (("dump", "coeffs", "--N", "5"), "--alphas", "-1,2,3", 0),
+    (("dump", "coeffs", "--N", "5"), "--gammas", "-3,1/7", 0),
+    (("twist", "--N", "5"), "--beta", "-1/4", 0),
+    (("dump", "twist", "--N", "5"), "--beta", "-1/4", 0),
+    (("funceq", "--q", "5", "--chi-index", "1"), "--points", "-0.5+1j", 0),
+])
+def test_leading_dash_value_as_separate_word(tmp_path, head, option, value, want):
+    """'--opt -x' parses as '--opt=-x' does, instead of as a missing value."""
+    if "twist" in head:
+        head = head + ("--pi-file", str(_write_rep(tmp_path)))
+    split = run_cli(*head, option, value)
+    joined = run_cli(*head, f"{option}={value}")
+    assert split == joined
+    code, out, err = split
+    assert code == want, err
+    assert "expected one argument" not in err
+    assert (out != "") == (code == 0)
+
+
+def test_missing_value_before_next_option_still_rejected():
+    code, _, err = run_cli("reduce", "--matrix", "--ctx", "5,3,2")
+    assert code == 3
+    assert "expected one argument" in err
 
 
 def test_reduce_rejects_singular():

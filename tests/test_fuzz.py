@@ -1,6 +1,7 @@
 """Property tests of the command-line contract on generated input: whatever
 `rslab reduce` is given, it answers (exit 0) or rejects the input (exit 3),
-promptly and without a traceback."""
+promptly and without a traceback, and the same whether each value follows
+its option after '=' or as its own argv word."""
 
 import contextlib
 import io
@@ -45,16 +46,16 @@ def _on_alarm(signum, frame):
     raise TimeoutError
 
 
-@settings(deadline=2000, derandomize=True, max_examples=400)
-@given(matrix=_matrix, ctx=_ctx)
-def test_reduce_exits_0_or_3_promptly(matrix, ctx):
+def _reduce(argv):
+    """(exit code, stdout, stderr) of `rslab reduce` with argv, or a hang
+    reported in place of the exit code."""
     out, err = io.StringIO(), io.StringIO()
     old = signal.signal(signal.SIGALRM, _on_alarm)
     signal.alarm(HANG_S)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(["reduce", f"--matrix={matrix}", f"--ctx={ctx}"])
+                code = main(["reduce", *argv])
             except SystemExit as exc:
                 code = exc.code
             except TimeoutError:
@@ -62,6 +63,17 @@ def test_reduce_exits_0_or_3_promptly(matrix, ctx):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-    assert code in (0, 3), (code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    assert (out.getvalue() != "") == (code == 0)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=2000, derandomize=True, max_examples=400)
+@given(matrix=_matrix, ctx=_ctx)
+def test_reduce_exits_0_or_3_promptly(matrix, ctx):
+    code, out, err = _reduce([f"--matrix={matrix}", f"--ctx={ctx}"])
+    assert code in (0, 3), (code, err)
+    assert "Traceback" not in err
+    assert (out != "") == (code == 0)
+    # each value as its own argv word, as a shell user types it, answers the same
+    # (a word that starts with '--' is read as an option, and so left out here)
+    if not matrix.startswith("--") and not ctx.startswith("--"):
+        assert _reduce(["--matrix", matrix, "--ctx", ctx]) == (code, out, err)

@@ -3,6 +3,7 @@ block factorization identities used for the level computations."""
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -55,6 +56,132 @@ def test_mat_basics():
     assert Mat.diag(Fraction(2), Fraction(3)).det() == 6
     assert not m.inverse().is_integral()
     assert Mat([[Fraction(1), Fraction(0)], [Fraction(5), Fraction(1)]]).is_integral()
+
+
+# -- Mat against a plain-Fraction reference ---------------------------------
+
+
+def _ref_mul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _ref_det(a):
+    """Laplace expansion along the first row: no elimination, no pivots."""
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** j * a[0][j] * _ref_det([r[:j] + r[j + 1:] for r in a[1:]])
+               for j in range(len(a)))
+
+
+def _ref_inverse(a):
+    """Adjugate over determinant, from cofactors."""
+    n, d = len(a), _ref_det(a)
+    if n == 1:
+        return [[1 / d]]
+
+    def minor(i, j):
+        return [r[:j] + r[j + 1:] for k, r in enumerate(a) if k != i]
+
+    return [[(-1) ** (i + j) * _ref_det(minor(j, i)) / d for j in range(n)] for i in range(n)]
+
+
+def _ref_block_diag(blocks):
+    size = sum(len(b) for b in blocks)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    off = 0
+    for b in blocks:
+        for i, r in enumerate(b):
+            out[off + i][off:off + len(r)] = r
+        off += len(b)
+    return out
+
+
+def _rand_rows(rng, n, m):
+    """Random rationals with zeros, whole zero rows and shared denominators."""
+    den = rng.choice([1, 2, 6, 35])
+    rows = [[Fraction(rng.randint(-12, 12), rng.choice([1, den, rng.randint(1, 9)]))
+             if rng.random() < 0.8 else Fraction(0) for _ in range(m)] for _ in range(n)]
+    if rng.random() < 0.2:
+        rows[rng.randrange(n)] = [Fraction(0)] * m
+    return rows
+
+
+def _in_lowest_terms(m):
+    entries = [x for r in m.rows for x in r]
+    assert all(x.denominator > 0 and gcd(x.numerator, x.denominator) == 1 for x in entries)
+    # the stored pair is canonical too, which is what makes == and hash exact
+    assert m.den > 0 and gcd(m.den, *(x for r in m.num for x in r)) == 1
+    assert m.den == lcm(*(x.denominator for x in entries))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mat_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    shapes = [(2, 2), (3, 3), (2, 3), (3, 2), (1, 3), (1, 1)]
+    for _ in range(60):
+        n, k = rng.choice(shapes)
+        m = rng.choice([1, 2, 3])
+        a, b = _rand_rows(rng, n, k), _rand_rows(rng, k, m)
+        A, B = Mat(a), Mat(b)
+        assert A.rows == tuple(map(tuple, a)) and A.shape == (n, k)
+        assert all(A[i, j] == a[i][j] for i in range(n) for j in range(k))
+        assert A.row(n - 1) == tuple(a[n - 1])
+        assert A.is_integral() == all(x.denominator == 1 for r in a for x in r)
+        _in_lowest_terms(A)
+
+        AB = A * B
+        assert AB.rows == tuple(map(tuple, _ref_mul(a, b)))
+        assert AB == Mat(_ref_mul(a, b)) and hash(AB) == hash(Mat(_ref_mul(a, b)))
+        _in_lowest_terms(AB)
+        for s in (Fraction(rng.randint(-9, -1), rng.randint(1, 7)), -3, 0, Fraction(5, 2)):
+            want = tuple(tuple(s * x for x in r) for r in a)
+            assert (s * A).rows == want and (A * s).rows == want
+            assert s * A == A * s == Mat(want)
+            _in_lowest_terms(s * A)
+
+        # equal matrices reached by different routes compare and hash equal
+        back = (Fraction(1, 7) * (A * 7))
+        assert back == A and hash(back) == hash(A)
+        if any(x for r in a for x in r):
+            i, j = next((i, j) for i in range(n) for j in range(k) if a[i][j])
+            other = [list(r) for r in a]
+            other[i][j] = -other[i][j]
+            assert Mat(other) != A
+        if (n, k) == (2, 2):  # the same entries in another shape
+            assert A != Mat([a[0] + a[1]])
+
+        if n != k:
+            with pytest.raises(ValueError):
+                A.det()
+            with pytest.raises(ValueError):
+                A.inverse()
+            continue
+        d = _ref_det(a)
+        assert A.det() == d
+        if d == 0:
+            with pytest.raises(ZeroDivisionError):
+                A.inverse()
+        else:
+            inv = A.inverse()
+            assert inv.rows == tuple(map(tuple, _ref_inverse(a)))
+            _in_lowest_terms(inv)
+        c = _rand_rows(rng, 2, 2)
+        D = A.block_diag(Mat(c), Mat.identity(1))
+        want = _ref_block_diag([a, c, [[Fraction(1)]]])
+        assert D.rows == tuple(map(tuple, want)) and D == Mat(want)
+        _in_lowest_terms(D)
+
+
+def test_mat_rejects_ragged_and_non_square_blocks():
+    with pytest.raises(ValueError):
+        Mat([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Mat([])
+    with pytest.raises(ValueError):
+        Mat.identity(2).block_diag(Mat([[1, 2]]))
+    with pytest.raises(ValueError):
+        Mat.identity(2) * Mat.identity(3)
 
 
 def test_unipotent_constructors():

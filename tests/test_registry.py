@@ -63,6 +63,8 @@ def test_fault_injection_breaks_named_checks():
         check = next(c for c in CHECKS if c.check_id == check_id)
         res = run_check(check, cfg)
         assert not res.ok, f"{check_id} still passed with a fault injected"
+        # an exception also fails a check, but shows only that the hook raised
+        assert not res.detail.startswith("error:"), res.detail
         # and the rest of its suite is untouched
         others = [
             run_check(c, cfg)

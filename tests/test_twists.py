@@ -51,15 +51,6 @@ def test_unit_average_is_even_part_for_even_parity():
         assert abs(w - 1j * cmath.sin(2 * cmath.pi * float(x))) < 1e-12
 
 
-def test_unit_average_exact_mode():
-    from rslab.cyclotomic import CycloElement
-
-    x = Fraction(1, 3)
-    z = unit_average(x, 7, 0, mode=EXACT)
-    assert isinstance(z, CycloElement)
-    assert abs(z.to_complex() - cmath.cos(2 * cmath.pi / 3)) < 1e-12
-
-
 def test_unit_average_sign_zero_convention():
     # sign(0) := +1, so x = 0 gives 1 for any parity at q <= 2
     assert unit_average(Fraction(0), 2, 0) == 1
@@ -94,6 +85,11 @@ def test_gl31_decomposition_exact():
     data = CoeffData.constant(alphas, gammas, 30, EXACT)
     chi = next(c for c in char_group(3).characters() if not c.is_trivial())
     assert gl31_decomposition_residuals(chi, data, range(1, 25)) == [0.0] * 24
+    # level 1 (the single-term q <= 2 route) and both parities mod 5
+    chars = [char_group(1).trivial()] + [c for c in char_group(5).characters() if c.is_primitive()]
+    assert {c.parity for c in chars[1:]} == {0, 1}
+    for chi in chars:
+        assert gl31_decomposition_residuals(chi, data, range(1, 25)) == [0.0] * 24, chi
 
 
 def test_assemble_twisted_series_trivial_level():
