@@ -1,10 +1,10 @@
-"""Dirichlet characters mod q with exact root-of-unity values.
+"""Dirichlet characters mod q with exact cyclotomic values.
 
 The unit group mod q is split into prime-power components with explicit
 generators, so a character is just a tuple of exponents (one per generator);
 one table per modulus of the units' discrete logs makes each value a lookup.
-Values come back as exact roots of unity, and Gauss sums can be formed
-either as floats or as exact cyclotomic elements.
+Values come back as exact roots of unity (CycloElement), and Gauss sums
+can be formed either as floats or as exact cyclotomic elements.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from operator import mul
 
 from .arith import divisors, euler_phi, factorize, primitive_root, radical, valuation
 from .cyclotomic import CycloElement
-from .scalars import EXACT, FLOAT, RootOfUnity, check_mode
+from .scalars import EXACT, FLOAT, check_mode
+
+#: e(k/n) at the orders n = 1, 2, 4, where cmath.exp is only approximate
+_EXACT_ROOTS = {(0, 1): complex(1), (1, 2): complex(-1), (1, 4): 1j, (3, 4): -1j}
 
 
 class _Component:
@@ -105,7 +108,7 @@ class CharGroup:
         generators, each scaled by L / order to the exponent L, or None when
         gcd(a, q) > 1; a character with exponents e_i then has
         chi(a) = e(k/L) with k = sum e_i logs[a][i] mod L.  complexes[k] is
-        RootOfUnity(k, L).to_complex().
+        e(k/L) as a complex, computed from k/L in lowest terms.
         """
         if self._table is None:
             q, big = self.q, self.exponent
@@ -120,7 +123,12 @@ class CharGroup:
             logs = [None] * q
             for r, ls in units:
                 logs[r] = ls
-            self._table = (logs, [RootOfUnity(k, big).to_complex() for k in range(big)])
+            complexes = []
+            for k in range(big):
+                g = gcd(k, big)
+                z = _EXACT_ROOTS.get((k // g, big // g))
+                complexes.append(cmath.exp(2j * pi * (k // g) / (big // g)) if z is None else z)
+            self._table = (logs, complexes)
         return self._table
 
 
@@ -141,20 +149,20 @@ class DirichletCharacter:
             self, "exps", tuple(e % n for e, n in zip(self.exps, self.group.orders))
         )
 
-    def _k(self, a: int) -> int | None:
-        """k with chi(a) = e(k/L), L the group exponent; None when gcd(a, q) > 1."""
+    def angle(self, a: int) -> int | None:
+        """The k with chi(a) = e(k/L), L the group exponent; None when gcd(a, q) > 1."""
         row = self.group.value_table()[0][a % self.group.q]
         if row is None:
             return None
         return sum(map(mul, self.exps, row)) % self.group.exponent
 
-    def value(self, a: int) -> RootOfUnity | None:
+    def value(self, a: int) -> CycloElement | None:
         """chi(a) as an exact root of unity; None when gcd(a, q) > 1."""
-        k = self._k(a)
-        return None if k is None else RootOfUnity(k, self.group.exponent)
+        k = self.angle(a)
+        return None if k is None else CycloElement.root(k, self.group.exponent)
 
     def value_complex(self, a: int) -> complex:
-        k = self._k(a)
+        k = self.angle(a)
         return 0j if k is None else self.group.value_table()[1][k]
 
     def is_trivial(self) -> bool:
@@ -170,9 +178,7 @@ class DirichletCharacter:
     @property
     def parity(self) -> int:
         """0 for even (chi(-1) = 1), 1 for odd."""
-        z = self.value(-1)
-        assert z is not None
-        return 0 if z.as_rational() == 1 else 1
+        return 0 if self.angle(-1) == 0 else 1
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.group, tuple(-e for e in self.exps))
@@ -324,11 +330,11 @@ def addtomult_residuals(chi: DirichletCharacter, ns, mode: str = FLOAT) -> list[
     if mode == EXACT:
         # sum_a conj(chi)(-a) e(a n / q) = conj(chi)(-1) tau_q(conj(chi), n / q)
         tau = gauss_classical(chi, EXACT)
-        sign = CycloElement.from_root(chibar.value(-1))
+        sign = chibar.value(-1)
         for n in ns:
             lhs = tau * (gauss_beta(chibar, Fraction(n, q), EXACT) * sign) * Fraction(1, q)
             zn = chi.value(n)
-            diff = lhs - (CycloElement.zero() if zn is None else CycloElement.from_root(zn))
+            diff = lhs if zn is None else lhs - zn
             out.append(0.0 if diff.is_zero() else abs(diff.to_complex()))
         return out
     terms = [(a, chibar.value_complex(-a)) for a in range(1, q + 1) if gcd(a, q) == 1]

@@ -36,7 +36,11 @@ REDUCE_CTX_MAX = 10**12
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 3 on usage errors, as the exit-code contract asks."""
+    """argparse that exits 3 on usage errors, as the exit-code contract asks,
+    and takes option names only in full."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -72,8 +76,6 @@ def read_config(path: str) -> dict:
 def _resolve_config(args) -> registry.RunConfig:
     conf = read_config(args.config) if args.config else {}
     mode = args.mode or conf.get("mode", EXACT)
-    if mode not in MODES:
-        _die(f"mode must be one of {MODES}")
     seed = conf.get("seed", DEFAULT_SEED)
     env_seed = os.environ.get("RS_LAB_SEED")
     if env_seed is not None:
@@ -86,10 +88,6 @@ def _resolve_config(args) -> registry.RunConfig:
         seed, n_max, p_max = int(seed), int(n_max), int(p_max)
     except ValueError:
         _die("seed, n_max and p_max must be integers")
-    if n_max > 10**5:  # `verify --suite doublesum` takes about 50 s there on 2 vCPUs
-        _die("n_max must be <= 10^5")
-    if p_max > 350:  # `verify --suite gauss` takes about 50 s there on 2 vCPUs
-        _die("p_max must be <= 350")
     try:
         return registry.RunConfig(
             mode=mode, n_max=n_max, p_max=p_max, seed=seed,
@@ -140,8 +138,6 @@ def _emit_json_lines(records: list, out_path: str | None, to_stdout: bool):
 
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
-    if cfg.inject_fault and cfg.inject_fault not in registry.FAULT_CAPABLE:
-        _die(f"--inject-fault supports: {', '.join(sorted(registry.FAULT_CAPABLE))}")
     try:
         results = registry.run_suite(args.suite, cfg)
     except ValueError as exc:

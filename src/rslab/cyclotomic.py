@@ -15,7 +15,6 @@ from math import gcd, lcm, pi
 import cmath
 
 from .arith import divisors
-from .scalars import RootOfUnity
 
 #: |value| above this multiple of the coefficient mass certifies nonzero
 _PREFILTER_REL = 1e-9
@@ -90,8 +89,10 @@ class CycloElement:
         return cls(1, {0: Fraction(x)})
 
     @classmethod
-    def from_root(cls, z: RootOfUnity) -> "CycloElement":
-        return cls(z.n, {z.k: Fraction(1)})
+    def root(cls, k: int, n: int) -> "CycloElement":
+        """e(k/n) = exp(2 pi i k/n), at the order of k/n in lowest terms."""
+        g = gcd(k, n)
+        return cls(n // g, {k // g: 1})
 
     @classmethod
     def from_exponents(cls, n: int, weights: dict[int, int | Fraction]) -> "CycloElement":
@@ -115,8 +116,6 @@ class CycloElement:
     def _lift(x) -> "CycloElement":
         if isinstance(x, CycloElement):
             return x
-        if isinstance(x, RootOfUnity):
-            return CycloElement.from_root(x)
         if isinstance(x, (int, Fraction)):
             return CycloElement.from_rational(x)
         raise TypeError(f"cannot combine CycloElement with {type(x).__name__}")

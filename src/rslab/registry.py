@@ -36,8 +36,14 @@ class RunConfig:
 
     def __post_init__(self):
         check_mode(self.mode)
-        if self.n_max < 10 or self.p_max < 5:
-            raise ValueError("n_max must be >= 10 and p_max >= 5")
+        # the upper bounds are where `verify --suite doublesum` (n_max) and
+        # `verify --suite gauss` (p_max) take about 50 s on 2 vCPUs
+        if not 10 <= self.n_max <= 10**5:
+            raise ValueError("n_max must be in [10, 10^5]")
+        if not 5 <= self.p_max <= 350:
+            raise ValueError("p_max must be in [5, 350]")
+        if self.inject_fault is not None and self.inject_fault not in FAULT_CAPABLE:
+            raise ValueError(f"inject_fault must be one of: {', '.join(sorted(FAULT_CAPABLE))}")
 
 
 @dataclass

@@ -11,8 +11,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, log, pi, prod
-from operator import mul
+from math import gcd, isqrt, lcm, pi, prod
 
 from .arith import factorize, radical, valuation
 from .characters import DirichletCharacter, gauss_beta, gauss_classical, window_moduli
@@ -21,25 +20,22 @@ from .cyclotomic import CycloElement
 from .scalars import EXACT, FLOAT
 
 
-def unit_average(x, q: int, parity: int, t: float = 0.0) -> complex:
-    """Average of e(ux) w(ux)^{-1} over units u = 1 mod q, w = sign^parity |.|^{it}.
+def unit_average(x, q: int, parity: int) -> complex:
+    """Average of e(ux) sign(ux)^parity over units u = 1 mod q.
 
     For q <= 2 every unit is congruent to 1 and the average is the single
-    term e(x) sign(x)^parity |x|^{-it}; for q > 2 it is the mean of the two
-    terms at +-x.  sign(0) counts as +1.
+    term e(x) sign(x)^parity; for q > 2 it is the mean of the two terms
+    at +-x.  sign(0) counts as +1.
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     if q < 1:
         raise ValueError("q must be positive")
     xf = float(x)
-    if xf == 0 and t != 0:
-        raise ValueError("|x|^{-it} is undefined at x = 0")
 
     def one_term(y: float) -> complex:
         s = 1.0 if y >= 0 else -1.0
-        mag = cmath.exp(-1j * t * log(abs(y))) if t != 0 else 1.0
-        return cmath.exp(2j * pi * y) * s**parity * mag
+        return cmath.exp(2j * pi * y) * s**parity
 
     if q <= 2:
         return one_term(xf)
@@ -64,11 +60,10 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
         # conj(chi)(-r) = e(kz/big) on the units r, and as n r > 0 the term
         # lam * unit_average(n r / q) is lam/2 e(n r / q) + (-1)^a lam/2 e(-n r / q)
         # (just lam e(n r / q) for q <= 2): fold both into one exponent map per n
-        logs = chi.group.value_table()[0]
         big = lcm(q, chi.group.exponent)
         lift, step = big // chi.group.exponent, big // q
-        terms = [(r, sum(map(mul, chibar.exps, logs[-r % q])) * lift)
-                 for r in range(1, q + 1) if logs[-r % q] is not None]
+        angles = [(r, chibar.angle(-r)) for r in range(1, q + 1)]
+        terms = [(r, k * lift) for r, k in angles if k is not None]
         tau = gauss_beta(chi, Fraction(1, q), EXACT)
         for n in ns:
             lam = lambda_std(n, data)
@@ -84,9 +79,7 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
                     weights[key] = weights.get(key, 0) + minus
             acc = CycloElement.from_exponents(big, weights)
             zn = chi.value(n)
-            lhs = CycloElement.from_rational(q * lam) * (
-                CycloElement.from_root(zn) if zn is not None else CycloElement.zero()
-            )
+            lhs = CycloElement.zero() if zn is None else zn * (q * lam)
             diff = lhs - tau * acc
             scale = max(1.0, q * abs(complex(lam)))
             out.append(0.0 if diff.is_zero() else abs(diff.to_complex()) / scale)

@@ -20,7 +20,7 @@ from rslab.characters import (
     window_moduli,
 )
 from rslab.cyclotomic import CycloElement
-from rslab.scalars import EXACT, FLOAT, RootOfUnity
+from rslab.scalars import EXACT, FLOAT
 
 
 def test_group_sizes():
@@ -53,8 +53,10 @@ def test_value_table_against_brute_force_logs():
     """Every value for q <= 64 and a in -q..2q against the definition: the
     logs d_i of a unit a are found by searching all products of powers of the
     generator residues, and chi(a) = e(sum e_i d_i / n_i); off the units the
-    value is None.  The float value is the exact one's to_complex(), bit for
-    bit (repr tells -0.0 from 0.0)."""
+    value is None.  angle(a) is t scaled to the group exponent, and the float
+    value is e(t) with t in lowest terms: exactly +-1 and +-1j at orders 1, 2
+    and 4, cmath.exp otherwise, bit for bit (repr tells -0.0 from 0.0)."""
+    exact = {(0, 1): 1 + 0j, (1, 2): -1 + 0j, (1, 4): 1j, (3, 4): -1j}
     for q in range(1, 65):
         grp = char_group(q)
         gens = grp.generator_residues()
@@ -72,9 +74,12 @@ def test_value_table_against_brute_force_logs():
                     assert v is None, (chi, a)
                     assert chi.value_complex(a) == 0j, (chi, a)
                     continue
-                t = sum(Fraction(e * d, n) for e, d, n in zip(chi.exps, logs[a % q], grp.orders))
-                assert v == RootOfUnity.from_fraction(t), (chi, a)
-                assert repr(chi.value_complex(a)) == repr(v.to_complex()), (chi, a)
+                t = sum(Fraction(e * d, n) for e, d, n in zip(chi.exps, logs[a % q], grp.orders)) % 1
+                k, n = t.numerator, t.denominator
+                assert (v.n, v.coeffs) == (n, {k: 1}), (chi, a)
+                assert Fraction(chi.angle(a), grp.exponent) == t, (chi, a)
+                want = exact.get((k, n), cmath.exp(2j * cmath.pi * k / n))
+                assert repr(chi.value_complex(a)) == repr(want), (chi, a)
 
 
 def test_trivial_character():
@@ -84,7 +89,8 @@ def test_trivial_character():
     for a in range(1, 13):
         v = chi0.value(a)
         if gcd(a, 12) == 1:
-            assert v == RootOfUnity.one()
+            assert v == 1
+            assert chi0.angle(a) == 0
         else:
             assert v is None
 
@@ -104,8 +110,8 @@ def test_parity_definition():
     for q in (3, 4, 5, 8):
         for chi in char_group(q).characters():
             v = chi.value(q - 1)  # chi(-1)
-            want = 0 if v == RootOfUnity.one() else 1
-            assert chi.parity == want
+            assert v == 1 or v == -1
+            assert chi.parity == (0 if v == 1 else 1)
 
 
 def test_conductor_and_primitivity():
@@ -126,10 +132,12 @@ def test_decompose_reassembles():
             for a in range(1, q + 1):
                 if gcd(a, q) > 1:
                     continue
-                prod = RootOfUnity.one()
+                prod = CycloElement.from_rational(1)
                 for comp in parts:
                     prod = prod * comp.value(a)
                 assert prod == chi.value(a)
+                t = sum(Fraction(comp.angle(a), comp.group.exponent) for comp in parts)
+                assert t % 1 == Fraction(chi.angle(a), chi.group.exponent)
 
 
 def test_gauss_classical_quadratic_anchors():
@@ -172,13 +180,15 @@ def test_gauss_beta_exact_matches_termwise_sum():
     bit-identical too."""
     for q in range(1, 25):
         for chi in char_group(q).characters():
-            values = [(d, chi.value(d)) for d in range(1, q + 1) if gcd(d, q) == 1]
+            angles = [(d, Fraction(chi.angle(d), chi.group.exponent))
+                      for d in range(1, q + 1) if gcd(d, q) == 1]
             for m in sorted({1, q, 7, 12}):
                 for r in range(m):
                     beta = Fraction(r, m)
                     ref = CycloElement.zero()
-                    for d, z in values:
-                        ref = ref + CycloElement.from_root(z * RootOfUnity.from_fraction(d * beta))
+                    for d, t in angles:
+                        t += d * beta
+                        ref = ref + CycloElement.root(t.numerator, t.denominator)
                     got = gauss_beta(chi, beta, EXACT)
                     assert got.n == ref.n, (chi, beta)
                     assert list(got.coeffs.items()) == list(ref.coeffs.items()), (chi, beta)
@@ -205,15 +215,8 @@ def test_gauss_beta_substitution_symmetry():
                 if gcd(d, q) > 1:
                     continue
                 lhs = gauss_beta(chi, d * beta, mode=EXACT)
-                scale = chi.conjugate().value(d)
-                rhs = base * CycloFromRoot(scale)
+                rhs = base * chi.conjugate().value(d)
                 assert (lhs - rhs).is_zero()
-
-
-def CycloFromRoot(root):
-    from rslab.cyclotomic import CycloElement
-
-    return CycloElement.from_root(root)
 
 
 def test_gauss_beta_integer_shift():

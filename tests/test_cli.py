@@ -337,6 +337,20 @@ def test_missing_value_before_next_option_still_rejected():
     assert "expected one argument" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("reduce", "--mat=-1,0;0,1", "--ctx", "5,3,2"),
+    ("reduce", "--mat", "-1,0;0,1", "--ctx", "5,3,2"),
+    ("reduce", "--matrix", "1,0;0,1", "--ct", "5,3,2"),
+    ("verify", "--suite", "cauchy", "--n-m", "60"),
+    ("funceq", "--q", "5", "--chi", "1"),
+])
+def test_abbreviated_options_rejected(argv):
+    """Only full option names parse, so a value is never read by a prefix match."""
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, "")
+    assert "unrecognized arguments" in err or "required" in err
+
+
 def test_reduce_rejects_singular():
     code, _, err = run_cli("reduce", "--matrix", "1,1;1,1", "--ctx", "5,3,2")
     assert code == 3
@@ -456,6 +470,15 @@ def test_import_loads_only_the_standard_library():
     loaded = {name.split(".")[0] for name in proc.stdout.split()}
     assert "rslab" in loaded
     assert loaded - {"rslab"} <= set(sys.stdlib_module_names), sorted(loaded)
+
+
+def test_public_names_resolve():
+    """Every name rslab exports is an attribute of the package, listed once."""
+    import rslab
+
+    missing = [name for name in rslab.__all__ if not hasattr(rslab, name)]
+    assert not missing, missing
+    assert len(rslab.__all__) == len(set(rslab.__all__))
 
 
 def test_no_runtime_dependencies():

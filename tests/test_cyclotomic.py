@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 
 from rslab.cyclotomic import CycloElement, cyclotomic_poly
-from rslab.scalars import RootOfUnity
 
 
 def test_cyclotomic_poly_small():
@@ -38,8 +37,8 @@ def test_cyclo_element_arithmetic_matches_complex():
     rng = random.Random(61)
     for _ in range(40):
         n = rng.choice([3, 4, 5, 8, 12])
-        a = CycloElement.from_root(RootOfUnity(rng.randrange(n), n))
-        b = CycloElement.from_root(RootOfUnity(rng.randrange(n), n))
+        a = CycloElement.root(rng.randrange(n), n)
+        b = CycloElement.root(rng.randrange(n), n)
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         expr = (a + b) * a - b * c
         za, zb = a.to_complex(), b.to_complex()
@@ -47,28 +46,37 @@ def test_cyclo_element_arithmetic_matches_complex():
         assert abs(expr.to_complex() - want) < 1e-12
 
 
+def test_root_is_in_lowest_terms():
+    for (k, n), want in {
+        (2, 8): (4, {1: 1}), (-1, 4): (4, {3: 1}), (6, 4): (2, {1: 1}),
+        (0, 7): (1, {0: 1}), (7, 7): (1, {0: 1}),
+    }.items():
+        z = CycloElement.root(k, n)
+        assert (z.n, z.coeffs) == want, (k, n)
+
+
 def test_cyclo_element_rmul_with_fraction():
-    a = CycloElement.from_root(RootOfUnity(1, 3))
+    a = CycloElement.root(1, 3)
     left = Fraction(2, 3) * a
     right = a * Fraction(2, 3)
     assert (left - right).is_zero()
 
 
 def test_cyclo_element_conjugate():
-    a = CycloElement.from_root(RootOfUnity(2, 7))
+    a = CycloElement.root(2, 7)
     assert abs(a.conjugate().to_complex() - a.to_complex().conjugate()) < 1e-14
 
 
 def test_is_zero_catches_hidden_relations():
     """1 + w + w^2 = 0 for w a primitive cube root, even though the
     coefficient vector is nonzero before reduction."""
-    w = CycloElement.from_root(RootOfUnity(1, 3))
+    w = CycloElement.root(1, 3)
     s = CycloElement.from_rational(Fraction(1)) + w + w * w
     assert s.is_zero()
     # sum over all 5th roots of unity is zero as well
     total = CycloElement.zero()
     for k in range(5):
-        total = total + CycloElement.from_root(RootOfUnity(k, 5))
+        total = total + CycloElement.root(k, 5)
     assert total.is_zero()
 
 
@@ -76,19 +84,19 @@ def test_as_rational_reduction():
     # w^2 + w^4 + w + w^3 = -1 for w primitive 5th root
     total = CycloElement.zero()
     for k in range(1, 5):
-        total = total + CycloElement.from_root(RootOfUnity(k, 5))
+        total = total + CycloElement.root(k, 5)
     assert total.as_rational() == Fraction(-1)
 
 
 def test_as_rational_none_for_irrational():
-    w = CycloElement.from_root(RootOfUnity(1, 5))
+    w = CycloElement.root(1, 5)
     assert w.as_rational() is None
 
 
 def test_mixed_order_roots_embed_consistently():
     """Roots of different orders should combine in the compositum."""
-    a = CycloElement.from_root(RootOfUnity(1, 3))
-    b = CycloElement.from_root(RootOfUnity(1, 4))
+    a = CycloElement.root(1, 3)
+    b = CycloElement.root(1, 4)
     z = (a * b).to_complex()
     want = cmath.exp(2j * cmath.pi * (Fraction(1, 3) + Fraction(1, 4)))
     assert abs(z - want) < 1e-12

@@ -81,3 +81,12 @@ def test_run_config_validation():
         RunConfig(p_max=2)
     with pytest.raises(ValueError):
         RunConfig(mode="fancy")
+    with pytest.raises(ValueError, match="n_max"):
+        RunConfig(n_max=10**5 + 1)
+    with pytest.raises(ValueError, match="p_max"):
+        RunConfig(p_max=351)
+    RunConfig(n_max=10**5, p_max=350)
+    # a fault the checks do not know would otherwise pass every check unseen
+    for bad in ("gauss-window", "", "no-such-check"):
+        with pytest.raises(ValueError, match="inject_fault"):
+            RunConfig(p_max=20, inject_fault=bad)

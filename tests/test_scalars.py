@@ -1,4 +1,3 @@
-import cmath
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,6 @@ from rslab.scalars import (
     EXACT,
     FLOAT,
     FLOAT_TOL,
-    RootOfUnity,
     check_mode,
     coerce,
     is_zero,
@@ -59,43 +57,3 @@ def test_parse_and_format_roundtrip():
     assert parse_scalar("-2", EXACT) == Fraction(-2)
     assert parse_scalar("1.5,2", FLOAT) == 1.5 + 2j
     assert parse_scalar("0.25", FLOAT) == 0.25 + 0j
-
-
-def test_root_of_unity_normalization():
-    w = RootOfUnity(5, 4)
-    assert (w.k, w.n) == (1, 4)
-    assert RootOfUnity(2, 8) == RootOfUnity(1, 4)
-    assert RootOfUnity.one() == RootOfUnity(0, 1)
-
-
-def test_root_of_unity_group_law():
-    a = RootOfUnity(1, 3)
-    b = RootOfUnity(1, 4)
-    ab = a * b
-    assert ab == RootOfUnity(7, 12)
-    assert a * a.inverse() == RootOfUnity.one()
-    assert a.conjugate() == a.inverse()
-
-
-def test_root_of_unity_from_fraction():
-    assert RootOfUnity.from_fraction(Fraction(3, 6)) == RootOfUnity(1, 2)
-    assert RootOfUnity.from_fraction(Fraction(-1, 4)) == RootOfUnity(3, 4)
-
-
-def test_root_of_unity_to_complex():
-    # n in {1, 2, 4} is exactly representable
-    assert RootOfUnity(0, 1).to_complex() == 1
-    assert RootOfUnity(1, 2).to_complex() == -1
-    assert RootOfUnity(1, 4).to_complex() == 1j
-    z = RootOfUnity(1, 3).to_complex()
-    assert abs(z - cmath.exp(2j * cmath.pi / 3)) < 1e-15
-
-
-def test_root_of_unity_as_rational():
-    assert RootOfUnity(1, 2).as_rational() == Fraction(-1)
-    assert RootOfUnity(0, 7).as_rational() == Fraction(1)
-    assert RootOfUnity(1, 3).as_rational() is None
-
-
-def test_exponent_is_fraction():
-    assert RootOfUnity(3, 8).exponent == Fraction(3, 8)

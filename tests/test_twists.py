@@ -57,16 +57,6 @@ def test_unit_average_sign_zero_convention():
     assert unit_average(Fraction(0), 2, 1) == 1
 
 
-def test_unit_average_with_t():
-    x = Fraction(3, 4)
-    t = 1.7
-    z = unit_average(x, 1, 1, t=t)
-    want = cmath.exp(2j * cmath.pi * 0.75) * (0.75) ** (-1j * t)
-    assert abs(z - want) < 1e-12
-    with pytest.raises(ValueError):
-        unit_average(Fraction(0), 1, 0, t=2.0)
-
-
 def test_gl31_decomposition_float():
     """q * lam(n) chi(n) = tau(chi) * sum_r conj(chi)(-r) lam(n) u(nr/q):
     residual below 1e-10 for primitive characters of small modulus."""
