@@ -2,7 +2,7 @@
 character-sum reductions, and functional-equation bookkeeping over Q."""
 
 from .scalars import EXACT, FLOAT, FLOAT_TOL, coerce
-from .euler import DirichletSeries, EulerFactorPoly, NotDivisibleError, assemble_global
+from .euler import EulerFactorPoly, NotDivisibleError
 from .symfunc import Partition3, cauchy_check, schur3, schur3_tableau
 from .cyclotomic import CycloElement
 from .characters import DirichletCharacter, char_group, gauss_beta, gauss_classical
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EXACT", "FLOAT", "FLOAT_TOL", "coerce",
-    "DirichletSeries", "EulerFactorPoly", "NotDivisibleError", "assemble_global",
+    "EulerFactorPoly", "NotDivisibleError",
     "Partition3", "cauchy_check", "schur3", "schur3_tableau",
     "CycloElement",
     "DirichletCharacter", "char_group", "gauss_beta", "gauss_classical",

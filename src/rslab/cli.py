@@ -1,14 +1,16 @@
-"""Command-line front end: run verification suites and dump tables.
+"""Command-line front end: run verification suites and print tables.
 
-Subcommands: verify, dump, gauss, twist, reduce, funceq.  Exit codes:
-0 on success, 2 when a verification check fails, 3 on bad input or
-configuration.  The RS_LAB_SEED environment variable overrides the
-config-file seed; command-line flags override both.
+Subcommands: verify, coeffs, gauss, twist, reduce, funceq.  Each takes only
+the options it reads.  Exit codes: 0 on success, 2 when a verification
+check fails, 3 on bad input or configuration, or when the output cannot be
+written.  The RS_LAB_SEED environment variable overrides the config-file
+seed; command-line flags override both.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -20,10 +22,10 @@ from . import langlands, matid, registry, twists
 from .characters import char_group, gauss_beta
 from .coeffs import CoeffData, coefficient_rows
 from .matid import CosetContext, Mat
-from .scalars import EXACT, FLOAT, MODES
+from .scalars import EXACT, FLOAT
 
 DEFAULT_SEED = 1729
-CONFIG_KEYS = ("mode", "n_max", "p_max", "seed")
+CONFIG_KEYS = ("n_max", "p_max", "seed")
 # --q bounds where the command takes about a minute on 2 vCPUs; a prime q
 # costs most: `gauss --q 223` takes 59 s (phi(q)^2 sums of q terms), and
 # `funceq --q 399989 --chi-index 1` 58 s (q Hurwitz zeta values per point,
@@ -53,14 +55,19 @@ def _die(message: str) -> "None":
     sys.exit(3)
 
 
+def _read_text(path: str) -> str:
+    """The file's UTF-8 text; exit 3 if it cannot be read or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        _die(f"cannot read {path}: {exc}")
+
+
 def read_config(path: str) -> dict:
     """Flat key=value file; '#' starts a comment."""
     out = {}
-    try:
-        text = open(path).read()
-    except OSError as exc:
-        _die(f"cannot read config {path}: {exc}")
-    for ln, raw in enumerate(text.splitlines(), 1):
+    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -75,7 +82,6 @@ def read_config(path: str) -> dict:
 
 def _resolve_config(args) -> registry.RunConfig:
     conf = read_config(args.config) if args.config else {}
-    mode = args.mode or conf.get("mode", EXACT)
     seed = conf.get("seed", DEFAULT_SEED)
     env_seed = os.environ.get("RS_LAB_SEED")
     if env_seed is not None:
@@ -90,8 +96,7 @@ def _resolve_config(args) -> registry.RunConfig:
         _die("seed, n_max and p_max must be integers")
     try:
         return registry.RunConfig(
-            mode=mode, n_max=n_max, p_max=p_max, seed=seed,
-            inject_fault=getattr(args, "inject_fault", None),
+            n_max=n_max, p_max=p_max, seed=seed, inject_fault=args.inject_fault,
         )
     except ValueError as exc:
         _die(str(exc))
@@ -123,17 +128,20 @@ def parse_matrix2(text: str) -> Mat:
 # -- verify -------------------------------------------------------------------
 
 
-def _emit_json_lines(records: list, out_path: str | None, to_stdout: bool):
-    lines = [json.dumps(r, separators=(",", ":")) for r in records]
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            _die(f"cannot write {out_path}: {exc}")
-    if to_stdout:
-        for line in lines:
-            print(line)
+def _json_lines(records: list) -> str:
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """Write text to out_path, or to stdout when out_path is None."""
+    if out_path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _die(f"cannot write {out_path}: {exc}")
 
 
 def cmd_verify(args) -> int:
@@ -151,12 +159,16 @@ def cmd_verify(args) -> int:
             "detail": r.detail,
             "anchor": by_id[r.check_id].description,
             "seed": cfg.seed,
-            "mode": cfg.mode,
+            "mode": by_id[r.check_id].mode,
         }
         for r in results
     ]
-    _emit_json_lines(records, args.out, args.json)
-    if not args.json:
+    text = _json_lines(records)
+    if args.out:
+        _write(text, args.out)
+    if args.json:
+        _write(text, None)
+    else:
         wid = max(len(r.check_id) for r in results)
         wsuite = max(len(r.suite) for r in results)
         for r in results:
@@ -174,7 +186,23 @@ def cmd_verify(args) -> int:
     return 0
 
 
-# -- dump ---------------------------------------------------------------------
+# -- tables -------------------------------------------------------------------
+
+
+def cmd_coeffs(args) -> int:
+    alphas = parse_fraction_list(args.alphas, 3, "--alphas")
+    gammas = parse_fraction_list(args.gammas, 2, "--gammas")
+    if any(g == 0 for g in gammas):
+        _die("--gammas must be nonzero")
+    n_max = args.N
+    if n_max < 1 or n_max > 10**6:
+        _die("--N out of range")
+    data = CoeffData.constant(alphas, gammas, n_max, EXACT)
+    rows = coefficient_rows(n_max, data)
+    lines = ["n,lambda,c,pair,residual"]
+    lines += [f"{n},{ls},{c},{lp},{res}" for n, ls, c, lp, res in rows]
+    _write("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 def _gauss_records(q: int) -> list:
@@ -199,8 +227,6 @@ def _gauss_records(q: int) -> list:
 
 
 def _twist_records(args) -> list:
-    if args.pi_file is None:
-        _die("--pi-file is required for twist tables")
     try:
         beta = Fraction(args.beta)
     except (ValueError, ZeroDivisionError):
@@ -208,10 +234,7 @@ def _twist_records(args) -> list:
     n_max = args.N
     if n_max < 1 or n_max > 10**6:
         _die("--N out of range")
-    try:
-        text = open(args.pi_file).read()
-    except OSError as exc:
-        _die(f"cannot read {args.pi_file}: {exc}")
+    text = _read_text(args.pi_file)
     try:
         rep = langlands.parse_rep_file(text, degree=3, mode=FLOAT, p_max=n_max)
         series = rep.series(n_max)
@@ -220,41 +243,11 @@ def _twist_records(args) -> list:
     q_mod = beta.denominator
     records = []
     for n in range(1, n_max + 1):
-        coeff = series.a(n) * twists.unit_average(n * beta, q_mod, args.parity)
-        coeff = complex(coeff)
+        coeff = series[n - 1] * twists.unit_average(n * beta, q_mod, args.parity)
+        if not cmath.isfinite(coeff):
+            _die(f"coefficient a({n}) overflows a float")
         records.append({"n": n, "coeff": [coeff.real, coeff.imag]})
     return records
-
-
-def cmd_dump(args) -> int:
-    if args.kind == "coeffs":
-        alphas = parse_fraction_list(args.alphas, 3, "--alphas")
-        gammas = parse_fraction_list(args.gammas, 2, "--gammas")
-        if any(g == 0 for g in gammas):
-            _die("--gammas must be nonzero")
-        n_max = args.N
-        if n_max < 1 or n_max > 10**6:
-            _die("--N out of range")
-        data = CoeffData.constant(alphas, gammas, n_max, EXACT)
-        rows = coefficient_rows(n_max, data)
-        lines = ["n,lambda,c,pair,residual"]
-        lines += [f"{n},{ls},{c},{lp},{res}" for n, ls, c, lp, res in rows]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                _die(f"cannot write {args.out}: {exc}")
-        else:
-            sys.stdout.write(text)
-        return 0
-    if args.kind == "gauss":
-        records = _gauss_records(_check_q(args.q, GAUSS_Q_MAX))
-    else:  # twist
-        records = _twist_records(args)
-    _emit_json_lines(records, args.out, to_stdout=args.out is None)
-    return 0
 
 
 def _check_q(q: int, bound: int) -> int:
@@ -264,12 +257,12 @@ def _check_q(q: int, bound: int) -> int:
 
 
 def cmd_gauss(args) -> int:
-    _emit_json_lines(_gauss_records(_check_q(args.q, GAUSS_Q_MAX)), None, True)
+    _write(_json_lines(_gauss_records(_check_q(args.q, GAUSS_Q_MAX))), args.out)
     return 0
 
 
 def cmd_twist(args) -> int:
-    _emit_json_lines(_twist_records(args), None, True)
+    _write(_json_lines(_twist_records(args)), args.out)
     return 0
 
 
@@ -339,7 +332,6 @@ def cmd_funceq(args) -> int:
 
 def _add_common(p: _Parser):
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--mode", choices=MODES, help="scalar mode for suites that honor it")
     p.add_argument("--seed", type=int, help="seed for randomized checks")
     p.add_argument("--n-max", type=int, dest="n_max", help="truncation for coefficient checks")
     p.add_argument("--p-max", type=int, dest="p_max", help="modulus bound for character checks")
@@ -358,20 +350,16 @@ def build_parser() -> _Parser:
                     help="corrupt the named check's input (self-test of the harness)")
     pv.set_defaults(func=cmd_verify)
 
-    pd = sub.add_parser("dump", help="write coefficient/Gauss/twist tables")
-    pd.add_argument("kind", choices=("coeffs", "twist", "gauss"))
-    pd.add_argument("--alphas", default="1,2,3", help="coeffs: three rationals")
-    pd.add_argument("--gammas", default="1,2", help="coeffs: two nonzero rationals")
-    pd.add_argument("--q", type=int, default=12, help="gauss: modulus")
-    pd.add_argument("--pi-file", dest="pi_file", help="twist: local-parameter file")
-    pd.add_argument("--beta", default="1/3", help="twist: rational shift r/q")
-    pd.add_argument("--parity", type=int, choices=(0, 1), default=0)
-    pd.add_argument("--N", type=int, default=100, help="number of coefficients")
-    pd.add_argument("--out", help="output path (default stdout)")
-    pd.set_defaults(func=cmd_dump)
+    pc = sub.add_parser("coeffs", help="coefficient table n, lambda, c, pairing, residual (CSV)")
+    pc.add_argument("--alphas", default="1,2,3", help="three rationals")
+    pc.add_argument("--gammas", default="1,2", help="two nonzero rationals")
+    pc.add_argument("--N", type=int, default=100, help="number of coefficients")
+    pc.add_argument("--out", help="output path (default stdout)")
+    pc.set_defaults(func=cmd_coeffs)
 
     pg = sub.add_parser("gauss", help="character-sum table for one modulus (JSON lines)")
     pg.add_argument("--q", type=int, required=True)
+    pg.add_argument("--out", help="output path (default stdout)")
     pg.set_defaults(func=cmd_gauss)
 
     pt = sub.add_parser("twist", help="additive twist of a degree-3 coefficient stream")
@@ -379,6 +367,7 @@ def build_parser() -> _Parser:
     pt.add_argument("--beta", required=True, help="rational shift r/q")
     pt.add_argument("--parity", type=int, choices=(0, 1), default=0)
     pt.add_argument("--N", type=int, default=50)
+    pt.add_argument("--out", help="output path (default stdout)")
     pt.set_defaults(func=cmd_twist)
 
     pr = sub.add_parser("reduce", help="canonical coset form of a 2x2 rational matrix")
@@ -417,7 +406,14 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_join_signed_values(argv))
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:  # stdout closed early (a pipe) or full
+        # the interpreter flushes stdout again at exit; let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _die(f"cannot write output: {exc}")
+    return code
 
 
 if __name__ == "__main__":

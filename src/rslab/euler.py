@@ -1,4 +1,4 @@
-"""Euler-factor polynomials and truncated Dirichlet series.
+"""Euler-factor polynomials and multiplicative coefficient streams.
 
 An inverse local factor L_p(s)^{-1} is a polynomial in X = p^{-s} with
 constant term 1; expanding 1/poly gives the local coefficient stream
@@ -7,7 +7,9 @@ a_p(0)=1, a_p(1), ...  Global series are assembled multiplicatively.
 
 from __future__ import annotations
 
-from .arith import factorize, primes_up_to
+import cmath
+
+from .arith import factorize
 from .scalars import EXACT, check_mode, coerce, is_zero, one, zero
 
 
@@ -27,6 +29,10 @@ class EulerFactorPoly:
     def __init__(self, coeffs, mode: str):
         check_mode(mode)
         cs = [coerce(c, mode) for c in coeffs]
+        if mode != EXACT and not all(cmath.isfinite(c) for c in cs):
+            # an overflowed coefficient would make the tolerance trim below
+            # (at scale inf) cut the factor down to 1
+            raise ValueError(f"coefficients must be finite, got {cs!r}")
         if not cs:
             cs = [one(mode)]
         scale = max((abs(complex(c)) for c in cs), default=1.0)
@@ -143,70 +149,9 @@ def poly_divide_exact(f: EulerFactorPoly, g: EulerFactorPoly) -> EulerFactorPoly
     return EulerFactorPoly(quot, mode)
 
 
-class DirichletSeries:
-    """Coefficients a(1..N) of a Dirichlet series, with a(1) = 1."""
-
-    __slots__ = ("trunc", "coeffs", "mode")
-
-    def __init__(self, coeffs, mode: str, trunc: int | None = None):
-        check_mode(mode)
-        cs = [coerce(c, mode) for c in coeffs]
-        if not cs or cs[0] != one(mode):
-            raise ValueError("a Dirichlet series must start with a(1) = 1")
-        self.trunc = trunc if trunc is not None else len(cs)
-        if self.trunc != len(cs):
-            raise ValueError(f"expected {self.trunc} coefficients, got {len(cs)}")
-        self.coeffs = cs
-        self.mode = mode
-
-    def a(self, n: int):
-        if not 1 <= n <= self.trunc:
-            raise IndexError(f"coefficient index {n} outside 1..{self.trunc}")
-        return self.coeffs[n - 1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DirichletSeries)
-            and self.mode == other.mode
-            and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        return f"DirichletSeries([{head}, ...], N={self.trunc})"
-
-
 def multiplicative(n: int, local, mode: str):
     """a(n) = prod_{p^k || n} local(p, k): the n-th term of a multiplicative stream."""
     acc = one(mode)
     for p, k in factorize(n):
         acc *= local(p, k)
     return acc
-
-
-def assemble_global(local_factors: dict[int, EulerFactorPoly], trunc: int,
-                    mode: str = EXACT) -> DirichletSeries:
-    """Multiplicative assembly a(n) = prod_{p^k || n} a_p(k) for n <= trunc.
-
-    `local_factors` maps p -> inverse local factor; every prime <= trunc must be
-    present.
-    """
-    check_mode(mode)
-    missing = [p for p in primes_up_to(trunc) if p not in local_factors]
-    if missing:
-        raise ValueError(f"missing local factors at primes {missing[:10]} (need all p <= {trunc})")
-    tables: dict[int, list] = {}
-    for p, f in local_factors.items():
-        if p > trunc:
-            continue
-        if f.mode != mode:
-            raise TypeError(f"local factor at {p} is in mode {f.mode}, expected {mode}")
-        kmax = 0
-        pk = p
-        while pk <= trunc:
-            kmax += 1
-            pk *= p
-        tables[p] = expand_inverse(f, kmax)
-    coeffs = [multiplicative(n, lambda p, k: tables[p][k], mode) for n in range(1, trunc + 1)]
-    return DirichletSeries(coeffs, mode, trunc)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .arith import factorize, is_prime, primes_up_to, valuation
 from .characters import DirichletCharacter, gauss_classical
-from .euler import DirichletSeries, EulerFactorPoly, assemble_global, poly_divide_exact
+from .euler import EulerFactorPoly, expand_inverse, multiplicative, poly_divide_exact
 from .scalars import EXACT, FLOAT, check_mode, coerce, is_zero, one, parse_scalar, zero
 
 
@@ -75,11 +75,18 @@ class GlobalRep:
     def local_factor(self, p: int) -> EulerFactorPoly:
         return self.locals[p].local_factor(self.mode)
 
-    def series(self, trunc: int) -> DirichletSeries:
+    def series(self, trunc: int) -> list:
+        """The coefficients a(1..trunc) of the Euler product; a(n) is at index n - 1."""
         if trunc > self.p_max:
             raise ValueError(f"series up to {trunc} needs local data up to p_max >= {trunc}")
-        factors = {p: self.local_factor(p) for p in self.locals if p <= trunc}
-        return assemble_global(factors, trunc, self.mode)
+        tables = {}
+        for p in primes_up_to(trunc):
+            kmax, pk = 0, p
+            while pk <= trunc:
+                kmax, pk = kmax + 1, pk * p
+            tables[p] = expand_inverse(self.local_factor(p), kmax)
+        return [multiplicative(n, lambda p, k: tables[p][k], self.mode)
+                for n in range(1, trunc + 1)]
 
     def conductor(self) -> int:
         n = 1

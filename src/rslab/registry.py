@@ -19,7 +19,7 @@ from .characters import char_group
 from .coeffs import CoeffData
 from .euler import EulerFactorPoly, poly_mul
 from .matid import CosetContext, FactorizationInstance, Mat
-from .scalars import EXACT, FLOAT, check_mode
+from .scalars import EXACT, FLOAT
 from .symfunc import Partition3
 
 EULER_GAMMA = 0.5772156649015329
@@ -28,14 +28,12 @@ CATALAN = 0.915965594177219
 
 @dataclass
 class RunConfig:
-    mode: str = EXACT
     n_max: int = 200
     p_max: int = 40
     seed: int = 1729
     inject_fault: str | None = None
 
     def __post_init__(self):
-        check_mode(self.mode)
         # the upper bounds are where `verify --suite doublesum` (n_max) and
         # `verify --suite gauss` (p_max) take about 50 s on 2 vCPUs
         if not 10 <= self.n_max <= 10**5:
@@ -56,8 +54,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Check:
+    """One named check.  `mode` names the routes whose comparisons decide its
+    verdict: "exact" (integers, Fraction, cyclotomic), "float" (complex
+    values against a tolerance) or "exact+float" (both, on every run)."""
+
     check_id: str
     suite: str
+    mode: str
     description: str
     runner: object = field(repr=False)
 
@@ -83,21 +86,20 @@ def _run_cauchy(cfg: RunConfig, rng: random.Random):
     sets = [((1, 2, 3), (1, 2)), ((Fraction(1, 2), -1, 3), (Fraction(2, 3), -2))]
     for _ in range(3):
         sets.append((_rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True)))
-    worst, count = 0, 0
+    count = 0
     for alphas, gammas in sets:
-        if cfg.mode == EXACT:
-            res = symfunc.cauchy_check(alphas, gammas, 8, EXACT)
-            if any(r != 0 for r in res):
-                return False, f"nonzero exact residual for {alphas}, {gammas}"
-        else:
-            a = _rand_units(rng, 3)
-            g = _rand_units(rng, 2)
-            res = symfunc.cauchy_check(a, g, 8, FLOAT)
-            worst = max(worst, max(abs(r) for r in res))
-            if worst > 1e-9:
-                return False, f"float residual {worst:.2e} exceeds 1e-9"
+        res = symfunc.cauchy_check(alphas, gammas, 8, EXACT)
+        if any(r != 0 for r in res):
+            return False, f"nonzero exact residual for {alphas}, {gammas}"
         count += len(res)
-    return True, f"{count} graded residuals vanish over {len(sets)} parameter sets"
+    worst = 0.0
+    for _ in sets:
+        res = symfunc.cauchy_check(_rand_units(rng, 3), _rand_units(rng, 2), 8, FLOAT)
+        worst = max(worst, max(abs(r) for r in res))
+        if worst > 1e-9:
+            return False, f"float residual {worst:.2e} exceeds 1e-9"
+    return True, (f"{count} graded residuals vanish over {len(sets)} parameter sets; "
+                  f"float residual <= {worst:.2e} over {len(sets)} unit sets")
 
 
 def _run_two_row(cfg: RunConfig, rng: random.Random):
@@ -591,35 +593,35 @@ def _run_fe_root_modulus(cfg: RunConfig, rng: random.Random):
 # -- registry -----------------------------------------------------------------
 
 CHECKS: tuple[Check, ...] = (
-    Check("cauchy-gradewise", "cauchy", "graded expansion of the six-factor product matches the paired-partition sum", _run_cauchy),
-    Check("cauchy-two-row", "cauchy", "two-row regrouping of the graded identity", _run_two_row),
-    Check("schur-tableau", "cauchy", "determinant Schur values agree with the tableau enumeration", _run_schur_tableau),
-    Check("doublesum-anchor", "doublesum", "frozen small-coefficient anchors", _run_doublesum_anchor),
-    Check("doublesum-random", "doublesum", "convolution double sum equals the pairing coefficients", _run_doublesum_random),
-    Check("standardcoeff", "doublesum", "degenerate first index gives the standard coefficients", _run_standardcoeff),
-    Check("twist-compat", "doublesum", "unit twist rescales the convolution coefficients", _run_twist_compat),
-    Check("aux-grid", "aux", "local pairing quotient matches its closed form on a (p, b, m) grid", _run_aux_grid),
-    Check("aux-steinberg", "aux", "minimal twisted blocks pair to 1 - p^-2 X", _run_aux_steinberg),
-    Check("aux-degenerate", "aux", "quotient collapses for minimal or ramified blocks", _run_aux_degenerate),
-    Check("gauss-modulus", "gauss", "|tau(chi)|^2 = q for primitive characters", _run_gauss_modulus),
-    Check("gauss-window", "gauss", "twisted character sums are nonzero inside the window", _run_gauss_window),
-    Check("gauss-factor", "gauss", "character sums factor over prime-power components", _run_gauss_factorization),
-    Check("gauss-root", "gauss", "normalized character sums are unitary", _run_gauss_root),
-    Check("addtomult-prim", "addtomult", "additive expansion reproduces character values", _run_addtomult),
-    Check("gl31-decomp", "addtomult", "multiplicative twist decomposes over symmetrized additive twists", _run_gl31_decomposition),
-    Check("twisted-series", "addtomult", "assembled series prefactor degenerations", _run_twisted_series),
-    Check("clgp-anchor", "clgp", "frozen coset reduction example", _run_clgp_anchor),
-    Check("clgp-random", "clgp", "random matrices reduce to canonical form with witnesses", _run_clgp_random),
-    Check("clgp-invariance", "clgp", "reduction invariants survive allowed moves", _run_clgp_invariance),
-    Check("clgp-support", "clgp", "support predicate matches the valuation bounds", _run_clgp_support),
-    Check("unipotent-split", "clgp", "lower-unipotent matrices split through the diagonal", _run_unipotent_split),
-    Check("matid-anchor", "matid", "frozen 3x3 factorization instance", _run_matid_anchor),
-    Check("matid-random", "matid", "3x3 factorization holds entrywise on random instances", _run_matid_random),
-    Check("conductor-exp", "matid", "conductor exponent bookkeeping", _run_conductor),
-    Check("hurwitz-anchors", "funceq", "shifted zeta series anchors", _run_hurwitz_anchors),
-    Check("dirichlet-fe", "funceq", "completed L-function reflection formula", _run_dirichlet_fe),
-    Check("synthetic-fe", "funceq", "degree-6 product reflection with composite constant", _run_synthetic_fe),
-    Check("fe-root-modulus", "funceq", "reflection constant is unitary for unitary inputs", _run_fe_root_modulus),
+    Check("cauchy-gradewise", "cauchy", "exact+float", "graded expansion of the six-factor product matches the paired-partition sum", _run_cauchy),
+    Check("cauchy-two-row", "cauchy", "exact", "two-row regrouping of the graded identity", _run_two_row),
+    Check("schur-tableau", "cauchy", "exact", "determinant Schur values agree with the tableau enumeration", _run_schur_tableau),
+    Check("doublesum-anchor", "doublesum", "exact", "frozen small-coefficient anchors", _run_doublesum_anchor),
+    Check("doublesum-random", "doublesum", "exact", "convolution double sum equals the pairing coefficients", _run_doublesum_random),
+    Check("standardcoeff", "doublesum", "exact", "degenerate first index gives the standard coefficients", _run_standardcoeff),
+    Check("twist-compat", "doublesum", "exact", "unit twist rescales the convolution coefficients", _run_twist_compat),
+    Check("aux-grid", "aux", "exact", "local pairing quotient matches its closed form on a (p, b, m) grid", _run_aux_grid),
+    Check("aux-steinberg", "aux", "exact", "minimal twisted blocks pair to 1 - p^-2 X", _run_aux_steinberg),
+    Check("aux-degenerate", "aux", "exact", "quotient collapses for minimal or ramified blocks", _run_aux_degenerate),
+    Check("gauss-modulus", "gauss", "float", "|tau(chi)|^2 = q for primitive characters", _run_gauss_modulus),
+    Check("gauss-window", "gauss", "exact", "twisted character sums are nonzero inside the window", _run_gauss_window),
+    Check("gauss-factor", "gauss", "float", "character sums factor over prime-power components", _run_gauss_factorization),
+    Check("gauss-root", "gauss", "float", "normalized character sums are unitary", _run_gauss_root),
+    Check("addtomult-prim", "addtomult", "float", "additive expansion reproduces character values", _run_addtomult),
+    Check("gl31-decomp", "addtomult", "exact+float", "multiplicative twist decomposes over symmetrized additive twists", _run_gl31_decomposition),
+    Check("twisted-series", "addtomult", "exact", "assembled series prefactor degenerations", _run_twisted_series),
+    Check("clgp-anchor", "clgp", "exact", "frozen coset reduction example", _run_clgp_anchor),
+    Check("clgp-random", "clgp", "exact", "random matrices reduce to canonical form with witnesses", _run_clgp_random),
+    Check("clgp-invariance", "clgp", "exact", "reduction invariants survive allowed moves", _run_clgp_invariance),
+    Check("clgp-support", "clgp", "exact", "support predicate matches the valuation bounds", _run_clgp_support),
+    Check("unipotent-split", "clgp", "exact", "lower-unipotent matrices split through the diagonal", _run_unipotent_split),
+    Check("matid-anchor", "matid", "exact", "frozen 3x3 factorization instance", _run_matid_anchor),
+    Check("matid-random", "matid", "exact", "3x3 factorization holds entrywise on random instances", _run_matid_random),
+    Check("conductor-exp", "matid", "exact", "conductor exponent bookkeeping", _run_conductor),
+    Check("hurwitz-anchors", "funceq", "exact+float", "shifted zeta series anchors", _run_hurwitz_anchors),
+    Check("dirichlet-fe", "funceq", "float", "completed L-function reflection formula", _run_dirichlet_fe),
+    Check("synthetic-fe", "funceq", "exact+float", "degree-6 product reflection with composite constant", _run_synthetic_fe),
+    Check("fe-root-modulus", "funceq", "float", "reflection constant is unitary for unitary inputs", _run_fe_root_modulus),
 )
 
 SUITES: tuple[str, ...] = (
@@ -650,4 +652,6 @@ def run_suite(suite: str, cfg: RunConfig) -> list[CheckResult]:
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     selected = [c for c in CHECKS if suite == "all" or c.suite == suite]
+    if cfg.inject_fault is not None and cfg.inject_fault not in {c.check_id for c in selected}:
+        raise ValueError(f"inject_fault {cfg.inject_fault!r} is not a check of suite {suite!r}")
     return [run_check(c, cfg) for c in selected]

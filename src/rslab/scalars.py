@@ -11,6 +11,7 @@ Exact roots of unity and their sums live in :mod:`rslab.cyclotomic`.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 EXACT = "exact"
@@ -59,11 +60,15 @@ def is_zero(x, mode: str, scale: float = 1.0) -> bool:
 
 
 def parse_scalar(text: str, mode: str):
-    """Parse "a/b" (exact) or "re,im" / plain real (float)."""
+    """Parse "a/b" (exact) or "re,im" / plain real (float, finite only)."""
     text = text.strip()
     if mode == EXACT:
         return Fraction(text)
     if "," in text:
         re_part, im_part = text.split(",", 1)
-        return complex(float(re_part), float(im_part))
-    return complex(float(text), 0.0)
+        val = complex(float(re_part), float(im_part))
+    else:
+        val = complex(float(text), 0.0)
+    if not cmath.isfinite(val):
+        raise ValueError(f"{text!r} is not a finite number")
+    return val

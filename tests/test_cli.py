@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: exit codes, JSON output, config and
-seed precedence, the dump formats, the console script, and a package that
+seed precedence, the table formats, the console script, and a package that
 needs nothing outside the standard library."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -80,6 +82,24 @@ def test_verify_fault_injection_exits_2():
     assert "reproduce" in err
 
 
+@pytest.mark.parametrize("suite, fault, want", [
+    ("clgp", "gauss-modulus", 3),
+    ("doublesum", "clgp-random", 3),
+    ("doublesum", "doublesum-random", 2),
+    ("gauss", "gauss-modulus", 2),
+    ("clgp", "clgp-random", 2),
+    ("all", "gauss-modulus", 2),
+])
+def test_inject_fault_must_name_a_check_of_the_suite(suite, fault, want):
+    """A fault outside the selected suite would never be applied, so the run
+    is rejected instead of passing unseen."""
+    code, out, err = run_cli(
+        "verify", "--suite", suite, "--inject-fault", fault, "--n-max", "60", "--p-max", "20",
+    )
+    assert code == want, err
+    assert (out == "") == (want == 3)
+
+
 def test_verify_honours_n_max():
     code, out, _ = run_cli("verify", "--suite", "doublesum", "--json", "--n-max", "300")
     assert code == 0
@@ -122,7 +142,7 @@ def test_verify_rejects_p_max_above_bound(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("gauss", "--q", "226"),
-    ("dump", "gauss", "--q", "226"),
+    ("gauss", "--q", "226", "--out", os.devnull),
     ("funceq", "--q", str(4 * 10**5 + 1), "--chi-index", "1"),
     # each point costs q Hurwitz zeta values: q = 30011 at 14 points is past the bound
     ("funceq", "--q", "30011", "--chi-index", "1", "--points", ",".join(["0.5"] * 14)),
@@ -143,7 +163,7 @@ def test_verify_reports_an_error_inside_a_check(monkeypatch, exc):
         raise exc
 
     fine = next(c for c in registry.CHECKS if c.check_id == "conductor-exp")
-    monkeypatch.setattr(registry, "CHECKS", (registry.Check("broken", "matid", "raises", broken), fine))
+    monkeypatch.setattr(registry, "CHECKS", (registry.Check("broken", "matid", "exact", "raises", broken), fine))
     code, out, err = run_cli("verify", "--suite", "matid", "--json")
     assert code == 2
     records = [json.loads(line) for line in out.splitlines()]
@@ -180,6 +200,43 @@ def test_verify_seed_precedence_cli_over_env(tmp_path):
     assert json.loads(out.splitlines()[0])["seed"] == 7
 
 
+#: each table command's own options, each with a valid value; --out is common to all
+TABLE_OPTIONS = {
+    "coeffs": {"--alphas": "1,2,3", "--gammas": "1,2", "--N": "5"},
+    "gauss": {"--q": "5"},
+    "twist": {"--pi-file": "pi.rep", "--beta": "1/4", "--parity": "1", "--N": "5"},
+}
+ALL_OPTIONS = {option: value for own in TABLE_OPTIONS.values() for option, value in own.items()}
+FOREIGN_OPTIONS = [
+    (command, *(w for item in own.items() for w in item), option, value)
+    for command, own in TABLE_OPTIONS.items()
+    for option, value in ALL_OPTIONS.items() if option not in own
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "cauchy", "--mode", "float"),
+    ("verify", "--suite", "cauchy", "--config", "mode.cfg"),
+    ("dump", "coeffs"),
+    *FOREIGN_OPTIONS,
+], ids=" ".join)
+def test_option_the_command_does_not_read_exits_3(tmp_path, monkeypatch, argv):
+    """No command takes an option, config key or subcommand it would ignore."""
+    monkeypatch.chdir(tmp_path)
+    _write_rep(tmp_path)
+    (tmp_path / "mode.cfg").write_text("mode=float\n")
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, ""), err
+
+
+def test_table_commands_run_with_their_own_options(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_rep(tmp_path)
+    for command, own in TABLE_OPTIONS.items():
+        code, out, err = run_cli(command, *(w for item in own.items() for w in item))
+        assert code == 0 and out, (command, err)
+
+
 def test_read_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("volume=11\n")
@@ -189,9 +246,9 @@ def test_read_config_rejects_unknown_keys(tmp_path):
 
 def test_config_comments_and_blanks(tmp_path):
     f = tmp_path / "c.cfg"
-    f.write_text("# comment line\n\nseed=3\nmode=exact\n")
+    f.write_text("# comment line\n\nseed=3\n")
     cfg = read_config(str(f))
-    assert cfg == {"seed": "3", "mode": "exact"}
+    assert cfg == {"seed": "3"}
 
 
 def test_gauss_output_shape():
@@ -222,7 +279,7 @@ def test_gauss_q12_has_vanishing_rows():
 
 def test_dump_coeffs_csv(tmp_path):
     target = tmp_path / "rows.csv"
-    code, out, _ = run_cli("dump", "coeffs", "--N", "12", "--out", str(target))
+    code, out, _ = run_cli("coeffs", "--N", "12", "--out", str(target))
     assert code == 0
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "n,lambda,c,pair,residual"
@@ -242,32 +299,21 @@ def test_dump_coeffs_matches_golden(tmp_path, name, extra):
     """Byte for byte the committed table: a fault shared by both routes of the
     double sum leaves the residual column at 0, but not the values."""
     target = tmp_path / name
-    code, _, _ = run_cli("dump", "coeffs", "--N", "120", *extra, "--out", str(target))
+    code, _, _ = run_cli("coeffs", "--N", "120", *extra, "--out", str(target))
     assert code == 0
     golden = Path(__file__).resolve().parent / "golden" / name
     assert target.read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("seed", ["1729", "7"])
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_verify_all_json_matches_golden(seed, mode):
+def test_verify_all_json_matches_golden(seed):
     """`verify --suite all --json` is byte-identical to the committed records:
     a change of speed or layout may not change a verdict, a count or a
     printed residual."""
-    code, out, err = run_cli("verify", "--suite", "all", "--json", "--seed", seed, "--mode", mode)
+    code, out, err = run_cli("verify", "--suite", "all", "--json", "--seed", seed)
     assert code == 0, err
-    golden = Path(__file__).resolve().parent / "golden" / f"verify_seed{seed}_{mode}.jsonl"
+    golden = Path(__file__).resolve().parent / "golden" / f"verify_seed{seed}.jsonl"
     assert out.encode() == golden.read_bytes()
-
-
-def test_dump_gauss_matches_gauss_command(tmp_path):
-    target = tmp_path / "g.jsonl"
-    code, _, _ = run_cli("dump", "gauss", "--q", "7", "--out", str(target))
-    assert code == 0
-    dumped = [json.loads(l) for l in target.read_text().splitlines() if l.strip()]
-    code, out, _ = run_cli("gauss", "--q", "7")
-    direct = [json.loads(l) for l in out.splitlines() if l.strip()]
-    assert dumped == direct
 
 
 def _write_rep(tmp_path) -> Path:
@@ -292,9 +338,43 @@ def test_twist_command(tmp_path):
 def test_twist_requires_pi_file():
     code, _, err = run_cli("twist", "--beta", "1/4", "--N", "10")
     assert code == 3
-    # the dump route reaches the same guard past argparse
-    code, _, err = run_cli("dump", "twist", "--beta", "1/4", "--N", "10")
-    assert code == 3
+
+
+@pytest.mark.parametrize("command", ["twist", "verify"])
+def test_file_that_is_not_utf8_exits_3(tmp_path, command):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"2 0 1 1 1 \xff\xfe\n")
+    argv = {
+        "twist": ("twist", "--pi-file", str(bad), "--beta", "1/4", "--N", "2"),
+        "verify": ("verify", "--suite", "cauchy", "--config", str(bad)),
+    }[command]
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, "")
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("scalar", ["nan", "inf", "-inf", "1e400", "1,nan"])
+def test_rep_file_non_finite_scalar_exits_3(tmp_path, scalar):
+    rep = tmp_path / "pi.rep"
+    rep.write_text(f"2 0 1 {scalar} 1 1\n")
+    code, out, err = run_cli("twist", "--pi-file", str(rep), "--beta", "1/4", "--N", "2")
+    assert (code, out) == (3, "")
+    assert "not a finite number" in err
+
+
+@pytest.mark.parametrize("param, message", [
+    # the local factor's coefficients overflow: rejected where it is built
+    ("1e308", "must be finite"),
+    # the factor is finite, but a(2^4) ~ 1e400 is not
+    ("1e100", "overflows a float"),
+])
+def test_twist_float_overflow_exits_3(tmp_path, param, message):
+    rep = tmp_path / "pi.rep"
+    rep.write_text(f"2 0 1 {param} {param} {param}\n" + "".join(
+        f"{p} 0 1 1 1 1\n" for p in (3, 5, 7, 11, 13)))
+    code, out, err = run_cli("twist", "--pi-file", str(rep), "--beta", "1/4", "--N", "16")
+    assert (code, out) == (3, "")
+    assert message in err
 
 
 def test_reduce_command():
@@ -312,10 +392,10 @@ def test_reduce_command():
     (("reduce", "--ctx", "5,3,2"), "--matrix", "-1,0;0,1", 0),
     # no valid context starts with '-': the value must reach CosetContext
     (("reduce", "--matrix", "1,0;0,1"), "--ctx", "-5,3,2", 3),
-    (("dump", "coeffs", "--N", "5"), "--alphas", "-1,2,3", 0),
-    (("dump", "coeffs", "--N", "5"), "--gammas", "-3,1/7", 0),
+    (("coeffs", "--N", "5"), "--alphas", "-1,2,3", 0),
+    (("coeffs", "--N", "5"), "--gammas", "-3,1/7", 0),
     (("twist", "--N", "5"), "--beta", "-1/4", 0),
-    (("dump", "twist", "--N", "5"), "--beta", "-1/4", 0),
+    (("twist", "--N", "5", "--parity", "1"), "--beta", "-1/4", 0),
     (("funceq", "--q", "5", "--chi-index", "1"), "--points", "-0.5+1j", 0),
 ])
 def test_leading_dash_value_as_separate_word(tmp_path, head, option, value, want):
@@ -418,6 +498,52 @@ def test_funceq_rejects_imprimitive():
     # mod 4 has exactly one nontrivial character; index 0 is the trivial one
     code, _, err = run_cli("funceq", "--q", "4", "--chi-index", "0", "--points", "0.5")
     assert code == 3
+
+
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+def test_failed_stdout_write_exits_3(target):
+    """`rslab gauss --q 40 | head -1` once head has exited, and a full disk:
+    one error line and exit 3, no traceback."""
+    if target == "closed pipe":
+        read_end, fd = os.pipe()
+        os.close(read_end)  # no reader left: every write fails with EPIPE
+    elif os.path.exists(target):
+        fd = os.open(target, os.O_WRONLY)
+    else:
+        pytest.skip(f"{target} does not exist here")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rslab.cli", "gauss", "--q", "40"],
+            stdout=fd, stderr=subprocess.PIPE, text=True, timeout=60, env=_env_with_src(),
+        )
+    finally:
+        os.close(fd)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def _readme_blocks() -> list[str]:
+    return re.findall(r"^```[a-z]*\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+README_COMMANDS = [shlex.split(line, comments=True) for block in _readme_blocks()
+                   for line in block.splitlines() if line.startswith("rslab ")]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(tmp_path, monkeypatch, argv):
+    """Every `rslab` line of the README's code blocks exits 0, run from a
+    directory that holds the README's local-parameter file as pi.rep."""
+    rep = next(block for block in _readme_blocks() if block.startswith("# p "))
+    (tmp_path / "pi.rep").write_text(rep)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(*argv[1:])
+    assert code == 0, err
+
+
+def test_readme_lists_every_command():
+    commands = {argv[1] for argv in README_COMMANDS}
+    assert commands == {"verify", "coeffs", "gauss", "twist", "reduce", "funceq"}
 
 
 def test_console_script_installed(tmp_path):

@@ -7,15 +7,14 @@ import pytest
 
 from rslab.arith import primes_up_to
 from rslab.euler import (
-    DirichletSeries,
     EulerFactorPoly,
     NotDivisibleError,
-    assemble_global,
     expand_inverse,
     multiplicative,
     poly_divide_exact,
     poly_mul,
 )
+from rslab.langlands import GlobalRep, LocalData
 from rslab.scalars import EXACT, FLOAT
 
 
@@ -103,28 +102,46 @@ def test_multiplicative_reads_each_prime_power_once():
     assert seen == [(2, 3), (3, 2), (5, 1)]
 
 
+def _rep(params: dict, mode: str, p_max: int) -> GlobalRep:
+    """Degree-2 data: the given parameters at their primes, factor 1 elsewhere."""
+    locals_ = {p: LocalData(p, params.get(p, (0, 0)), m=0 if p in params else 1)
+               for p in primes_up_to(p_max)}
+    return GlobalRep(2, mode, p_max, locals_)
+
+
 def test_dirichlet_series_multiplicativity():
     """a(mn) = a(m) a(n) for coprime m, n when all local data is present."""
-    locals_ = {p: EulerFactorPoly.one(EXACT) for p in primes_up_to(200)}
-    locals_[2] = EulerFactorPoly((Fraction(1), Fraction(-1, 2)), EXACT)
-    locals_[3] = EulerFactorPoly((Fraction(1), Fraction(1, 3), Fraction(-1, 9)), EXACT)
-    locals_[5] = EulerFactorPoly((Fraction(1), Fraction(2)), EXACT)
-    series = assemble_global(locals_, trunc=200, mode=EXACT)
-    assert series.a(1) == Fraction(1)
+    params = {2: (Fraction(1, 2), Fraction(-1)), 3: (Fraction(-1, 3), Fraction(2, 3)),
+              5: (Fraction(-2), Fraction(7))}
+    rep = _rep(params, EXACT, 200)
+    series = rep.series(200)
+    assert len(series) == 200
+    assert series[0] == Fraction(1)
+    a = lambda n: series[n - 1]
     for m, n in [(2, 3), (4, 15), (8, 25), (9, 10)]:
-        assert series.a(m * n) == series.a(m) * series.a(n)
-    # prime powers follow the local expansion
-    inv3 = expand_inverse(locals_[3], 4)
+        assert a(m * n) == a(m) * a(n)
+    # prime powers follow the local expansion; a factor 1 kills every multiple of p
+    inv3 = expand_inverse(rep.local_factor(3), 4)
     for k in range(5):
-        assert series.a(3**k) == inv3[k]
+        assert a(3**k) == inv3[k]
+    assert a(7) == a(49) == a(8 * 11) == 0
 
 
-def test_assemble_global_float_mode():
-    locals_ = {p: EulerFactorPoly.one(FLOAT) for p in primes_up_to(50)}
-    locals_[2] = EulerFactorPoly((1 + 0j, -0.5 + 0j), FLOAT)
-    locals_[3] = EulerFactorPoly((1 + 0j, (1 / 3) + 0j), FLOAT)
-    series = assemble_global(locals_, trunc=50, mode=FLOAT)
-    assert abs(series.a(6) - (0.5 * (-1 / 3))) < 1e-12
+def test_series_float_mode():
+    rep = _rep({2: (0.5, 1), 3: (-1 / 3, 1)}, FLOAT, 50)
+    series = rep.series(50)
+    assert abs(series[6 - 1] - (1.5 * (2 / 3))) < 1e-12
+    with pytest.raises(ValueError, match="p_max"):
+        rep.series(51)
+
+
+def test_float_factor_rejects_non_finite_coefficients():
+    for bad in (float("inf"), float("nan"), complex(1, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            EulerFactorPoly((1, bad), FLOAT)
+    # three parameters of 1e308 overflow their elementary symmetric sums
+    with pytest.raises(ValueError, match="finite"):
+        EulerFactorPoly.from_roots_inverse([1e308] * 3, FLOAT)
 
 
 def test_is_one():

@@ -43,7 +43,7 @@ def test_global_rep_series_multiplicative():
     rep = _toy_rep()
     series = rep.series(30)
     for m, n in [(2, 3), (4, 7), (5, 6)]:
-        assert series.a(m * n) == series.a(m) * series.a(n)
+        assert series[m * n - 1] == series[m - 1] * series[n - 1]
 
 
 def test_local_factor_degree():
@@ -161,4 +161,4 @@ def test_gl1_rep_from_character():
     for n in range(1, 31):
         v = chi.value(n)
         want = 0 if v is None else v.to_complex()
-        assert abs(series.a(n) - want) < 1e-12
+        assert abs(series[n - 1] - want) < 1e-12

@@ -79,8 +79,6 @@ def test_run_config_validation():
         RunConfig(n_max=5)
     with pytest.raises(ValueError):
         RunConfig(p_max=2)
-    with pytest.raises(ValueError):
-        RunConfig(mode="fancy")
     with pytest.raises(ValueError, match="n_max"):
         RunConfig(n_max=10**5 + 1)
     with pytest.raises(ValueError, match="p_max"):
