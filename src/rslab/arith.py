@@ -101,7 +101,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def valuation(x: int | Fraction, p: int) -> int:
     """p-adic valuation of a nonzero integer or Fraction."""
-    x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
     v = 0

@@ -49,6 +49,10 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         sys.exit(3)
 
+    def print_help(self, file=None):
+        # argparse drops a failed write; this one reaches main's output guard
+        (file or sys.stdout).write(self.format_help())
+
 
 def _die(message: str) -> "None":
     print(f"error: {message}", file=sys.stderr)
@@ -178,8 +182,10 @@ def cmd_verify(args) -> int:
         print(f"\n{passed}/{len(results)} checks passed  (suite={args.suite}, seed={cfg.seed})")
     failed = [r for r in results if not r.ok]
     if failed:
+        fault = f" --inject-fault {cfg.inject_fault}" if cfg.inject_fault else ""
         print(
-            f"reproduce: rslab verify --suite {failed[0].suite} --seed {cfg.seed}",
+            f"reproduce: rslab verify --suite {failed[0].suite} --seed {cfg.seed}"
+            f" --n-max {cfg.n_max} --p-max {cfg.p_max}{fault}",
             file=sys.stderr,
         )
         return 2
@@ -405,15 +411,16 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_join_signed_values(argv))
     try:
-        code = args.func(args)
-        sys.stdout.flush()
+        try:  # --help writes here too, then exits 0
+            args = build_parser().parse_args(_join_signed_values(argv))
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
     except OSError as exc:  # stdout closed early (a pipe) or full
         # the interpreter flushes stdout again at exit; let that go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _die(f"cannot write output: {exc}")
-    return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are finite sums  sum_k c_k * zeta_N^k  stored as a sparse map
-exponent -> Fraction.  Different ambient orders combine by embedding into
-the lcm.  Zero testing is rigorous: a cheap numeric bound certifies most
-elements nonzero, and the remaining candidates are reduced exactly modulo
-the N-th cyclotomic polynomial.
+exponent -> int or Fraction, kept as given.  Different ambient orders
+combine by embedding into the lcm.  Zero testing is rigorous: a cheap numeric
+bound certifies most elements nonzero, and the remaining candidates are
+reduced exactly modulo the N-th cyclotomic polynomial.
 """
 
 from __future__ import annotations
@@ -66,16 +66,17 @@ class CycloElement:
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: dict[int, Fraction] | None = None):
+    def __init__(self, n: int, coeffs: dict[int, int | Fraction] | None = None):
         if n < 1:
             raise ValueError("ambient order must be positive")
         self.n = n
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         for k, c in (coeffs or {}).items():
-            c = Fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or Fraction")
             if c:
                 k %= n
-                clean[k] = clean.get(k, Fraction(0)) + c
+                clean[k] = clean.get(k, 0) + c
         self.coeffs = {k: c for k, c in clean.items() if c}
 
     # -- constructors -------------------------------------------------
@@ -86,7 +87,7 @@ class CycloElement:
 
     @classmethod
     def from_rational(cls, x) -> "CycloElement":
-        return cls(1, {0: Fraction(x)})
+        return cls(1, {0: x})
 
     @classmethod
     def root(cls, k: int, n: int) -> "CycloElement":
@@ -114,17 +115,13 @@ class CycloElement:
 
     @staticmethod
     def _lift(x) -> "CycloElement":
-        if isinstance(x, CycloElement):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CycloElement.from_rational(x)
-        raise TypeError(f"cannot combine CycloElement with {type(x).__name__}")
+        return x if isinstance(x, CycloElement) else CycloElement.from_rational(x)
 
     def __add__(self, other):
         other = self._lift(other)
         m, a, b = self._unified(other)
         for k, c in b.items():
-            a[k] = a.get(k, Fraction(0)) + c
+            a[k] = a.get(k, 0) + c
         return CycloElement(m, a)
 
     __radd__ = __add__
@@ -140,11 +137,11 @@ class CycloElement:
             return CycloElement(self.n, {k: c * other for k, c in self.coeffs.items()})
         other = self._lift(other)
         m, a, b = self._unified(other)
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
                 k = (k1 + k2) % m
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
+                out[k] = out.get(k, 0) + c1 * c2
         return CycloElement(m, out)
 
     __rmul__ = __mul__
@@ -158,8 +155,8 @@ class CycloElement:
         w = 2 * pi / self.n
         return sum((complex(c) * cmath.exp(1j * w * k) for k, c in self.coeffs.items()), 0j)
 
-    def coeff_mass(self) -> Fraction:
-        return sum((abs(c) for c in self.coeffs.values()), Fraction(0))
+    def coeff_mass(self) -> int | Fraction:
+        return sum(abs(c) for c in self.coeffs.values())
 
     def is_zero(self) -> bool:
         """Exact zero test.

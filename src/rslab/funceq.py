@@ -216,10 +216,6 @@ class SyntheticFEReport:
     conductor: int
     residuals: list  # (s, relative residual)
 
-    @property
-    def max_residual(self) -> float:
-        return max((r for _, r in self.residuals), default=0.0)
-
 
 def synthetic_fe_check(chi: DirichletCharacter, ts: tuple, u1: float,
                        s_values: list) -> SyntheticFEReport:

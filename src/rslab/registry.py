@@ -12,7 +12,7 @@ import cmath
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import pi
+from math import isnan, nan, pi
 
 from . import characters, coeffs, funceq, langlands, matid, symfunc, twists
 from .characters import char_group
@@ -79,6 +79,13 @@ def _rand_units(rng: random.Random, k: int) -> tuple:
     return tuple(cmath.exp(2j * pi * rng.random()) for _ in range(k))
 
 
+def _worst(residuals) -> float:
+    """The largest residual (0.0 if none), or NaN if any is NaN: max() keeps
+    a NaN only in first place, and `worst < tol` must fail on one."""
+    residuals = list(residuals)
+    return nan if any(map(isnan, residuals)) else max(residuals, default=0.0)
+
+
 # -- cauchy -------------------------------------------------------------------
 
 
@@ -92,12 +99,12 @@ def _run_cauchy(cfg: RunConfig, rng: random.Random):
         if any(r != 0 for r in res):
             return False, f"nonzero exact residual for {alphas}, {gammas}"
         count += len(res)
-    worst = 0.0
-    for _ in sets:
-        res = symfunc.cauchy_check(_rand_units(rng, 3), _rand_units(rng, 2), 8, FLOAT)
-        worst = max(worst, max(abs(r) for r in res))
-        if worst > 1e-9:
-            return False, f"float residual {worst:.2e} exceeds 1e-9"
+    worst = _worst(
+        abs(r) for _ in sets
+        for r in symfunc.cauchy_check(_rand_units(rng, 3), _rand_units(rng, 2), 8, FLOAT)
+    )
+    if not worst <= 1e-9:
+        return False, f"float residual {worst:.2e} exceeds 1e-9"
     return True, (f"{count} graded residuals vanish over {len(sets)} parameter sets; "
                   f"float residual <= {worst:.2e} over {len(sets)} unit sets")
 
@@ -261,17 +268,17 @@ def _primitive_chars(q: int):
 
 
 def _run_gauss_modulus(cfg: RunConfig, rng: random.Random):
-    worst, count = 0.0, 0
+    errs = []
     for q in range(2, cfg.p_max + 1):
         for chi in _primitive_chars(q):
             tau = characters.gauss_classical(chi, FLOAT)
             err = abs(abs(tau) ** 2 - q)
             if cfg.inject_fault == "gauss-modulus":
                 err += 1
-            worst = max(worst, err / q)
-            count += 1
+            errs.append(err / q)
+    worst = _worst(errs)
     ok = worst < 1e-9
-    return ok, f"| |tau|^2 - q | / q <= {worst:.2e} over {count} primitive characters"
+    return ok, f"| |tau|^2 - q | / q <= {worst:.2e} over {len(errs)} primitive characters"
 
 
 def _run_gauss_window(cfg: RunConfig, rng: random.Random):
@@ -289,43 +296,39 @@ def _run_gauss_window(cfg: RunConfig, rng: random.Random):
 
 
 def _run_gauss_factorization(cfg: RunConfig, rng: random.Random):
-    worst, count = 0.0, 0
-    for q in (15, 21, 24, 35, 40):
-        for chi in _primitive_chars(q)[:6]:
-            worst = max(worst, characters.gauss_factorization_residual(chi))
-            count += 1
+    errs = [characters.gauss_factorization_residual(chi)
+            for q in (15, 21, 24, 35, 40) for chi in _primitive_chars(q)[:6]]
+    worst = _worst(errs)
     ok = worst < 1e-9
-    return ok, f"prime-power factorization residual <= {worst:.2e} on {count} characters"
+    return ok, f"prime-power factorization residual <= {worst:.2e} on {len(errs)} characters"
 
 
 def _run_gauss_root(cfg: RunConfig, rng: random.Random):
-    worst, count = 0.0, 0
-    for q in range(3, cfg.p_max + 1):
-        for chi in _primitive_chars(q):
-            worst = max(worst, abs(abs(characters.dirichlet_root_number(chi)) - 1))
-            count += 1
+    errs = [abs(abs(characters.dirichlet_root_number(chi)) - 1)
+            for q in range(3, cfg.p_max + 1) for chi in _primitive_chars(q)]
     chi3 = next(c for c in char_group(3).characters() if not c.is_trivial())
     tau3 = characters.gauss_classical(chi3, FLOAT)
-    if abs(tau3 - 1j * 3**0.5) > 1e-12:
+    if not abs(tau3 - 1j * 3**0.5) <= 1e-12:
         return False, f"tau at modulus 3 is {tau3}, expected i*sqrt(3)"
+    worst = _worst(errs)
     ok = worst < 1e-9
-    return ok, f"| |eps(chi)| - 1 | <= {worst:.2e} on {count} primitive characters"
+    return ok, f"| |eps(chi)| - 1 | <= {worst:.2e} on {len(errs)} primitive characters"
 
 
 # -- addtomult ----------------------------------------------------------------
 
 
 def _run_addtomult(cfg: RunConfig, rng: random.Random):
-    worst, count = 0.0, 0
+    errs = []
     for q in (3, 4, 5, 7, 8, 9, 11, 13, 16):
         prims = _primitive_chars(q)
         rng.shuffle(prims)
         for chi in prims[:2]:
             ns = rng.sample(range(1, 61), 10) + [q, 2 * q]
-            worst = max(worst, *characters.addtomult_residuals(chi, ns, FLOAT))
-            count += len(ns)
+            errs += characters.addtomult_residuals(chi, ns, FLOAT)
+    worst = _worst(errs)
     ok = worst < 1e-10
-    return ok, f"additive-to-multiplicative residual <= {worst:.2e} on {count} pairs"
+    return ok, f"additive-to-multiplicative residual <= {worst:.2e} on {len(errs)} pairs"
 
 
 def _run_gl31_decomposition(cfg: RunConfig, rng: random.Random):
@@ -336,9 +339,8 @@ def _run_gl31_decomposition(cfg: RunConfig, rng: random.Random):
                 if r != 0:
                     return False, f"exact decomposition fails at q={q}, n={n} (residual {r})"
     fdata = CoeffData.constant(_rand_units(rng, 3), _rand_units(rng, 2), 12, FLOAT)
-    worst = 0.0
-    for chi in _primitive_chars(8):
-        worst = max(worst, *twists.gl31_decomposition_residuals(chi, fdata, range(1, 13)))
+    worst = _worst(r for chi in _primitive_chars(8)
+                   for r in twists.gl31_decomposition_residuals(chi, fdata, range(1, 13)))
     ok = worst < 1e-10
     return ok, f"exact at q<=5; float residual <= {worst:.2e} at q=8"
 
@@ -537,7 +539,7 @@ def _run_hurwitz_anchors(cfg: RunConfig, rng: random.Random):
     checks.append(("half-shift identity", rel))
     if funceq.bernoulli_number(12) != Fraction(-691, 2730):
         return False, "Bernoulli recurrence broken at B_12"
-    worst = max(err for _, err in checks)
+    worst = _worst(err for _, err in checks)
     ok = worst < 1e-11
     return ok, f"series anchors hold to {worst:.2e}"
 
@@ -546,13 +548,12 @@ def _run_dirichlet_fe(cfg: RunConfig, rng: random.Random):
     chi4 = _primitive_chars(4)[0]
     err_l = abs(funceq.dirichlet_L(1, chi4) - pi / 4)
     err_cat = abs(funceq.dirichlet_L(2, chi4) - CATALAN)
-    if max(err_l, err_cat) > 1e-11:
-        return False, f"L-value anchors off by {max(err_l, err_cat):.2e}"
-    worst = 0.0
-    for q in (3, 4, 5):
-        for chi in _primitive_chars(q)[:2]:
-            for s in (0.5, 0.5 + 1j, 0.25 + 2j):
-                worst = max(worst, funceq.fe_residual_dirichlet(chi, s))
+    anchors = _worst((err_l, err_cat))
+    if not anchors <= 1e-11:
+        return False, f"L-value anchors off by {anchors:.2e}"
+    worst = _worst(funceq.fe_residual_dirichlet(chi, s)
+                   for q in (3, 4, 5) for chi in _primitive_chars(q)[:2]
+                   for s in (0.5, 0.5 + 1j, 0.25 + 2j))
     ok = worst < 1e-8
     return ok, f"completed-function reflection residual <= {worst:.2e}"
 
@@ -564,16 +565,17 @@ def _run_synthetic_fe(cfg: RunConfig, rng: random.Random):
     )
     if report.conductor != 125:
         return False, f"composite conductor {report.conductor}, expected 125"
-    if abs(abs(report.eps) - 1) > 1e-9:
+    if not abs(abs(report.eps) - 1) <= 1e-9:
         return False, f"|composite eps| = {abs(report.eps)}"
-    ok = report.max_residual < 1e-8 and len(report.residuals) == 3
-    return ok, f"degree-6 reflection residual <= {report.max_residual:.2e}"
+    worst = _worst(r for _, r in report.residuals)
+    ok = worst < 1e-8 and len(report.residuals) == 3
+    return ok, f"degree-6 reflection residual <= {worst:.2e}"
 
 
 def _run_fe_root_modulus(cfg: RunConfig, rng: random.Random):
     from math import gcd
 
-    worst, count = 0.0, 0
+    errs = []
     for q in (5, 7, 8):
         for chi in _primitive_chars(q)[:3]:
             for _ in range(3):
@@ -584,10 +586,10 @@ def _run_fe_root_modulus(cfg: RunConfig, rng: random.Random):
                     units[0], units[1], units[2], units[3], units[4],
                     chi, Fraction(r, q), Fraction(rp, q),
                 )
-                worst = max(worst, abs(abs(eps) - 1))
-                count += 1
+                errs.append(abs(abs(eps) - 1))
+    worst = _worst(errs)
     ok = worst < 1e-9
-    return ok, f"| |eps| - 1 | <= {worst:.2e} over {count} unitary draws"
+    return ok, f"| |eps| - 1 | <= {worst:.2e} over {len(errs)} unitary draws"
 
 
 # -- registry -----------------------------------------------------------------

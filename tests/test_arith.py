@@ -89,6 +89,17 @@ def test_valuation_int_and_fraction():
         valuation(0, 2)
 
 
+def test_valuation_same_on_int_negative_int_and_fraction():
+    for x in list(range(-60, 0)) + list(range(1, 61)):
+        for p in (2, 3, 5):
+            assert valuation(x, p) == valuation(Fraction(x), p), (x, p)
+    assert valuation(-96, 2) == valuation(Fraction(-96, 7), 2) == 5
+    assert valuation(Fraction(-9, 50), 5) == -2
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError):
+            valuation(zero, 3)
+
+
 def test_frac_gcd_generates_the_lattice():
     """frac_gcd(c, d) is the positive generator of cZ + dZ inside Q."""
     g = frac_gcd(Fraction(3, 4), Fraction(5, 6))

@@ -82,6 +82,33 @@ def test_verify_fault_injection_exits_2():
     assert "reproduce" in err
 
 
+def _failing_records(out: str) -> list:
+    return [rec for rec in map(json.loads, out.splitlines()) if not rec["ok"]]
+
+
+@pytest.mark.parametrize("source", ["flags", "config file and environment"])
+def test_reproduce_line_reproduces(tmp_path, source):
+    """The printed command, run as it stands, fails the same way: it carries
+    the effective seed, n_max, p_max and fault wherever they came from."""
+    if source == "flags":
+        argv, env = ["--n-max", "60", "--p-max", "20", "--seed", "5"], None
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_max = 60\np_max = 20\n")
+        argv, env = ["--config", str(cfg)], {"RS_LAB_SEED": "5"}
+    code, out, err = run_cli(
+        "verify", "--suite", "doublesum", "--json", "--inject-fault", "doublesum-random",
+        *argv, env=env,
+    )
+    assert code == 2
+    line = next(ln for ln in err.splitlines() if ln.startswith("reproduce: "))
+    words = shlex.split(line.removeprefix("reproduce: "))
+    assert words[:2] == ["rslab", "verify"], line
+    code2, out2, _ = run_cli(*words[1:], "--json")
+    assert code2 == 2
+    assert _failing_records(out2) == _failing_records(out) != []
+
+
 @pytest.mark.parametrize("suite, fault, want", [
     ("clgp", "gauss-modulus", 3),
     ("doublesum", "clgp-random", 3),
@@ -520,6 +547,31 @@ def test_failed_stdout_write_exits_3(target):
         os.close(fd)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=" ".join)
+def test_help_that_cannot_be_written_exits_3(argv, unbuffered):
+    """argparse drops a failed help write and exits 0; the help goes through
+    the same output guard as data, so a full device gives one error line."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("/dev/full does not exist here")
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    fd = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rslab.cli", *argv],
+            stdout=fd, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+        )
+    finally:
+        os.close(fd)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and out.startswith("usage: rslab")
 
 
 def _readme_blocks() -> list[str]:

@@ -2,7 +2,11 @@ import cmath
 import random
 from fractions import Fraction
 
+import pytest
+
+from rslab.characters import char_group, gauss_beta
 from rslab.cyclotomic import CycloElement, cyclotomic_poly
+from rslab.scalars import EXACT
 
 
 def test_cyclotomic_poly_small():
@@ -116,3 +120,43 @@ def test_from_exponents_lowers_the_order():
     z = CycloElement.from_exponents(5, {})
     assert (z.n, z.coeffs) == (1, {})
     assert CycloElement.from_exponents(8, {1: 1, 5: 1}).is_zero()
+
+
+@pytest.mark.parametrize("bad", [0.1, 1j, None])
+def test_coefficient_that_is_not_int_or_fraction_raises(bad):
+    """A float would enter the exact route as its binary expansion."""
+    with pytest.raises(TypeError):
+        CycloElement(1, {0: bad})
+    with pytest.raises(TypeError):
+        CycloElement(3, {0: 1, 2: bad})
+
+
+def test_adding_or_multiplying_by_a_float_raises():
+    z = CycloElement.root(1, 3)
+    for op in (lambda: z + 0.5, lambda: 0.5 + z, lambda: z - 0.5,
+               lambda: z * 0.5, lambda: 0.5 * z):
+        with pytest.raises(TypeError):
+            op()
+    assert z != 0.5  # __eq__ declines, so the float's own test says unequal
+
+
+def test_int_weights_stay_int():
+    z = CycloElement.from_exponents(12, {0: 2, 3: 1, 9: -1})
+    assert {type(c) for c in z.coeffs.values()} == {int}
+    assert {type(c) for c in (z * z + z - 1).coeffs.values()} == {int}
+    # an exact Gauss sum is a count of exponents from end to end
+    chi = next(c for c in char_group(20).characters() if c.is_primitive())
+    tau = gauss_beta(chi, Fraction(1, 20), EXACT)
+    assert tau.coeffs and {type(c) for c in tau.coeffs.values()} == {int}
+
+
+def test_as_rational_returns_a_fraction():
+    cases = [
+        (CycloElement.zero(), 0),
+        (CycloElement.from_rational(3), 3),
+        (CycloElement.root(1, 3) + CycloElement.root(2, 3), -1),
+        (CycloElement.from_rational(Fraction(-5, 2)), Fraction(-5, 2)),
+    ]
+    for z, want in cases:
+        got = z.as_rational()
+        assert type(got) is Fraction and got == want

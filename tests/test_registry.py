@@ -1,7 +1,10 @@
 """The check registry: determinism, coverage, and fault injection."""
 
+from math import nan
+
 import pytest
 
+from rslab import characters, funceq, symfunc, twists
 from rslab.registry import (
     CHECKS,
     FAULT_CAPABLE,
@@ -10,6 +13,7 @@ from rslab.registry import (
     run_check,
     run_suite,
 )
+from rslab.scalars import FLOAT
 
 
 def test_all_checks_pass_default_config():
@@ -88,3 +92,38 @@ def test_run_config_validation():
     for bad in ("gauss-window", "", "no-such-check"):
         with pytest.raises(ValueError, match="inject_fault"):
             RunConfig(p_max=20, inject_fault=bad)
+
+
+def _float_only(fn):
+    """fn's NaN stand-in on the float route; the exact route runs as before."""
+    def patched(*args):
+        return [complex("nan")] if args[-1] == FLOAT else fn(*args)
+    return patched
+
+
+NAN_SOURCES = [
+    ("gauss-modulus", characters, "gauss_classical", lambda chi, mode: complex("nan")),
+    ("gauss-factor", characters, "gauss_factorization_residual", lambda chi: nan),
+    ("gauss-root", characters, "dirichlet_root_number", lambda chi: complex("nan")),
+    ("addtomult-prim", characters, "addtomult_residuals", lambda chi, ns, mode: [nan] * len(ns)),
+    ("gl31-decomp", twists, "unit_average", lambda x, q, parity: complex("nan")),
+    ("cauchy-gradewise", symfunc, "cauchy_check", _float_only(symfunc.cauchy_check)),
+    ("hurwitz-anchors", funceq, "hurwitz_zeta_star", lambda s, a: nan),
+    ("dirichlet-fe", funceq, "fe_residual_dirichlet", lambda chi, s: nan),
+    ("dirichlet-fe", funceq, "dirichlet_L", lambda s, chi: complex("nan")),
+    ("synthetic-fe", funceq, "synthetic_fe_check", lambda *args: funceq.SyntheticFEReport(
+        1 + 0j, 125, [(0.5, 0.0), (0.5 + 1j, nan), (0.3 + 0.7j, 0.0)])),
+    ("fe-root-modulus", twists, "fe_root_number", lambda *args: complex("nan")),
+]
+
+
+@pytest.mark.parametrize("check_id, module, name, nan_source", NAN_SOURCES,
+                         ids=[f"{c}-{n}" for c, _, n, _ in NAN_SOURCES])
+def test_nan_residual_fails_its_check(monkeypatch, check_id, module, name, nan_source):
+    """max(0.0, nan) is 0.0, so a worst residual taken with max() passes a NaN."""
+    monkeypatch.setattr(module, name, nan_source)
+    check = next(c for c in CHECKS if c.check_id == check_id)
+    res = run_check(check, RunConfig(n_max=60, p_max=20))
+    assert not res.ok, res.detail
+    assert not res.detail.startswith("error:"), res.detail
+    assert "nan" in res.detail, res.detail
