@@ -35,7 +35,9 @@ class EulerFactorPoly:
             raise ValueError(f"coefficients must be finite, got {cs!r}")
         if not cs:
             cs = [one(mode)]
-        scale = max((abs(complex(c)) for c in cs), default=1.0)
+        # the tolerance scale is read in float mode only; an exact coefficient
+        # may be too large for complex()
+        scale = 1.0 if mode == EXACT else max(abs(c) for c in cs)
         while len(cs) > 1 and is_zero(cs[-1], mode, scale=scale):
             cs.pop()
         if mode == EXACT:
@@ -143,7 +145,7 @@ def poly_divide_exact(f: EulerFactorPoly, g: EulerFactorPoly) -> EulerFactorPoly
         quot[i] = c
         for j, b in enumerate(g.coeffs):
             rem[i + j] -= c * b
-    scale = max((abs(complex(c)) for c in f.coeffs), default=1.0)
+    scale = 1.0 if mode == EXACT else max(abs(c) for c in f.coeffs)
     if any(not is_zero(r, mode, scale=scale) for r in rem[:dg]):
         raise NotDivisibleError(rem[:dg])
     return EulerFactorPoly(quot, mode)

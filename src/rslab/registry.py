@@ -124,14 +124,18 @@ def _run_two_row(cfg: RunConfig, rng: random.Random):
 
 def _run_schur_tableau(cfg: RunConfig, rng: random.Random):
     points = [(1, 2, 3), (2, 2, 5), (1, 1, 1), _rand_fracs(rng, 3)]
+    tableau_points = points
+    if cfg.inject_fault == "schur-tableau":
+        # the tableau route alone reads a moved point: s_(1) = x1 + x2 + x3 differs
+        tableau_points = [(1, 2, 4), *points[1:]]
     checked = 0
     for d in range(0, 9):
         for lam in symfunc.partitions3_of(d):
             if lam.l1 > 4:
                 continue
-            for xs in points:
+            for xs, ys in zip(points, tableau_points):
                 a = symfunc.schur3(lam, xs, EXACT)
-                b = symfunc.schur3_tableau(lam, xs, EXACT)
+                b = symfunc.schur3_tableau(lam, ys, EXACT)
                 if a != b:
                     return False, f"s_{lam.parts} disagrees at {xs}: {a} vs {b}"
                 checked += 1
@@ -630,7 +634,9 @@ SUITES: tuple[str, ...] = (
     "cauchy", "doublesum", "aux", "gauss", "addtomult", "clgp", "matid", "funceq",
 )
 
-FAULT_CAPABLE: frozenset = frozenset({"doublesum-random", "gauss-modulus", "clgp-random"})
+FAULT_CAPABLE: frozenset = frozenset(
+    {"schur-tableau", "doublesum-random", "gauss-modulus", "clgp-random"}
+)
 
 
 def check_ids() -> list[str]:

@@ -4,14 +4,22 @@ Two independent routes to the same Schur values are kept deliberately
 separate: a determinant route (bialternant ratio, with a Jacobi-Trudi
 determinant fallback at coincident points) and a combinatorial route that
 enumerates semistandard tableaux.  Tests compare them pointwise.
+
+In exact mode every public function splits its inputs once into integer
+numerators over one common denominator D (`_split`), runs on Python ints,
+and returns one `Fraction` over D**degree (`_join`); that is exact because
+each polynomial here is homogeneous.  The six-factor expansion the Cauchy
+checks compare against does not go through the split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .euler import EulerFactorPoly, expand_inverse
-from .scalars import EXACT, check_mode, coerce, one, zero
+from .scalars import EXACT, check_mode, coerce
 
 #: largest first row accepted by the tableau enumerator (keeps the search small)
 TABLEAU_ROW_LIMIT = 12
@@ -43,35 +51,86 @@ def partitions3_of(d: int):
                 yield Partition3(l1, l2, l3)
 
 
-def complete_homogeneous(k: int, xs, mode: str = EXACT):
-    """h_k(xs): sum of all degree-k monomials in the given variables."""
+def _split(xs, mode: str):
+    """The values the kernels compute on, and their common denominator D.
+
+    Exact mode: integer numerators over D, the lcm of the denominators, so
+    x_i = n_i / D (a float raises TypeError, as in `coerce`).  Float mode:
+    complex values, and D is None.
+    """
     check_mode(mode)
-    xs = [coerce(x, mode) for x in xs]
-    if k < 0:
-        return zero(mode)
-    if k == 0:
-        return one(mode)
-    if not xs:
-        return zero(mode)
+    if mode != EXACT:
+        return [coerce(x, mode) for x in xs], None
+    xs = list(xs)
+    for x in xs:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot coerce {type(x).__name__} {x!r} into exact mode")
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _join(value, d, degree: int):
+    """A homogeneous polynomial of this degree, from its kernel value: over
+    d**degree in exact mode (a negative degree only comes with the value 0),
+    complex when d is None."""
+    return complex(value) if d is None else Fraction(value, d ** max(degree, 0))
+
+
+def _split_pair(alphas, gammas, mode: str):
+    """Three alphas and two gammas, split; a value of bidegree (k, k) joins
+    over (D_alpha * D_gamma)**k."""
+    a, da = _split(alphas, mode)
+    g, dg = _split(gammas, mode)
+    if len(a) != 3 or len(g) != 2:
+        raise ValueError("expected three alphas and two gammas")
+    return a, g, None if da is None else da * dg
+
+
+def _split3(alphas, mode: str):
+    a, d = _split(alphas, mode)
+    if len(a) != 3:
+        raise ValueError("expected exactly three variables")
+    return a, d
+
+
+def _divide(num, den):
+    """num / den where den divides num: exact on ints (raising if a remainder
+    is left), true division on complex values."""
+    if not isinstance(num, int):
+        return num / den
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{den} leaves the remainder {r} on {num}")
+    return q
+
+
+def _h(k: int, xs):
+    if k < 0 or (k > 0 and not xs):
+        return 0
     # h_k(x1..xm) = sum_j x1^j * h_{k-j}(x2..xm), iteratively by variable
-    table = [one(mode)] + [zero(mode)] * k
+    table = [1] + [0] * k
     for x in xs:
         for deg in range(1, k + 1):
             table[deg] = table[deg] + x * table[deg - 1]
     return table[k]
 
 
+def complete_homogeneous(k: int, xs, mode: str = EXACT):
+    """h_k(xs): sum of all degree-k monomials in the given variables."""
+    xs, d = _split(xs, mode)
+    return _join(_h(k, xs), d, k)
+
+
 def elementary_symmetric(k: int, xs, mode: str = EXACT):
     """e_k(xs): sum of all squarefree degree-k monomials."""
-    check_mode(mode)
-    xs = [coerce(x, mode) for x in xs]
+    xs, d = _split(xs, mode)
     if k < 0 or k > len(xs):
-        return zero(mode)
-    table = [one(mode)] + [zero(mode)] * k
+        return _join(0, d, 0)
+    table = [1] + [0] * k
     for x in xs:
         for deg in range(min(k, len(xs)), 0, -1):
             table[deg] = table[deg] + x * table[deg - 1]
-    return table[k]
+    return _join(table[k], d, k)
 
 
 def _det3(m):
@@ -82,28 +141,39 @@ def _det3(m):
     )
 
 
-def schur3_jacobi_trudi(lam: Partition3, alphas, mode: str = EXACT):
-    """s_lam via the 3x3 determinant of complete homogeneous polynomials."""
-    alphas = [coerce(a, mode) for a in alphas]
-    if len(alphas) != 3:
-        raise ValueError("expected exactly three variables")
-    rows = []
-    for i, li in enumerate(lam.parts):
-        rows.append([complete_homogeneous(li - i + j, alphas, mode) for j in range(3)])
-    return _det3(rows)
+def _jacobi_trudi(lam: Partition3, a):
+    return _det3([[_h(li - i + j, a) for j in range(3)] for i, li in enumerate(lam.parts)])
 
 
-def schur3_bialternant(lam: Partition3, alphas, mode: str = EXACT):
-    """s_lam as a ratio of alternants; requires pairwise distinct variables."""
-    a = [coerce(x, mode) for x in alphas]
-    if len(a) != 3:
-        raise ValueError("expected exactly three variables")
+def _bialternant(lam: Partition3, a):
     exps = (lam.l1 + 2, lam.l2 + 1, lam.l3)
     num = _det3([[ai**e for e in exps] for ai in a])
     den = (a[0] - a[1]) * (a[0] - a[2]) * (a[1] - a[2])
     if den == 0:
         raise ZeroDivisionError("bialternant needs pairwise distinct variables")
-    return num / den
+    return _divide(num, den)
+
+
+def _schur3(lam: Partition3, a, exact: bool):
+    if exact:
+        distinct = a[0] != a[1] and a[0] != a[2] and a[1] != a[2]
+    else:
+        scale = max(1.0, *(abs(x) for x in a))
+        distinct = min(abs(a[0] - a[1]), abs(a[0] - a[2]), abs(a[1] - a[2])) > 1e-6 * scale
+    return _bialternant(lam, a) if distinct else _jacobi_trudi(lam, a)
+
+
+def schur3_jacobi_trudi(lam: Partition3, alphas, mode: str = EXACT):
+    """s_lam via the 3x3 determinant of complete homogeneous polynomials."""
+    a, d = _split3(alphas, mode)
+    return _join(_jacobi_trudi(lam, a), d, sum(lam.parts))
+
+
+def schur3_bialternant(lam: Partition3, alphas, mode: str = EXACT):
+    """s_lam as a ratio of alternants; requires pairwise distinct variables.
+    In exact mode the Vandermonde divides the integer alternant exactly."""
+    a, d = _split3(alphas, mode)
+    return _join(_bialternant(lam, a), d, sum(lam.parts))
 
 
 def schur3(lam: Partition3, alphas, mode: str = EXACT):
@@ -113,18 +183,8 @@ def schur3(lam: Partition3, alphas, mode: str = EXACT):
     Jacobi-Trudi determinant otherwise (always, in float mode, when two
     variables are within 1e-6 of each other relative to their size).
     """
-    check_mode(mode)
-    a = [coerce(x, mode) for x in alphas]
-    if len(a) != 3:
-        raise ValueError("expected exactly three variables")
-    if mode == EXACT:
-        distinct = a[0] != a[1] and a[0] != a[2] and a[1] != a[2]
-    else:
-        scale = max(1.0, *(abs(x) for x in a))
-        distinct = min(abs(a[0] - a[1]), abs(a[0] - a[2]), abs(a[1] - a[2])) > 1e-6 * scale
-    if distinct:
-        return schur3_bialternant(lam, a, mode)
-    return schur3_jacobi_trudi(lam, a, mode)
+    a, d = _split3(alphas, mode)
+    return _join(_schur3(lam, a, d is not None), d, sum(lam.parts))
 
 
 def schur3_tableau(lam: Partition3, alphas, mode: str = EXACT):
@@ -133,17 +193,14 @@ def schur3_tableau(lam: Partition3, alphas, mode: str = EXACT):
     Independent of the determinant routes; exponential in the shape, so the
     first row is capped at TABLEAU_ROW_LIMIT.
     """
-    check_mode(mode)
-    a = [coerce(x, mode) for x in alphas]
-    if len(a) != 3:
-        raise ValueError("expected exactly three variables")
+    a, d = _split3(alphas, mode)
     if lam.l1 > TABLEAU_ROW_LIMIT:
         raise ValueError(f"first row {lam.l1} exceeds the enumeration cap {TABLEAU_ROW_LIMIT}")
     shape = [li for li in lam.parts if li > 0]
     if not shape:
-        return one(mode)
+        return _join(1, d, 0)
     rows = len(shape)
-    total = zero(mode)
+    total = 0
     # fill cells row-major; entry must be >= left neighbour and > the cell above
     entries: list[list[int]] = [[0] * shape[r] for r in range(rows)]
 
@@ -162,41 +219,54 @@ def schur3_tableau(lam: Partition3, alphas, mode: str = EXACT):
             entries[r][c] = v
             fill(nr, nc, acc * a[v - 1])
 
-    fill(0, 0, one(mode))
-    return total
+    fill(0, 0, 1)
+    return _join(total, d, sum(lam.parts))
 
 
-def schur_gl2(f: int, g1, g2, mode: str = EXACT):
-    """s_(f,0)(g1, g2) = (g1^(f+1) - g2^(f+1)) / (g1 - g2), i.e. h_f in two variables."""
-    check_mode(mode)
+def _gl2(f: int, g1, g2, exact: bool):
     if f < 0:
-        return zero(mode)
-    g1 = coerce(g1, mode)
-    g2 = coerce(g2, mode)
-    if mode == EXACT:
+        return 0
+    if exact:
         if g1 == g2:
             return (f + 1) * g1**f
     else:
         scale = max(1.0, abs(g1), abs(g2))
         if abs(g1 - g2) <= 1e-6 * scale:
             # the ratio form cancels catastrophically near the diagonal
-            return complete_homogeneous(f, [g1, g2], mode)
-    return (g1 ** (f + 1) - g2 ** (f + 1)) / (g1 - g2)
+            return _h(f, [g1, g2])
+    return _divide(g1 ** (f + 1) - g2 ** (f + 1), g1 - g2)
+
+
+def _two_row(a: int, b: int, g1, g2, exact: bool):
+    return (g1 * g2) ** b * _gl2(a - b, g1, g2, exact)
+
+
+def schur_gl2(f: int, g1, g2, mode: str = EXACT):
+    """s_(f,0)(g1, g2) = (g1^(f+1) - g2^(f+1)) / (g1 - g2), i.e. h_f in two variables."""
+    (g1, g2), d = _split((g1, g2), mode)
+    return _join(_gl2(f, g1, g2, d is not None), d, f)
 
 
 def schur_two_row(a: int, b: int, g1, g2, mode: str = EXACT):
     """s_(a,b)(g1, g2) = (g1*g2)^b * h_(a-b)(g1, g2) for a >= b >= 0."""
     if a < b or b < 0:
         raise ValueError(f"need a >= b >= 0, got ({a}, {b})")
-    g1 = coerce(g1, mode)
-    g2 = coerce(g2, mode)
-    return (g1 * g2) ** b * schur_gl2(a - b, g1, g2, mode)
+    (g1, g2), d = _split((g1, g2), mode)
+    return _join(_two_row(a, b, g1, g2, d is not None), d, a + b)
 
 
 def _six_factor_expansion(alphas, gammas, kmax: int, mode: str):
     """Power-series coefficients of prod_{i,j} (1 - a_i g_j X)^(-1) up to X^kmax."""
     roots = [ai * gj for ai in alphas for gj in gammas]
     return expand_inverse(EulerFactorPoly.from_roots_inverse(roots, mode), kmax)
+
+
+def _expansion_side(alphas, gammas, kmax: int, mode: str):
+    """The parameters coerced, and the six-factor expansion on them: the side
+    of the Cauchy checks that does not go through `_split`."""
+    a = [coerce(x, mode) for x in alphas]
+    g = [coerce(x, mode) for x in gammas]
+    return a, g, _six_factor_expansion(a, g, kmax, mode)
 
 
 def cauchy_check(alphas, gammas, kmax: int, mode: str = EXACT):
@@ -206,22 +276,27 @@ def cauchy_check(alphas, gammas, kmax: int, mode: str = EXACT):
     sum over two-row partitions (l1, l2) of size d of s_lam(a) * s_lam(g).
     Returns the list of residuals for d = 0..kmax.
     """
-    check_mode(mode)
-    a = [coerce(x, mode) for x in alphas]
-    g = [coerce(x, mode) for x in gammas]
-    if len(a) != 3 or len(g) != 2:
-        raise ValueError("expected three alphas and two gammas")
-    lhs = _six_factor_expansion(a, g, kmax, mode)
+    a, g, lhs = _expansion_side(alphas, gammas, kmax, mode)
+    a, (g1, g2), dd = _split_pair(a, g, mode)
+    exact = dd is not None
     residuals = []
     for d in range(kmax + 1):
-        rhs = zero(mode)
+        rhs = 0
         for l1 in range(d, -1, -1):
             l2 = d - l1
             if l2 > l1:
                 continue
-            rhs += schur3(Partition3(l1, l2, 0), a, mode) * schur_two_row(l1, l2, g[0], g[1], mode)
-        residuals.append(lhs[d] - rhs)
+            rhs += _schur3(Partition3(l1, l2, 0), a, exact) * _two_row(l1, l2, g1, g2, exact)
+        residuals.append(lhs[d] - _join(rhs, dd, d))
     return residuals
+
+
+def _two_row_sum(k: int, a, g1, g2, exact: bool):
+    acc = 0
+    for k1 in range(k // 2 + 1):
+        k2 = k - 2 * k1
+        acc += _schur3(Partition3(k1 + k2, k1, 0), a, exact) * (g1 * g2) ** k1 * _gl2(k2, g1, g2, exact)
+    return acc
 
 
 def two_row_coeff(k: int, alphas, gammas, mode: str = EXACT):
@@ -229,27 +304,13 @@ def two_row_coeff(k: int, alphas, gammas, mode: str = EXACT):
 
     The reindexing lam = (k1 + k2, k1) of the two-row Cauchy sum in degree k.
     """
-    check_mode(mode)
-    a = [coerce(x, mode) for x in alphas]
-    g1 = coerce(gammas[0], mode)
-    g2 = coerce(gammas[1], mode)
-    acc = zero(mode)
-    for k1 in range(k // 2 + 1):
-        k2 = k - 2 * k1
-        acc += (
-            schur3(Partition3(k1 + k2, k1, 0), a, mode)
-            * (g1 * g2) ** k1
-            * schur_gl2(k2, g1, g2, mode)
-        )
-    return acc
+    a, (g1, g2), dd = _split_pair(alphas, gammas, mode)
+    return _join(_two_row_sum(k, a, g1, g2, dd is not None), dd, k)
 
 
 def cauchy_two_row_check(alphas, gammas, kmax: int, mode: str = EXACT):
     """Residuals of the reindexed (k1, k2) form against the 6-factor expansion."""
-    check_mode(mode)
-    a = [coerce(x, mode) for x in alphas]
-    g = [coerce(x, mode) for x in gammas]
-    if len(a) != 3 or len(g) != 2:
-        raise ValueError("expected three alphas and two gammas")
-    lhs = _six_factor_expansion(a, g, kmax, mode)
-    return [lhs[k] - two_row_coeff(k, a, g, mode) for k in range(kmax + 1)]
+    a, g, lhs = _expansion_side(alphas, gammas, kmax, mode)
+    a, (g1, g2), dd = _split_pair(a, g, mode)
+    return [lhs[k] - _join(_two_row_sum(k, a, g1, g2, dd is not None), dd, k)
+            for k in range(kmax + 1)]

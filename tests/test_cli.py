@@ -115,6 +115,7 @@ def test_reproduce_line_reproduces(tmp_path, source):
     ("doublesum", "doublesum-random", 2),
     ("gauss", "gauss-modulus", 2),
     ("clgp", "clgp-random", 2),
+    ("cauchy", "schur-tableau", 2),
     ("all", "gauss-modulus", 2),
 ])
 def test_inject_fault_must_name_a_check_of_the_suite(suite, fault, want):
@@ -316,6 +317,15 @@ def test_dump_coeffs_csv(tmp_path):
     row4 = lines[4].split(",")
     assert row4[2] == "197"
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
+
+
+def test_coeffs_with_a_parameter_beyond_float_range_exits_0():
+    """10**400 does not fit a float; the exact Euler factors never need it to."""
+    code, out, err = run_cli("coeffs", "--alphas", f"{10**400},2,3", "--gammas", "1,2", "--N", "3")
+    assert code == 0, err
+    rows = out.strip().splitlines()[1:]
+    assert [row.split(",", 1)[0] for row in rows] == ["1", "2", "3"]
+    assert all(row.rsplit(",", 1)[1] == "0" for row in rows)
 
 
 @pytest.mark.parametrize("name, extra", [

@@ -85,6 +85,20 @@ def test_poly_divide_exact_raises_with_remainder():
     assert exc.value.remainder is not None
 
 
+def test_exact_factor_beyond_float_range():
+    """Exact mode never converts a coefficient to complex, so a coefficient
+    too large for a float builds and divides like any other."""
+    big = 10**400
+    f = EulerFactorPoly([1, big], EXACT)
+    assert f.coeffs == (1, big)
+    g = EulerFactorPoly([1, -1], EXACT)
+    fg = poly_mul(f, g)
+    assert poly_divide_exact(fg, g) == f
+    assert poly_divide_exact(fg, f) == g
+    with pytest.raises(NotDivisibleError):
+        poly_divide_exact(EulerFactorPoly([1, big, 1], EXACT), EulerFactorPoly([1, 1], EXACT))
+
+
 def test_geometric_factor():
     f = EulerFactorPoly.from_roots_inverse([Fraction(5, 7)], EXACT)
     assert f.coeffs == (Fraction(1), Fraction(-5, 7))

@@ -78,6 +78,28 @@ def test_fault_injection_breaks_named_checks():
         assert all(r.ok for r in others)
 
 
+@pytest.mark.parametrize("check_id", ["cauchy-gradewise", "cauchy-two-row", "standardcoeff"])
+def test_wrong_split_denominator_fails_checks_against_the_expansion(monkeypatch, check_id):
+    """A wrong common denominator in `symfunc._split` reaches the Schur side
+    only.  These three checks compare the Schur side against the `euler`
+    expansion, which never goes through the split, so each must fail.
+
+    `schur-tableau` alone cannot see this fault: its determinant and tableau
+    routes both go through the split, so both are off by the same power of
+    the wrong denominator and still agree."""
+    split = symfunc._split
+
+    def wrong_denominator(xs, mode):
+        values, d = split(xs, mode)
+        return values, None if d is None else 2 * d
+
+    monkeypatch.setattr(symfunc, "_split", wrong_denominator)
+    check = next(c for c in CHECKS if c.check_id == check_id)
+    res = run_check(check, RunConfig(n_max=60, p_max=20))
+    assert not res.ok, f"{check_id} passed with a wrong denominator"
+    assert not res.detail.startswith("error:"), res.detail
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(n_max=5)

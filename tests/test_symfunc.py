@@ -1,8 +1,14 @@
 """Schur polynomials in three variables, two-row specializations, and the
 Cauchy-type expansion they satisfy."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import prod
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rslab.scalars import EXACT, FLOAT
 from rslab.symfunc import (
@@ -144,9 +150,108 @@ def test_two_row_coeff_and_check():
 
 
 def test_partition3_validation():
-    import pytest
-
     with pytest.raises(ValueError):
         Partition3(1, 2, 0)
     with pytest.raises(ValueError):
         Partition3(2, 1, -1)
+
+
+# -- the integer kernels against a Fraction oracle ----------------------------
+
+
+def _h_oracle(k, xs):
+    """h_k as the sum of its monomials."""
+    if k < 0:
+        return Fraction(0)
+    return sum((prod((xs[i] for i in c), start=Fraction(1))
+                for c in itertools.combinations_with_replacement(range(len(xs)), k)), Fraction(0))
+
+
+def _e_oracle(k, xs):
+    if k < 0:
+        return Fraction(0)
+    return sum((prod((xs[i] for i in c), start=Fraction(1))
+                for c in itertools.combinations(range(len(xs)), k)), Fraction(0))
+
+
+def _det_oracle(m):
+    """Leibniz expansion, so it shares no code with symfunc's determinant."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += sign * prod((m[i][perm[i]] for i in range(n)), start=Fraction(1))
+    return total
+
+
+def _schur_oracle(parts, xs):
+    """s_lam(xs) as the Fraction Jacobi-Trudi determinant det h_(l_i - i + j)."""
+    return _det_oracle([[_h_oracle(li - i + j, xs) for j in range(len(parts))]
+                        for i, li in enumerate(parts)])
+
+
+_scalar = st.one_of(
+    st.integers(-12, 12),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.sampled_from([0, Fraction(0), -1, Fraction(-7, 6)]),
+)
+_triple = st.tuples(_scalar, _scalar, _scalar)
+# repeated entries take the determinant route, and the two-variable diagonal case
+_alphas = st.one_of(_triple, _triple.map(lambda t: (t[0], t[0], t[2])), _scalar.map(lambda x: (x,) * 3))
+_pair = st.tuples(_scalar, _scalar)
+_gammas = st.one_of(_pair, _scalar.map(lambda x: (x, x)))
+_partition = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).map(
+    lambda t: Partition3(*sorted(t, reverse=True)))
+
+
+def _exact(got, want):
+    # coeffs tables and the coeff-exact residuals need Fractions, not ints
+    assert isinstance(got, Fraction), type(got)
+    assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(alphas=_alphas, gammas=_gammas, lam=_partition, k=st.integers(-1, 7))
+def test_exact_values_match_a_fraction_oracle(alphas, gammas, lam, k):
+    xs = [Fraction(x) for x in alphas]
+    gs = [Fraction(g) for g in gammas]
+    _exact(complete_homogeneous(k, alphas, EXACT), _h_oracle(k, xs))
+    _exact(complete_homogeneous(k, gammas, EXACT), _h_oracle(k, gs))
+    _exact(elementary_symmetric(k, alphas, EXACT), _e_oracle(k, xs))
+    want = _schur_oracle(lam.parts, xs)
+    _exact(schur3(lam, alphas, EXACT), want)
+    _exact(schur3_jacobi_trudi(lam, alphas, EXACT), want)
+    _exact(schur3_tableau(lam, alphas, EXACT), want)
+    if len(set(xs)) == 3:
+        _exact(schur3_bialternant(lam, alphas, EXACT), want)
+    f = max(k, 0)
+    _exact(schur_gl2(k, *gammas, EXACT), _h_oracle(k, gs))
+    a, b = lam.l1, lam.l2
+    _exact(schur_two_row(a, b, *gammas, EXACT), _schur_oracle((a, b), gs))
+    two_row = [lam for lam in partitions3_of(f) if lam.l3 == 0]
+    _exact(two_row_coeff(f, alphas, gammas, EXACT),
+           sum((_schur_oracle(lam.parts, xs) * _schur_oracle(lam.parts[:2], gs) for lam in two_row),
+               Fraction(0)))
+    for residuals in (cauchy_check(alphas, gammas, 4, EXACT),
+                      cauchy_two_row_check(alphas, gammas, 4, EXACT)):
+        assert len(residuals) == 5
+        for r in residuals:
+            _exact(r, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: complete_homogeneous(2, [1, 0.5], EXACT),
+    lambda: elementary_symmetric(1, [Fraction(1, 2), 2.0], EXACT),
+    lambda: schur3(Partition3(2, 1), (1, 2, 3.0), EXACT),
+    lambda: schur3_tableau(Partition3(2, 1), (1.0, 2, 3), EXACT),
+    lambda: schur3_jacobi_trudi(Partition3(2, 1), (1, 2.5, 3), EXACT),
+    lambda: schur3_bialternant(Partition3(2, 1), (1, 2, 0.5), EXACT),
+    lambda: schur_gl2(2, 1, 0.5, EXACT),
+    lambda: schur_two_row(2, 1, 0.5, 1, EXACT),
+    lambda: two_row_coeff(2, (1, 2, 3), (1, 0.5), EXACT),
+    lambda: cauchy_check((1, 2, 3), (1, 0.5), 3, EXACT),
+    lambda: cauchy_two_row_check((1, 2, 0.5), (1, 2), 3, EXACT),
+])
+def test_float_in_exact_mode_raises(call):
+    with pytest.raises(TypeError):
+        call()
