@@ -1,7 +1,7 @@
 """Exact verification toolkit for convolution L-series coefficient identities,
 character-sum reductions, and functional-equation bookkeeping over Q."""
 
-from .scalars import EXACT, FLOAT, FLOAT_TOL, coerce
+from .scalars import EXACT, FLOAT, coerce
 from .euler import EulerFactorPoly, NotDivisibleError
 from .symfunc import Partition3, cauchy_check, schur3, schur3_tableau
 from .cyclotomic import CycloElement
@@ -16,7 +16,7 @@ from .registry import CHECKS, RunConfig, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "EXACT", "FLOAT", "FLOAT_TOL", "coerce",
+    "EXACT", "FLOAT", "coerce",
     "EulerFactorPoly", "NotDivisibleError",
     "Partition3", "cauchy_check", "schur3", "schur3_tableau",
     "CycloElement",

@@ -24,7 +24,6 @@ from .coeffs import CoeffData, coefficient_rows
 from .matid import CosetContext, Mat
 from .scalars import EXACT, FLOAT
 
-DEFAULT_SEED = 1729
 CONFIG_KEYS = ("n_max", "p_max", "seed")
 # --q bounds where the command takes about a minute on 2 vCPUs; a prime q
 # costs most: `gauss --q 223` takes 59 s (phi(q)^2 sums of q terms), and
@@ -32,6 +31,10 @@ CONFIG_KEYS = ("n_max", "p_max", "seed")
 # so funceq bounds q times the number of points)
 GAUSS_Q_MAX = 225
 FUNCEQ_Q_MAX = 4 * 10**5
+# `coeffs --N` bound: N = 128000 takes 15 s and 126 MB on 2 vCPUs, 256000 37 s
+# and 236 MB, 400000 53 s and 362 MB (the double sum grows a little faster
+# than linearly in N)
+COEFFS_N_MAX = 4 * 10**5
 # CosetContext tests p and p_prime for primality by trial division: 0.08 s
 # at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs
 REDUCE_CTX_MAX = 10**12
@@ -85,23 +88,21 @@ def read_config(path: str) -> dict:
 
 
 def _resolve_config(args) -> registry.RunConfig:
-    conf = read_config(args.config) if args.config else {}
-    seed = conf.get("seed", DEFAULT_SEED)
+    """The config file's knobs, overridden by RS_LAB_SEED, overridden by the
+    flags; a knob none of them sets keeps its RunConfig default."""
+    knobs = read_config(args.config) if args.config else {}
     env_seed = os.environ.get("RS_LAB_SEED")
     if env_seed is not None:
-        seed = env_seed
-    if args.seed is not None:
-        seed = args.seed
-    n_max = args.n_max if args.n_max is not None else conf.get("n_max", 200)
-    p_max = args.p_max if args.p_max is not None else conf.get("p_max", 40)
+        knobs["seed"] = env_seed
+    for key in CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            knobs[key] = getattr(args, key)
     try:
-        seed, n_max, p_max = int(seed), int(n_max), int(p_max)
+        knobs = {key: int(value) for key, value in knobs.items()}
     except ValueError:
         _die("seed, n_max and p_max must be integers")
     try:
-        return registry.RunConfig(
-            n_max=n_max, p_max=p_max, seed=seed, inject_fault=args.inject_fault,
-        )
+        return registry.RunConfig(**knobs, inject_fault=args.inject_fault)
     except ValueError as exc:
         _die(str(exc))
 
@@ -201,8 +202,8 @@ def cmd_coeffs(args) -> int:
     if any(g == 0 for g in gammas):
         _die("--gammas must be nonzero")
     n_max = args.N
-    if n_max < 1 or n_max > 10**6:
-        _die("--N out of range")
+    if n_max < 1 or n_max > COEFFS_N_MAX:
+        _die(f"--N must be in [1, {COEFFS_N_MAX}]")
     data = CoeffData.constant(alphas, gammas, n_max, EXACT)
     rows = coefficient_rows(n_max, data)
     lines = ["n,lambda,c,pair,residual"]

@@ -16,15 +16,16 @@ from fractions import Fraction
 from typing import Mapping
 
 from .arith import factorize, primes_up_to
-from .euler import EulerFactorPoly, expand_inverse, multiplicative
+from .euler import inverse_series, multiplicative
 from .scalars import EXACT, check_mode, coerce, one, zero
 from .symfunc import Partition3, schur3
 
 
 class _LocalTables:
     """The tables of one parameter set (alphas, gammas, central value), grown
-    on demand: the power series of the inverse pi, tau and pair factors
-    (expand_inverse) and the Schur values s_(k1+k2, k1, 0)(alphas) (schur3).
+    on demand: the power series of the inverse pi, tau and pair factors,
+    expanded from their roots (inverse_series), and the Schur values
+    s_(k1+k2, k1, 0)(alphas) (schur3).
     Neither table is filled from the other."""
 
     __slots__ = ("alphas", "gammas", "central", "mode", "series", "schur")
@@ -41,8 +42,7 @@ class _LocalTables:
         if table is None or len(table) <= k:
             roots = {"pi": self.alphas, "tau": self.gammas,
                      "pair": [a * g for a in self.alphas for g in self.gammas]}[factor]
-            poly = EulerFactorPoly.from_roots_inverse(roots, self.mode)
-            table = self.series[factor] = expand_inverse(poly, max(k, 16))
+            table = self.series[factor] = inverse_series(roots, max(k, 16), self.mode)
         return table[k]
 
     def schur_value(self, k1: int, k2: int):

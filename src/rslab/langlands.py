@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .arith import factorize, is_prime, primes_up_to, valuation
 from .characters import DirichletCharacter, gauss_classical
-from .euler import EulerFactorPoly, expand_inverse, multiplicative, poly_divide_exact
-from .scalars import EXACT, FLOAT, check_mode, coerce, is_zero, one, parse_scalar, zero
+from .euler import EulerFactorPoly, inverse_series, multiplicative, poly_divide_exact
+from .scalars import EXACT, FLOAT, check_mode, coerce, one, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,6 @@ class LocalData:
     def degree(self) -> int:
         return len(self.params)
 
-    def local_factor(self, mode: str) -> EulerFactorPoly:
-        return EulerFactorPoly.from_roots_inverse(self.params, mode)
-
 
 @dataclass
 class GlobalRep:
@@ -72,9 +69,6 @@ class GlobalRep:
         if missing:
             raise ValueError(f"missing local data at primes {missing[:10]}")
 
-    def local_factor(self, p: int) -> EulerFactorPoly:
-        return self.locals[p].local_factor(self.mode)
-
     def series(self, trunc: int) -> list:
         """The coefficients a(1..trunc) of the Euler product; a(n) is at index n - 1."""
         if trunc > self.p_max:
@@ -84,7 +78,7 @@ class GlobalRep:
             kmax, pk = 0, p
             while pk <= trunc:
                 kmax, pk = kmax + 1, pk * p
-            tables[p] = expand_inverse(self.local_factor(p), kmax)
+            tables[p] = inverse_series(self.locals[p].params, kmax, self.mode)
         return [multiplicative(n, lambda p, k: tables[p][k], self.mode)
                 for n in range(1, trunc + 1)]
 
@@ -127,52 +121,43 @@ class SteinbergBlock:
         return self.eta is None
 
 
-def block_params(blk: SteinbergBlock, p: int, mode: str) -> tuple:
+def block_params(blk: SteinbergBlock, p: int) -> tuple:
     """Inverse-root parameters of sigma_b(eta) at p, zero-padded to length b."""
-    check_mode(mode)
-    if blk.ramified:
-        return (zero(mode),) * blk.b
-    u = coerce(blk.eta, mode)
-    lead = u * coerce(Fraction(1, p ** (blk.b - 1)), mode)
-    return (lead,) + (zero(mode),) * (blk.b - 1)
+    lead = Fraction(0) if blk.ramified else coerce(blk.eta, EXACT) / p ** (blk.b - 1)
+    return (lead,) + (Fraction(0),) * (blk.b - 1)
 
 
-def rs_naive_local(params_a, params_b, mode: str) -> EulerFactorPoly:
+def rs_naive_local(params_a, params_b) -> EulerFactorPoly:
     """prod over parameter pairs of (1 - alpha*beta*X); zero pairs drop out."""
-    check_mode(mode)
-    a_s = [a for a in (coerce(x, mode) for x in params_a) if not is_zero(a, mode)]
-    b_s = [b for b in (coerce(x, mode) for x in params_b) if not is_zero(b, mode)]
-    return EulerFactorPoly.from_roots_inverse([a * b for a in a_s for b in b_s], mode)
+    return EulerFactorPoly.from_roots_inverse([a * b for a in params_a for b in params_b])
 
 
-def rs_full_local(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int, mode: str) -> EulerFactorPoly:
+def rs_full_local(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int) -> EulerFactorPoly:
     """The complete pairing factor of sigma_b(eta1) x sigma_m(eta2) at p.
 
     For unramified twists it is
         prod_{i=0}^{min(b,m)-1} (1 - u1 u2 p^{-(max(b,m)-1+i)} X),
     and it degenerates to 1 as soon as either twist is ramified.
     """
-    check_mode(mode)
     if blk1.ramified or blk2.ramified:
-        return EulerFactorPoly.one(mode)
-    u = coerce(blk1.eta, mode) * coerce(blk2.eta, mode)
+        return EulerFactorPoly.one()
+    u = coerce(blk1.eta, EXACT) * coerce(blk2.eta, EXACT)
     lo, hi = sorted((blk1.b, blk2.b))
-    roots = [u * coerce(Fraction(1, p ** (hi - 1 + i)), mode) for i in range(lo)]
-    return EulerFactorPoly.from_roots_inverse(roots, mode)
+    return EulerFactorPoly.from_roots_inverse([u / p ** (hi - 1 + i) for i in range(lo)])
 
 
-def rs_quotient_poly(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int, mode: str) -> EulerFactorPoly:
+def rs_quotient_poly(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int) -> EulerFactorPoly:
     """Full factor divided by the naive factor; raises if not divisible."""
-    full = rs_full_local(blk1, blk2, p, mode)
-    naive = rs_naive_local(block_params(blk1, p, mode), block_params(blk2, p, mode), mode)
+    full = rs_full_local(blk1, blk2, p)
+    naive = rs_naive_local(block_params(blk1, p), block_params(blk2, p))
     return poly_divide_exact(full, naive)
 
 
-def degenerate_factor_check(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int, mode: str = EXACT) -> bool:
+def degenerate_factor_check(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int) -> bool:
     """When either block is a single line (b = 1), full and naive coincide."""
     if min(blk1.b, blk2.b) != 1 and not (blk1.ramified or blk2.ramified):
         raise ValueError("degenerate case needs a 1-dimensional or ramified block")
-    return rs_quotient_poly(blk1, blk2, p, mode).is_one()
+    return rs_quotient_poly(blk1, blk2, p).is_one()
 
 
 def isobaric_local(d1: LocalData, d2: LocalData) -> LocalData:

@@ -18,6 +18,14 @@ from operator import mul
 from .arith import frac_gcd, is_prime, xgcd
 
 
+def _rational(x):
+    """x itself if it is an int or a Fraction; anything else, a float
+    included, raises TypeError rather than being converted."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"a matrix entry or scalar must be an int or a Fraction, got {type(x).__name__} {x!r}")
+
+
 class Mat:
     """Immutable matrix over Q, held as integer numerators over one positive
     common denominator in lowest terms: entry (i, j) is num[i][j] / den and
@@ -26,8 +34,8 @@ class Mat:
     __slots__ = ("num", "den")
 
     def __init__(self, rows):
-        # ints carry numerator and denominator too, and skip the Fraction
-        rs = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in rows]
+        # ints and Fractions both carry numerator and denominator
+        rs = [[_rational(x) for x in row] for row in rows]
         if not rs or any(len(r) != len(rs[0]) for r in rs):
             raise ValueError("matrix rows must be nonempty and of equal length")
         # the lcm of lowest-terms denominators is already coprime to the numerators
@@ -78,7 +86,7 @@ class Mat:
             cols = tuple(zip(*other.num))
             num = [[sum(map(mul, r, c)) for c in cols] for r in self.num]
             return Mat._make(num, self.den * other.den)
-        x = Fraction(other)
+        x = _rational(other)
         return Mat._make([[x.numerator * a for a in r] for r in self.num],
                          x.denominator * self.den)
 

@@ -217,20 +217,17 @@ def _run_aux_grid(cfg: RunConfig, rng: random.Random):
                 for e1, e2 in ((1, 1), (1, -1), (Fraction(2, 3), 1), (None, 1), (1, None)):
                     blk1 = langlands.SteinbergBlock(b, e1)
                     blk2 = langlands.SteinbergBlock(m, e2)
-                    full = langlands.rs_full_local(blk1, blk2, p, EXACT)
+                    full = langlands.rs_full_local(blk1, blk2, p)
                     naive = langlands.rs_naive_local(
-                        langlands.block_params(blk1, p, EXACT),
-                        langlands.block_params(blk2, p, EXACT),
-                        EXACT,
+                        langlands.block_params(blk1, p), langlands.block_params(blk2, p)
                     )
-                    quot = langlands.rs_quotient_poly(blk1, blk2, p, EXACT)
+                    quot = langlands.rs_quotient_poly(blk1, blk2, p)
                     lo, hi = min(b, m), max(b, m)
-                    expect = EulerFactorPoly.one(EXACT)
+                    expect = EulerFactorPoly.one()
                     if e1 is not None and e2 is not None:
                         for i in range(lo - 1):
                             factor = EulerFactorPoly(
-                                [Fraction(1), -Fraction(e1) * Fraction(e2) / p ** (hi - 1 + i)],
-                                EXACT,
+                                [1, -Fraction(e1) * Fraction(e2) / p ** (hi - 1 + i)]
                             )
                             expect = poly_mul(expect, factor)
                     if quot != expect:
@@ -244,7 +241,7 @@ def _run_aux_grid(cfg: RunConfig, rng: random.Random):
 def _run_aux_steinberg(cfg: RunConfig, rng: random.Random):
     for p in (2, 7):
         quot = langlands.rs_quotient_poly(
-            langlands.SteinbergBlock(3, 1), langlands.SteinbergBlock(2, 1), p, EXACT
+            langlands.SteinbergBlock(3, 1), langlands.SteinbergBlock(2, 1), p
         )
         if list(quot.coeffs) != [Fraction(1), -Fraction(1, p * p)]:
             return False, f"full-block quotient at p={p} is {quot.coeffs}"
@@ -259,7 +256,7 @@ def _run_aux_degenerate(cfg: RunConfig, rng: random.Random):
         (langlands.SteinbergBlock(1, 1), langlands.SteinbergBlock(1, None)),
     ]
     for blk1, blk2 in cases:
-        if not langlands.degenerate_factor_check(blk1, blk2, 3, EXACT):
+        if not langlands.degenerate_factor_check(blk1, blk2, 3):
             return False, f"degenerate quotient not 1 for b={blk1.b}, m={blk2.b}"
     return True, "quotient collapses to 1 whenever one block is minimal or ramified"
 
@@ -630,9 +627,7 @@ CHECKS: tuple[Check, ...] = (
     Check("fe-root-modulus", "funceq", "float", "reflection constant is unitary for unitary inputs", _run_fe_root_modulus),
 )
 
-SUITES: tuple[str, ...] = (
-    "cauchy", "doublesum", "aux", "gauss", "addtomult", "clgp", "matid", "funceq",
-)
+SUITES: tuple[str, ...] = tuple(dict.fromkeys(c.suite for c in CHECKS))
 
 FAULT_CAPABLE: frozenset = frozenset(
     {"schur-tableau", "doublesum-random", "gauss-modulus", "clgp-random"}

@@ -18,9 +18,6 @@ EXACT = "exact"
 FLOAT = "float"
 MODES = (EXACT, FLOAT)
 
-#: relative tolerance used by float-mode zero/divisibility tests
-FLOAT_TOL = 1e-10
-
 
 def check_mode(mode: str) -> str:
     if mode not in MODES:
@@ -50,13 +47,6 @@ def zero(mode: str):
 
 def one(mode: str):
     return Fraction(1) if mode == EXACT else complex(1)
-
-
-def is_zero(x, mode: str, scale: float = 1.0) -> bool:
-    """Zero test: exact equality in exact mode, relative tolerance in float mode."""
-    if mode == EXACT:
-        return x == 0
-    return abs(x) <= FLOAT_TOL * max(1.0, scale)
 
 
 def parse_scalar(text: str, mode: str):

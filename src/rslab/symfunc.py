@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .euler import EulerFactorPoly, expand_inverse
+from .euler import inverse_series
 from .scalars import EXACT, check_mode, coerce
 
 #: largest first row accepted by the tableau enumerator (keeps the search small)
@@ -257,8 +257,7 @@ def schur_two_row(a: int, b: int, g1, g2, mode: str = EXACT):
 
 def _six_factor_expansion(alphas, gammas, kmax: int, mode: str):
     """Power-series coefficients of prod_{i,j} (1 - a_i g_j X)^(-1) up to X^kmax."""
-    roots = [ai * gj for ai in alphas for gj in gammas]
-    return expand_inverse(EulerFactorPoly.from_roots_inverse(roots, mode), kmax)
+    return inverse_series([ai * gj for ai in alphas for gj in gammas], kmax, mode)
 
 
 def _expansion_side(alphas, gammas, kmax: int, mode: str):

@@ -134,18 +134,16 @@ def test_block_pairing_division_grid():
             for eta1 in (1, None):
                 for eta2 in (1, None):
                     b1, b2 = SteinbergBlock(b, eta1), SteinbergBlock(m, eta2)
-                    full = rs_full_local(b1, b2, p, EXACT)
-                    naive = rs_naive_local(
-                        block_params(b1, p, EXACT), block_params(b2, p, EXACT), EXACT
-                    )
+                    full = rs_full_local(b1, b2, p)
+                    naive = rs_naive_local(block_params(b1, p), block_params(b2, p))
                     quot = poly_divide_exact(full, naive)  # raises on remainder
-                    assert quot == rs_quotient_poly(b1, b2, p, EXACT)
+                    assert quot == rs_quotient_poly(b1, b2, p)
                     if min(b, m) == 1 or eta1 is None or eta2 is None:
-                        assert degenerate_factor_check(b1, b2, p, EXACT)
+                        assert degenerate_factor_check(b1, b2, p)
                         assert quot.is_one()
     for p in (2, 3, 5, 7):
-        anchor = rs_quotient_poly(SteinbergBlock(3, 1), SteinbergBlock(2, 1), p, EXACT)
-        assert anchor == EulerFactorPoly((Fraction(1), Fraction(-1, p * p)), EXACT)
+        anchor = rs_quotient_poly(SteinbergBlock(3, 1), SteinbergBlock(2, 1), p)
+        assert anchor == EulerFactorPoly((Fraction(1), Fraction(-1, p * p)))
 
 
 def test_gauss_sums_modulus_window_nonvanishing_additive():

@@ -319,6 +319,14 @@ def test_dump_coeffs_csv(tmp_path):
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
 
 
+def test_coeffs_beyond_its_bound_exits_3():
+    from rslab.cli import COEFFS_N_MAX
+
+    code, out, err = run_cli("coeffs", "--N", str(COEFFS_N_MAX + 1))
+    assert (code, out) == (3, "")
+    assert str(COEFFS_N_MAX) in err
+
+
 def test_coeffs_with_a_parameter_beyond_float_range_exits_0():
     """10**400 does not fit a float; the exact Euler factors never need it to."""
     code, out, err = run_cli("coeffs", "--alphas", f"{10**400},2,3", "--gammas", "1,2", "--N", "3")
@@ -350,6 +358,19 @@ def test_verify_all_json_matches_golden(seed):
     code, out, err = run_cli("verify", "--suite", "all", "--json", "--seed", seed)
     assert code == 0, err
     golden = Path(__file__).resolve().parent / "golden" / f"verify_seed{seed}.jsonl"
+    assert out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("parity", ["0", "1"])
+def test_twist_readme_matches_golden(tmp_path, parity):
+    """`twist` on the README's local-parameter file is byte-identical to the
+    committed records: the float series path may not change a printed value."""
+    rep = tmp_path / "pi.rep"
+    rep.write_text(next(block for block in _readme_blocks() if block.startswith("# p ")))
+    code, out, err = run_cli("twist", "--pi-file", str(rep), "--beta", "1/4", "--N", "10",
+                             "--parity", parity)
+    assert code == 0, err
+    golden = Path(__file__).resolve().parent / "golden" / f"twist_readme_p{parity}.jsonl"
     assert out.encode() == golden.read_bytes()
 
 

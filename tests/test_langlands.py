@@ -48,7 +48,7 @@ def test_global_rep_series_multiplicative():
 
 def test_local_factor_degree():
     rep = _toy_rep()
-    f = rep.local_factor(2)
+    f = EulerFactorPoly.from_roots_inverse(rep.locals[2].params)
     assert f.degree == 3
 
 
@@ -64,12 +64,12 @@ def test_steinberg_block_params():
     """A length-b twisted Steinberg block keeps one nonzero inverse root
     eta * p^{1-b}; the rest of the parameter slots are zero."""
     blk = SteinbergBlock(2, 1)
-    ps = block_params(blk, 5, EXACT)
+    ps = block_params(blk, 5)
     assert ps == (Fraction(1, 5), Fraction(0))
     blk3 = SteinbergBlock(3, 1)
-    assert block_params(blk3, 2, EXACT) == (Fraction(1, 4), Fraction(0), Fraction(0))
+    assert block_params(blk3, 2) == (Fraction(1, 4), Fraction(0), Fraction(0))
     # ramified twist: all-zero parameters
-    assert block_params(SteinbergBlock(2, None), 5, EXACT) == (Fraction(0),) * 2
+    assert block_params(SteinbergBlock(2, None), 5) == (Fraction(0),) * 2
 
 
 def test_ramified_block():
@@ -82,8 +82,8 @@ def test_rs_naive_vs_full_unramified_rank_one():
     principal parameters) the full pairing is the naive one."""
     b1 = SteinbergBlock(1, 1)
     b2 = SteinbergBlock(1, 1)
-    full = rs_full_local(b1, b2, 5, EXACT)
-    naive = rs_naive_local(block_params(b1, 5, EXACT), block_params(b2, 5, EXACT), EXACT)
+    full = rs_full_local(b1, b2, 5)
+    naive = rs_naive_local(block_params(b1, 5), block_params(b2, 5))
     assert full == naive
 
 
@@ -93,8 +93,8 @@ def test_rs_quotient_steinberg_anchor():
     b1 = SteinbergBlock(3, 1)
     b2 = SteinbergBlock(2, 1)
     for p in (2, 3, 5):
-        q = rs_quotient_poly(b1, b2, p, EXACT)
-        want = EulerFactorPoly((Fraction(1), Fraction(-1, p**2)), EXACT)
+        q = rs_quotient_poly(b1, b2, p)
+        want = EulerFactorPoly((Fraction(1), Fraction(-1, p**2)))
         assert q == want
 
 
@@ -105,11 +105,9 @@ def test_rs_full_equals_naive_times_quotient():
                 for eta2 in (1, None):
                     b1, b2 = SteinbergBlock(b, eta1), SteinbergBlock(m, eta2)
                     p = 3
-                    full = rs_full_local(b1, b2, p, EXACT)
-                    quot = rs_quotient_poly(b1, b2, p, EXACT)
-                    naive = rs_naive_local(
-                        block_params(b1, p, EXACT), block_params(b2, p, EXACT), EXACT
-                    )
+                    full = rs_full_local(b1, b2, p)
+                    quot = rs_quotient_poly(b1, b2, p)
+                    naive = rs_naive_local(block_params(b1, p), block_params(b2, p))
                     assert poly_divide_exact(full, quot) == naive
                     if eta1 is None or eta2 is None:
                         assert full.is_one() and quot.is_one() and naive.is_one()
@@ -118,11 +116,11 @@ def test_rs_full_equals_naive_times_quotient():
 def test_degenerate_factor_check():
     """Full pairing collapses to naive when one block is a line or ramified."""
     for m in range(1, 5):
-        assert degenerate_factor_check(SteinbergBlock(1, 1), SteinbergBlock(m, 1), 5, EXACT)
-        assert degenerate_factor_check(SteinbergBlock(m, 1), SteinbergBlock(1, 1), 5, EXACT)
-        assert degenerate_factor_check(SteinbergBlock(m, None), SteinbergBlock(2, 1), 5, EXACT)
+        assert degenerate_factor_check(SteinbergBlock(1, 1), SteinbergBlock(m, 1), 5)
+        assert degenerate_factor_check(SteinbergBlock(m, 1), SteinbergBlock(1, 1), 5)
+        assert degenerate_factor_check(SteinbergBlock(m, None), SteinbergBlock(2, 1), 5)
     with pytest.raises(ValueError):
-        degenerate_factor_check(SteinbergBlock(3, 1), SteinbergBlock(2, 1), 5, EXACT)
+        degenerate_factor_check(SteinbergBlock(3, 1), SteinbergBlock(2, 1), 5)
 
 
 def test_isobaric_local_combines_data():

@@ -184,6 +184,18 @@ def test_mat_rejects_ragged_and_non_square_blocks():
         Mat.identity(2) * Mat.identity(3)
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/2", 1 + 0j])
+def test_mat_refuses_entries_and_scalars_that_are_not_rational(bad):
+    """Only ints and Fractions enter a Mat: a float is not silently turned
+    into its binary value, nor a str parsed, as an entry or as a scalar."""
+    with pytest.raises(TypeError):
+        Mat([[bad, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        Mat.identity(2) * bad
+    with pytest.raises(TypeError):
+        bad * Mat.identity(2)
+
+
 def test_unipotent_constructors():
     u = upper_unipotent2(Fraction(3, 2))
     assert u[0, 1] == Fraction(3, 2) and u.det() == 1

@@ -5,10 +5,8 @@ import pytest
 from rslab.scalars import (
     EXACT,
     FLOAT,
-    FLOAT_TOL,
     check_mode,
     coerce,
-    is_zero,
     one,
     parse_scalar,
     zero,
@@ -41,15 +39,6 @@ def test_zero_one():
     assert one(EXACT) == Fraction(1)
     assert zero(FLOAT) == 0j
     assert one(FLOAT) == 1 + 0j
-
-
-def test_is_zero_modes():
-    assert is_zero(Fraction(0), EXACT)
-    assert not is_zero(Fraction(1, 10**12), EXACT)
-    assert is_zero(FLOAT_TOL / 2 + 0j, FLOAT)
-    assert not is_zero(2 * FLOAT_TOL + 0j, FLOAT)
-    # scale widens the tolerance proportionally
-    assert is_zero(1e-7 + 0j, FLOAT, scale=1e4)
 
 
 def test_parse_and_format_roundtrip():
