@@ -4,7 +4,9 @@ The unit group mod q is split into prime-power components with explicit
 generators, so a character is just a tuple of exponents (one per generator);
 one table per modulus of the units' discrete logs makes each value a lookup.
 Values come back as exact roots of unity (CycloElement), and Gauss sums
-can be formed either as floats or as exact cyclotomic elements.
+can be formed either as floats or as exact cyclotomic elements.  Exact
+twisted sums tau_q(chi, r/m) come from one kernel (`exponent_maps`) that
+computes chi's angles once per (chi, m) and yields an exponent map per r.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import gcd, lcm, pi
 from operator import mul
 
 from .arith import divisors, euler_phi, factorize, primitive_root, radical, valuation
-from .cyclotomic import CycloElement
+from .cyclotomic import CycloElement, sum_is_zero
 from .scalars import EXACT, FLOAT, check_mode
 
 #: e(k/n) at the orders n = 1, 2, 4, where cmath.exp is only approximate
@@ -261,19 +263,7 @@ def gauss_beta(chi: DirichletCharacter, beta: Fraction, mode: str = EXACT):
     q = chi.group.q
     beta = Fraction(beta)
     if mode == EXACT:
-        # with beta = r/m every term is e(k/big) at big = lcm(m, L): count
-        # the exponents, then build one CycloElement
-        m = beta.denominator
-        big = lcm(m, chi.group.exponent)
-        scale, shift = big // chi.group.exponent, beta.numerator * (big // m)
-        logs, exps = chi.group.value_table()[0], chi.exps
-        weights: dict[int, int] = {}
-        for d in range(1, q + 1):
-            row = logs[d % q]
-            if row is None:
-                continue
-            k = (sum(map(mul, exps, row)) * scale + d * shift) % big
-            weights[k] = weights.get(k, 0) + 1
+        big, weights = next(exponent_maps(chi, beta.denominator, [beta.numerator]))
         return CycloElement.from_exponents(big, weights)
     acc = 0j
     for d in range(1, q + 1):
@@ -281,6 +271,34 @@ def gauss_beta(chi: DirichletCharacter, beta: Fraction, mode: str = EXACT):
         if z:  # 0j off the units
             acc += z * cmath.exp(2j * pi * float(d * beta))
     return acc
+
+
+def exponent_maps(chi: DirichletCharacter, m: int, rs):
+    """For each r in rs, lazily, (big, weights): big = lcm(m, L), L the group
+    exponent, and the map {k mod big: count} with
+    tau_q(chi, r/m) = sum_k count_k e(k/big).
+
+    chi's angles at the units d = 1..q, scaled to big, are computed once;
+    each r then costs one pass over them and no CycloElement."""
+    group = chi.group
+    q, big = group.q, lcm(m, group.exponent)
+    scale, step = big // group.exponent, big // m
+    logs = group.value_table()[0]
+    terms = [(sum(map(mul, chi.exps, row)) * scale, d * step)
+             for d in range(1, q + 1) if (row := logs[d % q]) is not None]
+    for r in rs:
+        weights: dict[int, int] = {}
+        for k, ds in terms:
+            k = (k + ds * r) % big
+            weights[k] = weights.get(k, 0) + 1
+        yield big, weights
+
+
+def vanishing_sums(chi: DirichletCharacter, m: int, rs) -> list[int]:
+    """The r in rs (a list) with tau_q(chi, r/m) = 0, decided exactly: one
+    exponent map per r, each through `sum_is_zero`."""
+    return [r for r, (big, weights) in zip(rs, exponent_maps(chi, m, rs))
+            if sum_is_zero(big, weights)]
 
 
 def window_moduli(chi: DirichletCharacter) -> list[int]:
@@ -303,13 +321,7 @@ def nonvanishing_window_check(chi: DirichletCharacter, q2: int):
         raise ValueError(
             f"q2={q2} outside the window: need {c} | q2 and q2 | {lcm(c, radical(chi.group.q))}"
         )
-    failures = []
-    for r in range(1, q2 + 1):
-        if gcd(r, q2) != 1:
-            continue
-        val = gauss_beta(chi, Fraction(r, q2), EXACT)
-        if val.is_zero():
-            failures.append(r)
+    failures = vanishing_sums(chi, q2, [r for r in range(1, q2 + 1) if gcd(r, q2) == 1])
     return (not failures, failures)
 
 

@@ -4,14 +4,16 @@ Elements are finite sums  sum_k c_k * zeta_N^k  stored as a sparse map
 exponent -> int or Fraction, kept as given.  Different ambient orders
 combine by embedding into the lcm.  Zero testing is rigorous: a cheap numeric
 bound certifies most elements nonzero, and the remaining candidates are
-reduced exactly modulo the N-th cyclotomic polynomial.
+reduced exactly modulo the N-th cyclotomic polynomial.  The test runs on a
+bare exponent map as well (`sum_is_zero`), so a caller that forms many sums
+need not build a CycloElement for each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, pi
+from math import gcd, isqrt, lcm, pi
 import cmath
 
 from .arith import divisors
@@ -40,6 +42,52 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=32)
+def _roots(n: int) -> tuple[int, list[complex], list[complex]]:
+    """(s, high, low) with e(k/n) = high[k // s] * low[k % s] for 0 <= k < n:
+    two tables of about sqrt(n) roots each, so memory stays small at any n."""
+    s = isqrt(n - 1) + 1
+    low = [cmath.exp(2j * pi * (j / n)) for j in range(s)]
+    high = [cmath.exp(2j * pi * (i * s / n)) for i in range((n - 1) // s + 1)]
+    return s, high, low
+
+
+def _approx(n: int, weights) -> complex:
+    """sum_k w_k e(k/n) in floating point; every key is a residue 0 <= k < n."""
+    s, high, low = _roots(n)
+    return sum([w * high[k // s] * low[k % s] for k, w in weights.items()], 0j)
+
+
+def _reduce(n: int, weights) -> tuple[list[int], int]:
+    """(rem, den): den is the lcm of the weights' denominators and rem the
+    integer polynomial den * sum_k w_k x^k reduced modulo the n-th cyclotomic
+    polynomial; the sum at x = e(1/n) is zero iff rem is empty."""
+    den = 1
+    for c in weights.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    poly = [0] * n
+    for k, c in weights.items():
+        poly[k] += int(c * den)
+    return _divmod_int(poly, cyclotomic_poly(n))[1], den
+
+
+def sum_is_zero(n: int, weights) -> bool:
+    """Whether sum_k w_k e(k/n) = 0, for a map {k: w_k} with keys 0 <= k < n
+    and int or Fraction weights.  Decided exactly.
+
+    Fast path: if the value read from a table of roots is larger than
+    roundoff could ever make a true zero, the sum is certainly nonzero.
+    Otherwise clear denominators and reduce the integer polynomial modulo the
+    n-th cyclotomic polynomial; the sum is zero iff the remainder is.
+    """
+    if not weights:
+        return True
+    mass = float(sum(map(abs, weights.values())))
+    if abs(_approx(n, weights)) > _PREFILTER_REL * max(1.0, mass):
+        return False
+    return not _reduce(n, weights)[0]
+
+
 def _divmod_int(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Long division of integer polynomials; the divisor must be monic."""
     if den[-1] != 1:
@@ -47,14 +95,13 @@ def _divmod_int(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[i
     rem = list(num)
     dd = len(den) - 1
     qlen = len(rem) - dd
-    if qlen <= 0:
-        return [], rem
-    quot = [0] * qlen
+    quot = [0] * max(qlen, 0)
+    support = [(j, b) for j, b in enumerate(den) if b]
     for i in range(qlen - 1, -1, -1):
         c = rem[i + dd]
         if c:
             quot[i] = c
-            for j, b in enumerate(den):
+            for j, b in support:
                 rem[i + j] -= c * b
     while rem and rem[-1] == 0:
         rem.pop()
@@ -152,26 +199,11 @@ class CycloElement:
     # -- predicates and conversions -------------------------------------
 
     def to_complex(self) -> complex:
-        w = 2 * pi / self.n
-        return sum((complex(c) * cmath.exp(1j * w * k) for k, c in self.coeffs.items()), 0j)
-
-    def coeff_mass(self) -> int | Fraction:
-        return sum(abs(c) for c in self.coeffs.values())
+        return _approx(self.n, self.coeffs)
 
     def is_zero(self) -> bool:
-        """Exact zero test.
-
-        Fast path: if the numeric value is larger than roundoff could ever
-        make a true zero, the element is certainly nonzero.  Otherwise clear
-        denominators and reduce the integer polynomial modulo the ambient
-        cyclotomic polynomial; the element is zero iff the remainder is.
-        """
-        if not self.coeffs:
-            return True
-        mass = float(self.coeff_mass())
-        if abs(self.to_complex()) > _PREFILTER_REL * max(1.0, mass):
-            return False
-        return not self._reduced()[0]
+        """Exact zero test (`sum_is_zero` on the coefficient map)."""
+        return sum_is_zero(self.n, self.coeffs)
 
     def as_rational(self) -> Fraction | None:
         """The element as a Fraction if it is rational, else None.
@@ -187,17 +219,9 @@ class CycloElement:
         return None
 
     def _reduced(self) -> tuple[list[int], int]:
-        """(rem, den): den is the lcm of the coefficient denominators and rem
-        the integer polynomial den * self reduced modulo the ambient
-        cyclotomic polynomial; self is zero iff rem is empty."""
-        den = 1
-        for c in self.coeffs.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        poly = [0] * self.n
-        for k, c in self.coeffs.items():
-            poly[k] = int(c * den)
-        _, rem = _divmod_int(poly, cyclotomic_poly(self.n))
-        return rem, den
+        """(rem, den) of `_reduce` at the ambient order; self is zero iff rem
+        is empty."""
+        return _reduce(self.n, self.coeffs)
 
     def __eq__(self, other) -> bool:
         try:

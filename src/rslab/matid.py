@@ -248,8 +248,9 @@ def coset_reduce(M: Mat, ctx: CosetContext) -> CanonicalCoset:
 
 def coset_in_support(gamma1: Fraction, gamma2: Fraction, ctx: CosetContext) -> bool:
     """Whether the reduced coset can contribute: gamma1 in p*Z and
-    gamma2 in p^{-2}*Z (so at worst a p^2 denominator, integral elsewhere)."""
-    g1, g2 = Fraction(gamma1), Fraction(gamma2)
+    gamma2 in p^{-2}*Z (so at worst a p^2 denominator, integral elsewhere).
+    Each must be an int or a Fraction; a float raises TypeError."""
+    g1, g2 = Fraction(_rational(gamma1)), Fraction(_rational(gamma2))
     if g1 == 0 or g2 == 0:
         raise ValueError("parameters must be nonzero")
     p = ctx.p
@@ -259,9 +260,10 @@ def coset_in_support(gamma1: Fraction, gamma2: Fraction, ctx: CosetContext) -> b
 def verify_lower_unipotent_split(uval, wval) -> tuple[bool, tuple[Mat, Mat, Mat]]:
     """Split [[1,0],[u/w,1]] as [[1,w/u],[0,1]] * diag(w,1/w) * [[0,-1/u],[u,w]].
 
-    Holds for any nonzero rationals u, w; the last factor has determinant 1.
+    Holds for any nonzero rationals u, w (ints or Fractions; a float raises
+    TypeError); the last factor has determinant 1.
     Returns the verification flag and the three factors."""
-    u, w = Fraction(uval), Fraction(wval)
+    u, w = Fraction(_rational(uval)), Fraction(_rational(wval))
     if u == 0 or w == 0:
         raise ValueError("u and w must be nonzero")
     left = upper_unipotent2(w / u)

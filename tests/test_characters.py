@@ -13,10 +13,12 @@ from rslab.characters import (
     addtomult_check,
     char_group,
     dirichlet_root_number,
+    exponent_maps,
     gauss_beta,
     gauss_classical,
     gauss_factorization_residual,
     nonvanishing_window_check,
+    vanishing_sums,
     window_moduli,
 )
 from rslab.cyclotomic import CycloElement
@@ -192,6 +194,49 @@ def test_gauss_beta_exact_matches_termwise_sum():
                     got = gauss_beta(chi, beta, EXACT)
                     assert got.n == ref.n, (chi, beta)
                     assert list(got.coeffs.items()) == list(ref.coeffs.items()), (chi, beta)
+
+
+def _same_element(got, want):
+    return (got.n, list(got.coeffs.items())) == (want.n, list(want.coeffs.items()))
+
+
+def test_exponent_maps_match_gauss_beta():
+    """One pass over chi's angles per (chi, m) gives, for every r, the map of
+    gauss_beta's element (same n, same coeffs in the same order), for every
+    chi mod q <= 40 and every divisor m of q, the window's q2 among them.
+    The vanishing r are those whose element reduces to zero exactly, and on
+    the window they are nonvanishing_window_check's failures; off it some
+    sums vanish (Ramanujan sums, for one), so the lists are not all empty."""
+    found_zero = False
+    for q in range(1, 41):
+        for chi in char_group(q).characters():
+            window = window_moduli(chi)
+            for m in divisors(q):
+                rs = list(range(1, m + 1))
+                zeros = []
+                for r, (big, weights) in zip(rs, exponent_maps(chi, m, rs)):
+                    want = gauss_beta(chi, Fraction(r, m), EXACT)
+                    assert _same_element(CycloElement.from_exponents(big, weights), want), (chi, r, m)
+                    if gcd(r, m) == 1 and not want._reduced()[0]:
+                        zeros.append(r)
+                coprime = [r for r in rs if gcd(r, m) == 1]
+                assert vanishing_sums(chi, m, coprime) == zeros, (chi, m)
+                if m in window:
+                    assert nonvanishing_window_check(chi, m) == (not zeros, zeros)
+                found_zero = found_zero or bool(zeros)
+    assert found_zero
+
+
+def test_exponent_maps_q1_off_the_integers():
+    """Mod 1 the sum is the single term e(r/m), for beta = r/m not in Z too."""
+    chi = char_group(1).trivial()
+    for m in (2, 3, 7, 12):
+        rs = list(range(-m, 2 * m))
+        for r, (big, weights) in zip(rs, exponent_maps(chi, m, rs)):
+            got = CycloElement.from_exponents(big, weights)
+            assert _same_element(got, gauss_beta(chi, Fraction(r, m), EXACT))
+            assert _same_element(got, CycloElement.root(r % m, m))
+        assert vanishing_sums(chi, m, rs) == []
 
 
 def test_addtomult_exact_proves_the_identity():

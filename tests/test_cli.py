@@ -114,6 +114,8 @@ def test_reproduce_line_reproduces(tmp_path, source):
     ("doublesum", "clgp-random", 3),
     ("doublesum", "doublesum-random", 2),
     ("gauss", "gauss-modulus", 2),
+    ("gauss", "gauss-window", 2),
+    ("clgp", "gauss-window", 3),
     ("clgp", "clgp-random", 2),
     ("cauchy", "schur-tableau", 2),
     ("all", "gauss-modulus", 2),

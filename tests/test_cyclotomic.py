@@ -106,11 +106,6 @@ def test_mixed_order_roots_embed_consistently():
     assert abs(z - want) < 1e-12
 
 
-def test_coeff_mass_zero_iff_trivial():
-    assert CycloElement.zero().coeff_mass() == 0
-    assert CycloElement.from_rational(Fraction(3, 2)).coeff_mass() > 0
-
-
 def test_from_exponents_lowers_the_order():
     z = CycloElement.from_exponents(12, {0: 1, 4: 2, 8: Fraction(-1, 3)})
     assert (z.n, z.coeffs) == (3, {0: 1, 1: 2, 2: Fraction(-1, 3)})

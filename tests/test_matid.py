@@ -302,6 +302,31 @@ def test_lower_unipotent_split_rejects_zero():
         verify_lower_unipotent_split(Fraction(0), Fraction(1))
 
 
+@pytest.mark.parametrize("u, w", [(0.1, 1), (1, 0.5), (Fraction(1, 3), 2.0), ("1/3", 2)])
+def test_lower_unipotent_split_rejects_non_rationals(u, w):
+    """A float would enter the exact matrices as its binary value (0.1 as
+    3602879701896397/2**55), and the split would still verify."""
+    with pytest.raises(TypeError):
+        verify_lower_unipotent_split(u, w)
+
+
+def test_lower_unipotent_split_takes_ints():
+    ok, (_, mid, _) = verify_lower_unipotent_split(3, 2)
+    assert ok and mid == Mat.diag(2, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("g1, g2", [(0.5, 4.0), (Fraction(5), 0.25), (10.0, Fraction(1, 25))])
+def test_coset_in_support_rejects_floats(g1, g2):
+    with pytest.raises(TypeError):
+        coset_in_support(g1, g2, CosetContext(2, 3, 5))
+
+
+def test_coset_in_support_takes_ints():
+    ctx = CosetContext(5, 3, 7)
+    assert coset_in_support(10, 1, ctx) is True
+    assert coset_in_support(1, 1, ctx) is False
+
+
 def test_3x3_factorization_anchor():
     """q = 3, n = 1, r = 1, w = 1 forces v = 2, u = 6."""
     inst = FactorizationInstance.make_consistent(3, 1, 1)

@@ -111,7 +111,7 @@ def test_run_config_validation():
         RunConfig(p_max=351)
     RunConfig(n_max=10**5, p_max=350)
     # a fault the checks do not know would otherwise pass every check unseen
-    for bad in ("gauss-window", "", "no-such-check"):
+    for bad in ("gauss-root", "", "no-such-check"):
         with pytest.raises(ValueError, match="inject_fault"):
             RunConfig(p_max=20, inject_fault=bad)
 
