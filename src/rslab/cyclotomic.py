@@ -4,42 +4,23 @@ Elements are finite sums  sum_k c_k * zeta_N^k  stored as a sparse map
 exponent -> int or Fraction, kept as given.  Different ambient orders
 combine by embedding into the lcm.  Zero testing is rigorous: a cheap numeric
 bound certifies most elements nonzero, and the remaining candidates are
-reduced exactly modulo the N-th cyclotomic polynomial.  The test runs on a
-bare exponent map as well (`sum_is_zero`), so a caller that forms many sums
-need not build a CycloElement for each.
+decided exactly by a descent over the primes of N on the sparse map, one
+prime at a time down to a rational sum.  The test runs on a bare exponent
+map as well (`sum_is_zero`), so a caller that forms many sums need not
+build a CycloElement for each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, pi
+from math import gcd, isqrt, lcm, pi, prod
 import cmath
 
-from .arith import divisors
+from .arith import factorize
 
 #: |value| above this multiple of the coefficient mass certifies nonzero
 _PREFILTER_REL = 1e-9
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial.
-
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of the
-    proper divisors of n; all arithmetic is exact integer arithmetic.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in divisors(n):
-        if d < n:
-            num, rem = _divmod_int(num, cyclotomic_poly(d))
-            assert not any(rem), f"x^{n}-1 not divisible by cyclotomic_poly({d})"
-    return tuple(num)
 
 
 @lru_cache(maxsize=32)
@@ -58,17 +39,45 @@ def _approx(n: int, weights) -> complex:
     return sum([w * high[k // s] * low[k % s] for k, w in weights.items()], 0j)
 
 
-def _reduce(n: int, weights) -> tuple[list[int], int]:
-    """(rem, den): den is the lcm of the weights' denominators and rem the
-    integer polynomial den * sum_k w_k x^k reduced modulo the n-th cyclotomic
-    polynomial; the sum at x = e(1/n) is zero iff rem is empty."""
-    den = 1
-    for c in weights.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    poly = [0] * n
-    for k, c in weights.items():
-        poly[k] += int(c * den)
-    return _divmod_int(poly, cyclotomic_poly(n))[1], den
+def _vanishes(n: int, weights, primes: list[int]) -> bool:
+    """Whether sum_k w_k e(k/n) = 0, exactly; keys are residues 0 <= k < n
+    and primes lists n's prime factors with multiplicity.
+
+    Descends over n's primes, never through a dense list of length n.  Take
+    a prime p of n and m = n / p.  If p divides m, then 1, e(1/n), ...,
+    e((p-1)/n) is a basis of Q(zeta_n) over Q(zeta_m): splitting k = p j + a,
+    the sum vanishes iff each group over a does at order m.  Otherwise
+    e(k/n) = e(kx/p) e(ky/m) with x = 1/m mod p and y = 1/p mod m, and the
+    only relation among the p-th roots over Q(zeta_m) is that they sum to 0:
+    the sum vanishes iff the groups over kx mod p are all equal in Q(zeta_m),
+    so each must vanish if some group is empty, and otherwise each must
+    equal the smallest.
+    """
+    if n == 1:
+        return sum(weights.values()) == 0
+    # smallest first: a step at p makes up to p - 1 subproblems, and the
+    # widest step costs the fewest calls when it is taken last
+    p, primes = primes[0], primes[1:]
+    m = n // p
+    groups: dict[int, dict] = {}
+    if m % p == 0:
+        for k, w in weights.items():
+            groups.setdefault(k % p, {})[k // p] = w
+        return all(_vanishes(m, g, primes) for g in groups.values())
+    x, y = pow(m, -1, p), pow(p, -1, m)
+    for k, w in weights.items():
+        groups.setdefault(k * x % p, {})[k * y % m] = w
+    if len(groups) < p:
+        return all(_vanishes(m, g, primes) for g in groups.values())
+    base = min(groups.values(), key=len)
+    for g in groups.values():
+        if g is not base:
+            diff = dict(g)
+            for k, w in base.items():
+                diff[k] = diff.get(k, 0) - w
+            if not _vanishes(m, diff, primes):
+                return False
+    return True
 
 
 def sum_is_zero(n: int, weights) -> bool:
@@ -77,35 +86,14 @@ def sum_is_zero(n: int, weights) -> bool:
 
     Fast path: if the value read from a table of roots is larger than
     roundoff could ever make a true zero, the sum is certainly nonzero.
-    Otherwise clear denominators and reduce the integer polynomial modulo the
-    n-th cyclotomic polynomial; the sum is zero iff the remainder is.
+    Otherwise the exact descent over n's primes (`_vanishes`) decides.
     """
     if not weights:
         return True
     mass = float(sum(map(abs, weights.values())))
     if abs(_approx(n, weights)) > _PREFILTER_REL * max(1.0, mass):
         return False
-    return not _reduce(n, weights)[0]
-
-
-def _divmod_int(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Long division of integer polynomials; the divisor must be monic."""
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num)
-    dd = len(den) - 1
-    qlen = len(rem) - dd
-    quot = [0] * max(qlen, 0)
-    support = [(j, b) for j, b in enumerate(den) if b]
-    for i in range(qlen - 1, -1, -1):
-        c = rem[i + dd]
-        if c:
-            quot[i] = c
-            for j, b in support:
-                rem[i + j] -= c * b
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+    return _vanishes(n, weights, [p for p, e in factorize(n) for _ in range(e)])
 
 
 class CycloElement:
@@ -208,20 +196,24 @@ class CycloElement:
     def as_rational(self) -> Fraction | None:
         """The element as a Fraction if it is rational, else None.
 
-        Reduces modulo the ambient cyclotomic polynomial, so hidden rational
-        values such as zeta_3 + zeta_3^2 = -1 are recognized.
+        A rational element equals its trace over phi(n), the sum of
+        c_k mu(d)/phi(d) with d = n / gcd(k, n) the order of zeta_n^k; so the
+        element is rational iff it minus that sum is zero, and hidden values
+        such as zeta_3 + zeta_3^2 = -1 are recognized.
         """
-        if not self.coeffs:
-            return Fraction(0)
-        rem, den = self._reduced()
-        if len(rem) <= 1:
-            return Fraction(rem[0] if rem else 0, den)
-        return None
-
-    def _reduced(self) -> tuple[list[int], int]:
-        """(rem, den) of `_reduce` at the ambient order; self is zero iff rem
-        is empty."""
-        return _reduce(self.n, self.coeffs)
+        by_order: dict[int, int | Fraction] = {}
+        for k, c in self.coeffs.items():
+            d = self.n // gcd(k, self.n)
+            by_order[d] = by_order.get(d, 0) + c
+        trace = Fraction(0)
+        for d, c in by_order.items():
+            f = factorize(d)
+            if all(e == 1 for _, e in f):  # else mu(d) = 0
+                trace += Fraction(c * (-1) ** len(f), prod(p - 1 for p, _ in f))
+        # den * (self - trace), which keeps integer coefficients integers
+        rest = {k: c * trace.denominator for k, c in self.coeffs.items()}
+        rest[0] = rest.get(0, 0) - trace.numerator
+        return trace if sum_is_zero(self.n, rest) else None
 
     def __eq__(self, other) -> bool:
         try:

@@ -286,7 +286,7 @@ def _run_gauss_window(cfg: RunConfig, rng: random.Random):
     if cfg.inject_fault == "gauss-window":
         # the trivial character mod 16 at q2 = 16, outside its window: tau is
         # the Ramanujan sum c_16(1) = mu(16) = 0, which the numeric prefilter
-        # cannot certify, so only the exact reduction reports it
+        # cannot certify, so only the exact descent reports it
         zeros = characters.vanishing_sums(char_group(16).trivial(), 16, [1])
         if zeros:
             return False, f"vanishing twisted sum at q=16, q2=16, r={zeros}"

@@ -31,15 +31,19 @@ def unit_average(x, q: int, parity: int) -> complex:
         raise ValueError("parity must be 0 or 1")
     if q < 1:
         raise ValueError("q must be positive")
-    xf = float(x)
+    # e(x) sees x mod 1 only: x is shifted by a multiple of 2^20 into
+    # [-2^19, 2^19], exactly for an int or Fraction, before it becomes a
+    # float, so the angle is off by at most 2^-34 at any size of x (a huge
+    # integer gives exactly e(0) = 1); a smaller x is used as it is
+    xf = float(x - 2**20 * round(x / 2**20))
+    sign = 1.0 if x >= 0 else -1.0
 
-    def one_term(y: float) -> complex:
-        s = 1.0 if y >= 0 else -1.0
+    def one_term(y: float, s: float) -> complex:
         return cmath.exp(2j * pi * y) * s**parity
 
     if q <= 2:
-        return one_term(xf)
-    return (one_term(xf) + one_term(-xf)) / 2
+        return one_term(xf, sign)
+    return (one_term(xf, sign) + one_term(-xf, -sign if x else 1.0)) / 2
 
 
 def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -> list[float]:

@@ -437,6 +437,23 @@ def test_twist_float_overflow_exits_3(tmp_path, param, message):
     assert message in err
 
 
+@pytest.mark.parametrize("beta, parity, want", [
+    # float(1e400) overflows, and float(10^20) has lost 10^20 mod 1
+    ("1e400", "0", [1.0, 0.0]),
+    ("100000000000000000000", "0", [1.0, 0.0]),
+    # sign(n beta)^parity still reads the sign of the unshifted beta
+    ("-100000000000000000000", "1", [-1.0, 0.0]),
+])
+def test_twist_huge_integer_beta_prints_the_exact_value(tmp_path, beta, parity, want):
+    """For an integer beta, e(n beta) = 1 exactly, however large beta is."""
+    rep = tmp_path / "pi.rep"
+    rep.write_text("# no primes are needed for N = 1\n\n")
+    code, out, err = run_cli("twist", "--pi-file", str(rep), f"--beta={beta}", "--N", "1",
+                             "--parity", parity)
+    assert (code, err) == (0, "")
+    assert [json.loads(line) for line in out.splitlines()] == [{"n": 1, "coeff": want}]
+
+
 def test_reduce_command():
     code, out, _ = run_cli(
         "reduce", "--matrix", "1/5,0;3,5", "--ctx", "5,3,2"

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from rslab.characters import char_group, gauss_beta
-from rslab.cyclotomic import CycloElement, cyclotomic_poly
+from rslab.arith import divisors
+from rslab.characters import char_group, gauss_beta, gauss_classical
+from rslab.cyclotomic import CycloElement
 from rslab.scalars import EXACT
+
+from cyclo_oracle import cyclotomic_poly, dense_as_rational, dense_is_zero
 
 
 def test_cyclotomic_poly_small():
@@ -21,8 +24,6 @@ def test_cyclotomic_poly_small():
 
 def test_cyclotomic_poly_product_identity():
     """prod_{d | n} Phi_d(x) = x^n - 1, checked by polynomial multiplication."""
-    from rslab.arith import divisors
-
     for n in (6, 8, 12):
         prod = [Fraction(1)]
         for d in divisors(n):
@@ -155,3 +156,54 @@ def test_as_rational_returns_a_fraction():
     for z, want in cases:
         got = z.as_rational()
         assert type(got) is Fraction and got == want
+
+
+def _random_element(rng, n):
+    return CycloElement(n, {rng.randrange(n): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                            for _ in range(rng.randint(0, 5))})
+
+
+def _vanishing_element(rng, n):
+    """c * e(s/n) * (sum of the d-th roots of unity), d > 1 dividing n: zero."""
+    d = rng.choice([d for d in divisors(n) if d > 1])
+    s, c = rng.randrange(n), rng.randint(1, 5)
+    return CycloElement(n, {(s + j * (n // d)) % n: c for j in range(d)})
+
+
+def test_as_rational_agrees_with_dense_reduction():
+    """Seeded random elements of mixed orders, half of them a rational plus
+    hidden zeros (so rational with a nonconstant coefficient map), half
+    anything; as_rational must match the dense oracle on every one."""
+    rng = random.Random(2024)
+    rational = irrational = 0
+    for _ in range(300):
+        n1, n2 = rng.randint(2, 40), rng.randint(2, 40)
+        if rng.random() < 0.5:
+            z = (_vanishing_element(rng, n1) + _vanishing_element(rng, n2)
+                 + Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        else:
+            z = _random_element(rng, n1) + _random_element(rng, n2) + _vanishing_element(rng, n1)
+        want = dense_as_rational(z)
+        got = z.as_rational()
+        assert got == want, (z, want, got)
+        if want is None:
+            irrational += 1
+        else:
+            rational += 1
+            assert type(got) is Fraction
+    assert rational > 100 and irrational > 100
+
+
+@pytest.mark.parametrize("q", [61, 65, 68, 71, 75, 77])
+def test_gauss_sum_norm_is_q_at_large_order(q):
+    """tau * conj(tau) - q = 0 exactly, at ambient orders above the zero
+    test's property-test range n <= 90, for a few primitive characters mod q."""
+    chars = [chi for chi in char_group(q).characters() if chi.is_primitive()]
+    for chi in chars[:: max(1, len(chars) // 3)]:
+        tau = gauss_classical(chi, EXACT)
+        norm = tau * tau.conjugate()
+        assert norm.n > 90 and len(norm.coeffs) > 1
+        assert (norm - q).is_zero()
+        assert dense_is_zero(norm.n, (norm - q).coeffs)
+        assert norm.as_rational() == q
+        assert not (norm - (q + 1)).is_zero()

@@ -4,7 +4,7 @@ from math import nan
 
 import pytest
 
-from rslab import characters, funceq, symfunc, twists
+from rslab import characters, cyclotomic, funceq, symfunc, twists
 from rslab.registry import (
     CHECKS,
     FAULT_CAPABLE,
@@ -76,6 +76,18 @@ def test_fault_injection_breaks_named_checks():
             if c.suite == check.suite and c.check_id != check_id
         ]
         assert all(r.ok for r in others)
+
+
+def test_gauss_window_fault_is_caught_only_by_the_exact_descent(monkeypatch):
+    """The injected sum c_16(1) = mu(16) = 0 is a true zero, which no numeric
+    bound can certify: the faulted check fails because the exact descent
+    says "zero".  With the descent made to answer "nonzero", it passes."""
+    check = next(c for c in CHECKS if c.check_id == "gauss-window")
+    cfg = RunConfig(n_max=60, p_max=20, inject_fault="gauss-window")
+    assert not run_check(check, cfg).ok
+    monkeypatch.setattr(cyclotomic, "_vanishes", lambda n, weights, primes: False)
+    res = run_check(check, cfg)
+    assert res.ok, res.detail
 
 
 @pytest.mark.parametrize("check_id", ["cauchy-gradewise", "cauchy-two-row", "standardcoeff"])

@@ -51,6 +51,17 @@ def test_unit_average_is_even_part_for_even_parity():
         assert abs(w - 1j * cmath.sin(2 * cmath.pi * float(x))) < 1e-12
 
 
+def test_unit_average_depends_on_x_mod_1_at_any_size():
+    """A huge x shifted by an integer gives the small x's value, with the
+    sign of the huge x; float(x) alone overflows or loses x mod 1 here."""
+    for big in (10**20, 10**400):
+        for x in (Fraction(1, 4), Fraction(2, 3), Fraction(7, 5)):
+            for q, parity in ((1, 0), (5, 0), (5, 1)):
+                small = unit_average(x, q, parity)
+                assert abs(unit_average(big + x, q, parity) - small) < 1e-9
+                assert abs(unit_average(-big - x, q, parity) - small.conjugate() * (-1) ** parity) < 1e-9
+
+
 def test_unit_average_sign_zero_convention():
     # sign(0) := +1, so x = 0 gives 1 for any parity at q <= 2
     assert unit_average(Fraction(0), 2, 0) == 1
