@@ -6,7 +6,7 @@ from .euler import EulerFactorPoly, NotDivisibleError
 from .symfunc import Partition3, cauchy_check, schur3, schur3_tableau
 from .cyclotomic import CycloElement
 from .characters import DirichletCharacter, char_group, gauss_beta, gauss_classical
-from .langlands import GlobalRep, LocalData, SteinbergBlock
+from .langlands import SteinbergBlock
 from .coeffs import CoeffData, c_pi_tau, double_sum_check, lambda_rs, lambda_std
 from .matid import CosetContext, FactorizationInstance, Mat, coset_reduce
 from .twists import TwistedSeries, assemble_twisted_series, fe_root_number
@@ -21,7 +21,7 @@ __all__ = [
     "Partition3", "cauchy_check", "schur3", "schur3_tableau",
     "CycloElement",
     "DirichletCharacter", "char_group", "gauss_beta", "gauss_classical",
-    "GlobalRep", "LocalData", "SteinbergBlock",
+    "SteinbergBlock",
     "CoeffData", "c_pi_tau", "double_sum_check", "lambda_rs", "lambda_std",
     "CosetContext", "FactorizationInstance", "Mat", "coset_reduce",
     "TwistedSeries", "assemble_twisted_series", "fe_root_number",

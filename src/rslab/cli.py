@@ -19,8 +19,10 @@ from fractions import Fraction
 
 from . import funceq as fe
 from . import langlands, matid, registry, twists
+from .arith import primes_up_to
 from .characters import char_group, gauss_beta
 from .coeffs import CoeffData, coefficient_rows
+from .euler import inverse_series, multiplicative
 from .matid import CosetContext, Mat
 from .scalars import EXACT, FLOAT
 
@@ -35,6 +37,10 @@ FUNCEQ_Q_MAX = 4 * 10**5
 # and 236 MB, 400000 53 s and 362 MB (the double sum grows a little faster
 # than linearly in N)
 COEFFS_N_MAX = 4 * 10**5
+# `twist --N` bound, the largest prime a rep file may list: with a file of all
+# 78,498 primes below 10^6, N = 10^5 takes 5 s and 109 MB on 2 vCPUs, 3*10^5
+# 10 s and 261 MB, 10^6 32 s and 835 MB
+TWIST_N_MAX = langlands.REP_P_MAX
 # CosetContext tests p and p_prime for primality by trial division: 0.08 s
 # at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs
 REDUCE_CTX_MAX = 10**12
@@ -239,18 +245,24 @@ def _twist_records(args) -> list:
     except (ValueError, ZeroDivisionError):
         _die(f"--beta: {args.beta!r} is not a rational")
     n_max = args.N
-    if n_max < 1 or n_max > 10**6:
+    if n_max < 1 or n_max > TWIST_N_MAX:
         _die("--N out of range")
     text = _read_text(args.pi_file)
+    tables = {}  # p -> a(p^k) for p^k <= N
     try:
-        rep = langlands.parse_rep_file(text, degree=3, mode=FLOAT, p_max=n_max)
-        series = rep.series(n_max)
+        params = langlands.parse_rep_file(text, n_max)
+        for p in primes_up_to(n_max):
+            kmax, pk = 0, p
+            while pk <= n_max:
+                kmax, pk = kmax + 1, pk * p
+            tables[p] = inverse_series(params[p], kmax, FLOAT)
     except ValueError as exc:
         _die(str(exc))
     q_mod = beta.denominator
     records = []
     for n in range(1, n_max + 1):
-        coeff = series[n - 1] * twists.unit_average(n * beta, q_mod, args.parity)
+        a_n = multiplicative(n, lambda p, k: tables[p][k], FLOAT)
+        coeff = a_n * twists.unit_average(n * beta, q_mod, args.parity)
         if not cmath.isfinite(coeff):
             _die(f"coefficient a({n}) overflows a float")
         records.append({"n": n, "coeff": [coeff.real, coeff.imag]})

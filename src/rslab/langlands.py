@@ -1,98 +1,26 @@
-"""Local parameter bookkeeping for automorphic-style Euler products.
+"""Local parameters: twisted-Steinberg blocks and rep files.
 
-A representation is modeled prime by prime: a tuple of inverse-root
-parameters (zeros padding the ramified directions), a conductor exponent,
-and a root number.  Twisted-Steinberg blocks sigma_b(eta) supply the
-essentially-square-integrable test cases; the interesting identity is the
-divisibility of their full pairing factor by the naive parameter-pair
-product.
+Twisted-Steinberg blocks sigma_b(eta) supply the essentially-square-integrable
+test cases; the interesting identity is the divisibility of their full
+pairing factor by the naive parameter-pair product, computed exactly on
+`EulerFactorPoly`.  A rep file gives a degree-3 Euler product prime by
+prime; `parse_rep_file` reads it into each prime's three float parameters
+(zeros padding the ramified directions), the input of `rslab twist`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, is_prime, primes_up_to, valuation
-from .characters import DirichletCharacter, gauss_classical
-from .euler import EulerFactorPoly, inverse_series, multiplicative, poly_divide_exact
-from .scalars import EXACT, FLOAT, check_mode, coerce, one, parse_scalar
+from .arith import is_prime, primes_up_to
+from .euler import EulerFactorPoly, poly_divide_exact
+from .scalars import EXACT, coerce, parse_scalar
 
-
-@dataclass(frozen=True)
-class LocalData:
-    """Parameters of one local component.
-
-    params has one entry per dimension (zeros where the local rep has no
-    unramified direction); m is the conductor exponent; root_number defaults
-    to 1 and is only meaningful where callers seed it.
-    """
-
-    p: int
-    params: tuple
-    m: int = 0
-    root_number: object = 1
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.m < 0:
-            raise ValueError("conductor exponent must be >= 0")
-        if self.m == 0:
-            if any(x == 0 for x in self.params):
-                raise ValueError("an unramified component needs all parameters nonzero")
-            if self.root_number != 1:
-                raise ValueError("an unramified component has root number 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.params)
-
-
-@dataclass
-class GlobalRep:
-    """A degree-d Euler product known at all primes up to p_max."""
-
-    degree: int
-    mode: str
-    p_max: int
-    locals: dict[int, LocalData] = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_mode(self.mode)
-        for p, d in self.locals.items():
-            if d.p != p:
-                raise ValueError(f"local data at key {p} carries prime {d.p}")
-            if d.degree != self.degree:
-                raise ValueError(f"local degree {d.degree} != {self.degree} at p={p}")
-        missing = [p for p in primes_up_to(self.p_max) if p not in self.locals]
-        if missing:
-            raise ValueError(f"missing local data at primes {missing[:10]}")
-
-    def series(self, trunc: int) -> list:
-        """The coefficients a(1..trunc) of the Euler product; a(n) is at index n - 1."""
-        if trunc > self.p_max:
-            raise ValueError(f"series up to {trunc} needs local data up to p_max >= {trunc}")
-        tables = {}
-        for p in primes_up_to(trunc):
-            kmax, pk = 0, p
-            while pk <= trunc:
-                kmax, pk = kmax + 1, pk * p
-            tables[p] = inverse_series(self.locals[p].params, kmax, self.mode)
-        return [multiplicative(n, lambda p, k: tables[p][k], self.mode)
-                for n in range(1, trunc + 1)]
-
-    def conductor(self) -> int:
-        n = 1
-        for p, d in sorted(self.locals.items()):
-            n *= p**d.m
-        return n
-
-    def epsilon(self):
-        eps = one(self.mode)
-        for _, d in sorted(self.locals.items()):
-            eps = eps * coerce(d.root_number, self.mode)
-        return eps
+#: the largest prime a rep file may list: `twist --N` is at most this, so no
+#: line above it can enter a series, and the trial-division primality test
+#: stays cheap on every line it reaches
+REP_P_MAX = 10**6
 
 
 # -- twisted-Steinberg blocks ---------------------------------------------
@@ -160,76 +88,48 @@ def degenerate_factor_check(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int) 
     return rs_quotient_poly(blk1, blk2, p).is_one()
 
 
-def isobaric_local(d1: LocalData, d2: LocalData) -> LocalData:
-    """Local data of an isobaric sum: parameters concatenate, conductor
-    exponents add, root numbers multiply."""
-    if d1.p != d2.p:
-        raise ValueError("isobaric sum needs matching primes")
-    m = d1.m + d2.m
-    root = 1 if m == 0 else d1.root_number * d2.root_number
-    return LocalData(d1.p, d1.params + d2.params, m, root)
-
-
 # -- rep files --------------------------------------------------------------
 
 
-def parse_rep_file(text: str, degree: int, mode: str, p_max: int) -> GlobalRep:
-    """Parse 'p m root a_1 ... a_degree' lines into a GlobalRep.
+def parse_rep_file(text: str, n_max: int) -> dict:
+    """Parse 'p m root a_1 a_2 a_3' lines into {p: (a_1, a_2, a_3)}.
 
-    '#' starts a comment; scalars use the usual mode syntax ('a/b' exact,
-    're,im' or a plain real in float mode).
+    '#' starts a comment; each scalar is a finite float, written 're,im' or
+    as a plain real.  The conductor exponent m and the root number are
+    checked for consistency (m >= 0; m = 0 needs nonzero parameters and
+    root 1) but not returned.  Every prime up to n_max must be listed, and
+    no p above REP_P_MAX may be.
     """
-    check_mode(mode)
-    locals_: dict[int, LocalData] = {}
+    params: dict[int, tuple] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
-        if len(toks) != 3 + degree:
+        if len(toks) != 6:
             raise ValueError(
-                f"line {lineno}: expected 'p m root' plus {degree} parameters, got {len(toks)} fields"
+                f"line {lineno}: expected 'p m root' plus 3 parameters, got {len(toks)} fields"
             )
         p, m = int(toks[0]), int(toks[1])
-        root = parse_scalar(toks[2], mode)
-        params = tuple(parse_scalar(t, mode) for t in toks[3:])
-        if p in locals_:
+        root = parse_scalar(toks[2])
+        local = tuple(parse_scalar(t) for t in toks[3:])
+        if p in params:
             raise ValueError(f"line {lineno}: duplicate prime {p}")
-        locals_[p] = LocalData(p, params, m, root)
-    return GlobalRep(degree, mode, p_max, locals_)
-
-
-# -- degree-1 seeding from a character --------------------------------------
-
-
-def gl1_rep_from_character(chi: DirichletCharacter, p_max: int) -> GlobalRep:
-    """The degree-1 Euler product of a primitive character, root numbers seeded
-    so that the product of local root numbers is the classical normalized
-    Gauss sum tau(chi) / (i^a sqrt(q)).
-
-    Local pieces at ramified p are tau(chi_p) chi_p(q / p^e) / (i^{a_p} sqrt(p^e));
-    the leftover archimedean phase i^{a - sum a_p} is folded into the smallest
-    ramified prime so the global product comes out on the nose.
-    """
-    if not chi.is_primitive():
-        raise ValueError("seeding expects a primitive character")
-    q = chi.group.q
-    locals_: dict[int, LocalData] = {}
-    comps = {part.group.q: part for part in chi.decompose()}
-    phase_all = sum(part.parity for part in comps.values())
-    correction_at = min((p for p, _ in factorize(q)), default=None)
-    for p in primes_up_to(p_max):
-        if q % p != 0:
-            locals_[p] = LocalData(p, (chi.value_complex(p),), 0, 1)
-            continue
-        e = valuation(q, p)
-        part = comps[p**e]
-        eps_p = (
-            gauss_classical(part, FLOAT)
-            * part.value_complex(q // p**e)
-            / (1j**part.parity * (p**e) ** 0.5)
-        )
-        if p == correction_at:
-            eps_p *= 1j ** ((chi.parity - phase_all) % 4)
-        locals_[p] = LocalData(p, (0j,), e, eps_p)
-    return GlobalRep(1, FLOAT, p_max, locals_)
+        if p > REP_P_MAX:
+            raise ValueError(
+                f"line {lineno}: p = {p} is above {REP_P_MAX}, the largest a rep file may list"
+            )
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if m < 0:
+            raise ValueError("conductor exponent must be >= 0")
+        if m == 0:
+            if any(x == 0 for x in local):
+                raise ValueError("an unramified component needs all parameters nonzero")
+            if root != 1:
+                raise ValueError("an unramified component has root number 1")
+        params[p] = local
+    missing = [p for p in primes_up_to(n_max) if p not in params]
+    if missing:
+        raise ValueError(f"missing local data at primes {missing[:10]}")
+    return params

@@ -49,11 +49,9 @@ def one(mode: str):
     return Fraction(1) if mode == EXACT else complex(1)
 
 
-def parse_scalar(text: str, mode: str):
-    """Parse "a/b" (exact) or "re,im" / plain real (float, finite only)."""
+def parse_scalar(text: str) -> complex:
+    """Parse a finite float scalar, written "re,im" or as a plain real."""
     text = text.strip()
-    if mode == EXACT:
-        return Fraction(text)
     if "," in text:
         re_part, im_part = text.split(",", 1)
         val = complex(float(re_part), float(im_part))

@@ -364,16 +364,17 @@ def test_verify_all_json_matches_golden(seed):
 
 
 @pytest.mark.parametrize("parity", ["0", "1"])
-def test_twist_readme_matches_golden(tmp_path, parity):
+def test_twist_readme_matches_golden(parity):
     """`twist` on the README's local-parameter file is byte-identical to the
-    committed records: the float series path may not change a printed value."""
-    rep = tmp_path / "pi.rep"
-    rep.write_text(next(block for block in _readme_blocks() if block.startswith("# p ")))
+    committed records: the float series path may not change a printed value.
+    The file is committed too, as the installed script's input in CI."""
+    golden = Path(__file__).resolve().parent / "golden"
+    rep = golden / "pi_readme.rep"
+    assert next(block for block in _readme_blocks() if block.startswith("# p ")) == rep.read_text()
     code, out, err = run_cli("twist", "--pi-file", str(rep), "--beta", "1/4", "--N", "10",
                              "--parity", parity)
     assert code == 0, err
-    golden = Path(__file__).resolve().parent / "golden" / f"twist_readme_p{parity}.jsonl"
-    assert out.encode() == golden.read_bytes()
+    assert out.encode() == (golden / f"twist_readme_p{parity}.jsonl").read_bytes()
 
 
 def _write_rep(tmp_path) -> Path:
@@ -452,6 +453,19 @@ def test_twist_huge_integer_beta_prints_the_exact_value(tmp_path, beta, parity, 
                              "--parity", parity)
     assert (code, err) == (0, "")
     assert [json.loads(line) for line in out.splitlines()] == [{"n": 1, "coeff": want}]
+
+
+def test_twist_rejects_a_huge_prime_fast(tmp_path):
+    """A line above the largest --N can enter no series, so it is refused
+    before its primality test: trial division on this 31-digit prime ran
+    for more than 20 s."""
+    rep = tmp_path / "pi.rep"
+    rep.write_text("1000000000000000000000000000057 0 1 1 1 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli("twist", "--pi-file", str(rep), "--beta", "1/4", "--N", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "is above 1000000" in err
 
 
 def test_reduce_command():

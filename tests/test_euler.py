@@ -1,5 +1,8 @@
 """Local Euler factor polynomials and the series they assemble into."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -14,7 +17,7 @@ from rslab.euler import (
     poly_divide_exact,
     poly_mul,
 )
-from rslab.langlands import GlobalRep, LocalData
+from rslab.cli import main
 from rslab.scalars import EXACT, FLOAT
 
 
@@ -115,37 +118,44 @@ def test_multiplicative_reads_each_prime_power_once():
     assert seen == [(2, 3), (3, 2), (5, 1)]
 
 
-def _rep(params: dict, mode: str, p_max: int) -> GlobalRep:
-    """Degree-2 data: the given parameters at their primes, factor 1 elsewhere."""
-    locals_ = {p: LocalData(p, params.get(p, (0, 0)), m=0 if p in params else 1)
-               for p in primes_up_to(p_max)}
-    return GlobalRep(2, mode, p_max, locals_)
+def _series(tmp_path, params: dict, n_max: int) -> list:
+    """a(1..n_max) as `rslab twist --beta 0` prints them (e(0) = 1), from a rep
+    file with the given three parameters at their primes (m = 1 where one is
+    zero) and the factor 1 of a ramified prime (m = 1, zero parameters) at
+    every other prime up to n_max; a(n) is at index n - 1."""
+    rep = tmp_path / "pi.rep"
+    lines = []
+    for p in primes_up_to(n_max):
+        local = params.get(p, (0, 0, 0))
+        lines.append(f"{p} {0 if all(local) else 1} 1 {' '.join(map(repr, local))}\n")
+    rep.write_text("".join(lines))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["twist", "--pi-file", str(rep), "--beta", "0", "--N", str(n_max)]) == 0
+    return [complex(*json.loads(line)["coeff"]) for line in out.getvalue().splitlines()]
 
 
-def test_dirichlet_series_multiplicativity():
+def test_dirichlet_series_multiplicativity(tmp_path):
     """a(mn) = a(m) a(n) for coprime m, n when all local data is present."""
-    params = {2: (Fraction(1, 2), Fraction(-1)), 3: (Fraction(-1, 3), Fraction(2, 3)),
-              5: (Fraction(-2), Fraction(7))}
-    rep = _rep(params, EXACT, 200)
-    series = rep.series(200)
+    params = {2: (0.5, -1.0, 0.25), 3: (-0.25, 0.75, 1.5), 5: (-2.0, 7.0, 0.5),
+              7: (1.25, -0.5, 2.0)}
+    series = _series(tmp_path, params, 200)
     assert len(series) == 200
-    assert series[0] == Fraction(1)
+    assert series[0] == 1
     a = lambda n: series[n - 1]
-    for m, n in [(2, 3), (4, 15), (8, 25), (9, 10)]:
-        assert a(m * n) == a(m) * a(n)
-    # a(3^k) is h_k of the two parameters at 3; a factor 1 kills every multiple of p
-    x, y = params[3]
+    for m, n in [(2, 3), (4, 15), (8, 25), (9, 10), (4, 7), (5, 6), (8, 21)]:
+        assert a(m * n) == pytest.approx(a(m) * a(n), rel=1e-12)
+    # a(3^k) is h_k of the three parameters at 3; a factor 1 kills every multiple of p
+    x, y, z = params[3]
     for k in range(5):
-        assert a(3**k) == sum(x**i * y ** (k - i) for i in range(k + 1))
-    assert a(7) == a(49) == a(8 * 11) == 0
+        h_k = sum(x**i * y**j * z ** (k - i - j) for i in range(k + 1) for j in range(k + 1 - i))
+        assert a(3**k) == pytest.approx(h_k, rel=1e-12)
+    assert a(11) == a(121) == a(8 * 13) == 0
 
 
-def test_series_float_mode():
-    rep = _rep({2: (0.5, 1), 3: (-1 / 3, 1)}, FLOAT, 50)
-    series = rep.series(50)
-    assert abs(series[6 - 1] - (1.5 * (2 / 3))) < 1e-12
-    with pytest.raises(ValueError, match="p_max"):
-        rep.series(51)
+def test_series_float_mode(tmp_path):
+    series = _series(tmp_path, {2: (0.5, 1.0, 0.0), 3: (-0.25, 1.0, 0.0)}, 50)
+    assert series[6 - 1] == 1.5 * 0.75 == series[2 - 1] * series[3 - 1]
 
 
 def test_float_factor_rejects_non_finite_coefficients():
@@ -157,12 +167,11 @@ def test_float_factor_rejects_non_finite_coefficients():
         inverse_series([1e308] * 3, 2, FLOAT)
 
 
-def test_float_series_keeps_tiny_roots():
+def test_float_series_keeps_tiny_roots(tmp_path):
     """No tolerance trims a float factor: h_3(1e-4, 1e-4, 1e-4) = 10 * 1e-12,
     and a single root 1e-12 gives a(p) = 1e-12 rather than dropping out."""
     assert abs(inverse_series([1e-4] * 3, 3, FLOAT)[3] - 1e-11) <= 1e-24
-    locals_ = {p: LocalData(p, (1e-12,)) for p in primes_up_to(5)}
-    series = GlobalRep(1, FLOAT, 5, locals_).series(5)
+    series = _series(tmp_path, {p: (1e-12, 0.0, 0.0) for p in primes_up_to(5)}, 5)
     assert series[2 - 1] == 1e-12 and abs(series[4 - 1] - 1e-24) <= 1e-36
 
 

@@ -1,7 +1,6 @@
-"""Local parameter bookkeeping: Satake-style data, twisted Steinberg blocks,
-pairing polynomials, and their exact quotients."""
+"""Local parameters: rep files, twisted Steinberg blocks, pairing
+polynomials, and their exact quotients."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,55 +8,23 @@ import pytest
 from rslab.arith import primes_up_to
 from rslab.euler import EulerFactorPoly, poly_divide_exact
 from rslab.langlands import (
-    GlobalRep,
-    LocalData,
     SteinbergBlock,
     block_params,
     degenerate_factor_check,
-    gl1_rep_from_character,
-    isobaric_local,
     parse_rep_file,
     rs_full_local,
     rs_naive_local,
     rs_quotient_poly,
 )
-from rslab.scalars import EXACT
-
-
-def _toy_rep(mode=EXACT, p_max=30):
-    locals_ = {}
-    rng = random.Random(2024)
-    for p in primes_up_to(p_max):
-        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        b = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if a == 0:
-            a = Fraction(1)
-        if b == 0:
-            b = Fraction(1, 2)
-        c = Fraction(1) / (a * b)  # unitary-style determinant one
-        locals_[p] = LocalData(p, (a, b, c))
-    return GlobalRep(3, mode, p_max, locals_)
-
-
-def test_global_rep_series_multiplicative():
-    rep = _toy_rep()
-    series = rep.series(30)
-    for m, n in [(2, 3), (4, 7), (5, 6)]:
-        assert series[m * n - 1] == series[m - 1] * series[n - 1]
 
 
 def test_local_factor_degree():
-    rep = _toy_rep()
-    f = EulerFactorPoly.from_roots_inverse(rep.locals[2].params)
-    assert f.degree == 3
-
-
-def test_conductor_and_epsilon():
-    locals_ = {p: LocalData(p, (Fraction(1), Fraction(1))) for p in primes_up_to(20)}
-    locals_[3] = LocalData(3, (Fraction(1), Fraction(1)), m=2, root_number=-1)
-    rep = GlobalRep(2, EXACT, 20, locals_)
-    assert rep.conductor() == 9
-    assert rep.epsilon() == -1
+    """Every prime gets three parameters, zeros padding a ramified one."""
+    text = "".join(f"{p} 0 1 0.5 -2 1\n" for p in primes_up_to(30)) + "31 2 -1 0.5 0 0\n"
+    params = parse_rep_file(text, 30)
+    assert sorted(params) == primes_up_to(31)
+    assert all(len(local) == 3 for local in params.values())
+    assert params[31] == (0.5, 0j, 0j)
 
 
 def test_steinberg_block_params():
@@ -123,40 +90,31 @@ def test_degenerate_factor_check():
         degenerate_factor_check(SteinbergBlock(3, 1), SteinbergBlock(2, 1), 5)
 
 
-def test_isobaric_local_combines_data():
-    d1 = LocalData(7, (Fraction(2), Fraction(1, 2)), m=1, root_number=-1)
-    d2 = LocalData(7, (Fraction(3),), m=2, root_number=1j)
-    s = isobaric_local(d1, d2)
-    assert s.params == d1.params + d2.params
-    assert s.m == 3
-    assert s.root_number == -1j
-    with pytest.raises(ValueError):
-        isobaric_local(d1, LocalData(5, (Fraction(1),)))
-
-
 def test_rep_file_roundtrip():
-    text = "# p m root a1 a2 a3\n2 0 1 1/2 -3 -2/3\n3 1 -1 2 1/3 0  # ramified\n\n5 0 1 1 1 1\n"
-    rep = parse_rep_file(text, 3, EXACT, 5)
-    assert rep.locals[2].params == (Fraction(1, 2), Fraction(-3), Fraction(-2, 3))
-    assert (rep.locals[3].m, rep.locals[3].root_number) == (1, Fraction(-1))
-    assert rep.locals[3].params == (Fraction(2), Fraction(1, 3), Fraction(0))
-    assert rep.locals[5].params == (Fraction(1),) * 3
-    assert rep.epsilon() == -1 and rep.conductor() == 3
+    text = ("# p m root a1 a2 a3\n2 0 1 0.5 -3 -0.25\n3 1 -1 2 0.5,-1 0  # ramified\n\n"
+            "5 0 1 1 1 1\n")
+    params = parse_rep_file(text, 5)
+    assert params == {2: (0.5, -3, -0.25), 3: (2, 0.5 - 1j, 0), 5: (1, 1, 1)}
+    assert all(type(x) is complex for local in params.values() for x in local)
 
 
 def test_parse_rep_file_rejects_bad_degree():
-    text = "2 0 1 1/2 1/3\n"
-    with pytest.raises(ValueError):
-        parse_rep_file(text, 3, EXACT, 2)
+    text = "2 0 1 0.5 0.25\n"
+    with pytest.raises(ValueError, match="expected 'p m root' plus 3 parameters, got 5 fields"):
+        parse_rep_file(text, 2)
 
 
-def test_gl1_rep_from_character():
-    from rslab.characters import char_group
-
-    chi = next(c for c in char_group(5).characters() if not c.is_trivial())
-    rep = gl1_rep_from_character(chi, 30)
-    series = rep.series(30)
-    for n in range(1, 31):
-        v = chi.value(n)
-        want = 0 if v is None else v.to_complex()
-        assert abs(series[n - 1] - want) < 1e-12
+@pytest.mark.parametrize("text, n_max, message", [
+    ("2 0 1 1 1 1\n5 0 1 1 1 1\n", 5, r"missing local data at primes \[3\]"),
+    ("2 0 1 1 1 1\n# again\n2 1 1 1 1 1\n", 2, "line 3: duplicate prime 2"),
+    ("4 0 1 1 1 1\n", 1, "4 is not prime"),
+    ("2 -1 1 1 1 1\n", 2, "conductor exponent must be >= 0"),
+    ("2 0 1 1 0 1\n", 2, "an unramified component needs all parameters nonzero"),
+    ("2 0 -1 1 1 1\n", 2, "an unramified component has root number 1"),
+    ("2 0 1 1/2 1 1\n", 2, "could not convert"),
+    ("2 0 1 1,inf 1 1\n", 2, "not a finite number"),
+    ("1000003 0 1 1 1 1\n", 1, "line 1: p = 1000003 is above 1000000"),
+])
+def test_parse_rep_file_rejects_inconsistent_data(text, n_max, message):
+    with pytest.raises(ValueError, match=message):
+        parse_rep_file(text, n_max)
