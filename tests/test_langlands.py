@@ -1,11 +1,16 @@
 """Local parameters: rep files, twisted Steinberg blocks, pairing
 polynomials, and their exact quotients."""
 
+import contextlib
+import io
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from rslab.arith import primes_up_to
+from rslab.cli import main
 from rslab.euler import EulerFactorPoly, poly_divide_exact
 from rslab.langlands import (
     SteinbergBlock,
@@ -16,6 +21,33 @@ from rslab.langlands import (
     rs_naive_local,
     rs_quotient_poly,
 )
+
+
+def _toy_rep_text(p_max=30) -> str:
+    """A rep file with three nonzero parameters of determinant one at each
+    prime up to p_max."""
+    rng = random.Random(2024)
+    lines = []
+    for p in primes_up_to(p_max):
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) or Fraction(1)
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) or Fraction(1, 2)
+        c = 1 / (a * b)
+        lines.append(f"{p} 0 1 {float(a)!r} {float(b)!r} {float(c)!r}\n")
+    return "".join(lines)
+
+
+def test_global_rep_series_multiplicative(tmp_path):
+    """The series a rep file assembles into (`twist --beta 0` prints a(n)
+    untwisted) has a(mn) = a(m) a(n) for coprime m, n."""
+    rep = tmp_path / "toy.rep"
+    rep.write_text(_toy_rep_text())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["twist", "--pi-file", str(rep), "--beta", "0", "--N", "30"]) == 0
+    series = [complex(*json.loads(line)["coeff"]) for line in out.getvalue().splitlines()]
+    assert len(series) == 30
+    for m, n in [(2, 3), (4, 7), (5, 6)]:
+        assert series[m * n - 1] == series[m - 1] * series[n - 1]
 
 
 def test_local_factor_degree():
