@@ -36,7 +36,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**17)  # room for every n up to RunConfig's n_max bound of 10^5
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as a sorted tuple of (p, e) pairs."""
     if n < 1:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, pi
@@ -139,17 +138,24 @@ def char_group(q: int) -> CharGroup:
     return CharGroup(q)
 
 
-@dataclass(frozen=True)
 class DirichletCharacter:
-    group: CharGroup
-    exps: tuple[int, ...]
+    """A character of `group`, by its exponents (one per generator)."""
 
-    def __post_init__(self):
-        if len(self.exps) != len(self.group.orders):
+    __slots__ = ("group", "exps")
+
+    def __init__(self, group: CharGroup, exps: tuple[int, ...]):
+        if len(exps) != len(group.orders):
             raise ValueError("wrong number of exponents for this modulus")
-        object.__setattr__(
-            self, "exps", tuple(e % n for e, n in zip(self.exps, self.group.orders))
-        )
+        self.group = group
+        self.exps = tuple(e % n for e, n in zip(exps, group.orders))
+
+    def __eq__(self, other):
+        if not isinstance(other, DirichletCharacter):
+            return NotImplemented
+        return (self.group, self.exps) == (other.group, other.exps)
+
+    def __hash__(self):
+        return hash((self.group, self.exps))
 
     def angle(self, a: int) -> int | None:
         """The k with chi(a) = e(k/L), L the group exponent; None when gcd(a, q) > 1."""
@@ -314,13 +320,12 @@ def nonvanishing_window_check(chi: DirichletCharacter, q2: int):
     q2 must sit in the window of chi (see window_moduli).
     Returns (ok, failures) where failures lists the r with a vanishing sum.
     """
-    if q2 not in window_moduli(chi):
-        if q2 < 1 or q2 > chi.group.q:
-            raise ValueError("bad window modulus")
-        c = chi.conductor()
-        raise ValueError(
-            f"q2={q2} outside the window: need {c} | q2 and q2 | {lcm(c, radical(chi.group.q))}"
-        )
+    if q2 < 1 or q2 > chi.group.q:
+        raise ValueError("bad window modulus")
+    c = chi.conductor()
+    top = lcm(c, radical(chi.group.q))
+    if q2 % c or top % q2:
+        raise ValueError(f"q2={q2} outside the window: need {c} | q2 and q2 | {top}")
     failures = vanishing_sums(chi, q2, [r for r in range(1, q2 + 1) if gcd(r, q2) == 1])
     return (not failures, failures)
 

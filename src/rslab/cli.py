@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from fractions import Fraction
 
 from . import funceq as fe
@@ -22,7 +23,7 @@ from . import langlands, matid, registry, twists
 from .arith import primes_up_to
 from .characters import char_group, gauss_beta
 from .coeffs import CoeffData, coefficient_rows
-from .euler import inverse_series, multiplicative
+from .euler import inverse_series
 from .matid import CosetContext, Mat
 from .scalars import EXACT, FLOAT
 
@@ -38,8 +39,8 @@ FUNCEQ_Q_MAX = 4 * 10**5
 # than linearly in N)
 COEFFS_N_MAX = 4 * 10**5
 # `twist --N` bound, the largest prime a rep file may list: with a file of all
-# 78,498 primes below 10^6, N = 10^5 takes 5 s and 109 MB on 2 vCPUs, 3*10^5
-# 10 s and 261 MB, 10^6 32 s and 835 MB
+# 78,498 primes below 10^6, N = 10^5 takes 3.6 s and 44 MB on 2 vCPUs, 3*10^5
+# 6.6 s and 57 MB, 10^6 17 s and 90 MB
 TWIST_N_MAX = langlands.REP_P_MAX
 # CosetContext tests p and p_prime for primality by trial division: 0.08 s
 # at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs
@@ -139,18 +140,22 @@ def parse_matrix2(text: str) -> Mat:
 # -- verify -------------------------------------------------------------------
 
 
-def _json_lines(records: list) -> str:
+def _json_lines(records) -> str:
     return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
 
 
-def _write(text: str, out_path: str | None) -> None:
-    """Write text to out_path, or to stdout when out_path is None."""
+def _write(text, out_path: str | None) -> None:
+    """Write text (a str, or an iterable of str chunks) to out_path, or to
+    stdout when out_path is None."""
+    chunks = (text,) if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         _die(f"cannot write {out_path}: {exc}")
 
@@ -239,7 +244,9 @@ def _gauss_records(q: int) -> list:
     return records
 
 
-def _twist_records(args) -> list:
+def _twist_coeffs(args) -> array:
+    """The twisted coefficients of n = 1..N as (re, im) pairs in one array;
+    exits 3 before anything is written if one overflows a float."""
     try:
         beta = Fraction(args.beta)
     except (ValueError, ZeroDivisionError):
@@ -258,15 +265,29 @@ def _twist_records(args) -> list:
             tables[p] = inverse_series(params[p], kmax, FLOAT)
     except ValueError as exc:
         _die(str(exc))
+    # a(n) = a(n / p^k) a(p^k) for the largest prime p of n, k = ord_p(n): the
+    # products `euler.multiplicative` takes, in its (ascending) order, so the
+    # same floats, with no n factorized (the cache would keep one entry per n)
+    top = array("i", [0]) * (n_max + 1)  # the largest prime factor of n
+    for p in tables:
+        top[p::p] = array("i", [p]) * (n_max // p)
     q_mod = beta.denominator
-    records = []
+    a = array("d", (0.0, 0.0))  # a(n) at 2n, 2n + 1
+    coeffs = array("d")
     for n in range(1, n_max + 1):
-        a_n = multiplicative(n, lambda p, k: tables[p][k], FLOAT)
+        if n == 1:
+            a_n = complex(1)
+        else:
+            p, m, k = top[n], n, 0
+            while m % p == 0:
+                m, k = m // p, k + 1
+            a_n = complex(a[2 * m], a[2 * m + 1]) * tables[p][k]
+        a.extend((a_n.real, a_n.imag))
         coeff = a_n * twists.unit_average(n * beta, q_mod, args.parity)
         if not cmath.isfinite(coeff):
             _die(f"coefficient a({n}) overflows a float")
-        records.append({"n": n, "coeff": [coeff.real, coeff.imag]})
-    return records
+        coeffs.extend((coeff.real, coeff.imag))
+    return coeffs
 
 
 def _check_q(q: int, bound: int) -> int:
@@ -280,8 +301,16 @@ def cmd_gauss(args) -> int:
     return 0
 
 
+def _twist_lines(coeffs: array):
+    """The JSON lines of the twisted coefficients, 4096 to a chunk."""
+    for lo in range(0, len(coeffs), 8192):
+        part = coeffs[lo : lo + 8192]
+        yield _json_lines({"n": (lo + i) // 2 + 1, "coeff": [part[i], part[i + 1]]}
+                          for i in range(0, len(part), 2))
+
+
 def cmd_twist(args) -> int:
-    _write(_json_lines(_twist_records(args)), args.out)
+    _write(_twist_lines(_twist_coeffs(args)), args.out)
     return 0
 
 

@@ -11,7 +11,6 @@ with lam_pair the coefficient of the expanded 6-factor product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -65,7 +64,6 @@ def modulus_convention_central(gammas, mode: str = EXACT):
     return g1 * g2
 
 
-@dataclass(frozen=True)
 class CoeffData:
     """Per-prime parameter tables for the pairing.
 
@@ -75,24 +73,23 @@ class CoeffData:
     coefficient at p reads all three.
     """
 
-    pi: Mapping[int, tuple]
-    tau: Mapping[int, tuple]
-    central: Mapping[int, object]
-    mode: str = EXACT
-    #: p -> the local tables at p, and the coerced parameter set -> the same
-    #: tables, so that primes with equal parameters share one
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("pi", "tau", "central", "mode", "_tables")
 
-    def __post_init__(self):
-        check_mode(self.mode)
-        for p, t in self.pi.items():
+    def __init__(self, pi: Mapping[int, tuple], tau: Mapping[int, tuple],
+                 central: Mapping[int, object], mode: str = EXACT):
+        check_mode(mode)
+        for p, t in pi.items():
             if len(t) != 3:
                 raise ValueError(f"pi needs 3 parameters at p={p}")
-        for p, t in self.tau.items():
+        for p, t in tau.items():
             if len(t) != 2:
                 raise ValueError(f"tau needs 2 parameters at p={p}")
-            if p not in self.central:
+            if p not in central:
                 raise ValueError(f"no central value supplied at p={p}")
+        self.pi, self.tau, self.central, self.mode = pi, tau, central, mode
+        #: p -> the local tables at p, and the coerced parameter set -> the same
+        #: tables, so that primes with equal parameters share one
+        self._tables: dict = {}
 
     @classmethod
     def constant(cls, alphas, gammas, n_max: int, mode: str = EXACT) -> "CoeffData":

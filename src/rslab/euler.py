@@ -7,6 +7,9 @@ a_p(0)=1, a_p(1), ...  Global series are assembled multiplicatively.
 The factor algebra (products, exact division) is exact: `EulerFactorPoly`
 holds `Fraction`s.  A float factor is only ever expanded, so it is never
 built as a polynomial: `inverse_series` takes its roots in either mode.
+Exact roots are split once into integers n_i over one denominator D
+(`scalars.split`); the product and the series then run on ints, and the
+X^k coefficient is the int one over D**k.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import cmath
 
 from .arith import factorize
-from .scalars import EXACT, coerce, one, zero
+from .scalars import EXACT, coerce, join, one, split, zero
 
 
 class NotDivisibleError(ArithmeticError):
@@ -25,19 +28,33 @@ class NotDivisibleError(ArithmeticError):
         self.remainder = remainder
 
 
-def _from_roots(roots, mode: str) -> list:
-    """The coefficients of prod_i (1 - r_i X); roots exactly 0 contribute nothing."""
-    coeffs = [one(mode)]
-    for r in roots:
-        r = coerce(r, mode)
+def _product(roots, mode: str):
+    """prod_i (1 - n_i Y) over the split roots n_i = D r_i, and D: its Y^k
+    coefficient over D**k is the X^k one of prod_i (1 - r_i X).  Roots
+    exactly 0 contribute nothing.  In float mode the roots are complex and
+    D is None."""
+    rs, d = split(roots, mode)
+    nil = zero(mode) if d is None else 0
+    coeffs = [one(mode) if d is None else 1]
+    for r in rs:
         if r == 0:
             continue
-        nxt = [zero(mode)] * (len(coeffs) + 1)
+        nxt = [nil] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i] += c
             nxt[i + 1] -= c * r
         coeffs = nxt
-    return coeffs
+    return coeffs, d
+
+
+def _joined(coeffs: list, d) -> list:
+    """c_k / D**k for each k, as Fractions; float coefficients as they are."""
+    return coeffs if d is None else [join(c, d, k) for k, c in enumerate(coeffs)]
+
+
+def _from_roots(roots, mode: str) -> list:
+    """The coefficients of prod_i (1 - r_i X); roots exactly 0 contribute nothing."""
+    return _joined(*_product(roots, mode))
 
 
 class EulerFactorPoly:
@@ -97,16 +114,17 @@ def inverse_series(roots, kmax: int, mode: str) -> list:
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    f = _from_roots(roots, mode)
-    if mode != EXACT and not all(cmath.isfinite(c) for c in f):
+    f, d = _product(roots, mode)
+    if d is None and not all(cmath.isfinite(c) for c in f):
         raise ValueError(f"coefficients must be finite, got {f!r}")
-    out = [one(mode)]
+    nil = zero(mode) if d is None else 0
+    out = [one(mode) if d is None else 1]
     for k in range(1, kmax + 1):
-        acc = zero(mode)
+        acc = nil
         for j in range(1, min(k, len(f) - 1) + 1):
             acc += f[j] * out[k - j]
         out.append(-acc)
-    return out
+    return _joined(out, d)
 
 
 def poly_divide_exact(f: EulerFactorPoly, g: EulerFactorPoly) -> EulerFactorPoly:

@@ -19,10 +19,10 @@ route was validated.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, log, pi
+from typing import NamedTuple
 
 from .arith import factorize
 from .characters import DirichletCharacter, dirichlet_root_number
@@ -210,8 +210,7 @@ def fe_residual_dirichlet(chi: DirichletCharacter, s: complex) -> float:
 # -- synthetic degree-6 product ----------------------------------------------
 
 
-@dataclass
-class SyntheticFEReport:
+class SyntheticFEReport(NamedTuple):
     eps: complex
     conductor: int
     residuals: list  # (s, relative residual)

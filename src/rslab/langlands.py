@@ -10,7 +10,6 @@ prime; `parse_rep_file` reads it into each prime's three float parameters
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, primes_up_to
@@ -26,7 +25,6 @@ REP_P_MAX = 10**6
 # -- twisted-Steinberg blocks ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class SteinbergBlock:
     """sigma_b(eta): a b-dimensional block twisted by a character eta.
 
@@ -35,14 +33,14 @@ class SteinbergBlock:
     hence b for the block).
     """
 
-    b: int
-    eta: object = 1
+    __slots__ = ("b", "eta")
 
-    def __post_init__(self):
-        if self.b < 1:
+    def __init__(self, b: int, eta: object = 1):
+        if b < 1:
             raise ValueError("block size must be >= 1")
-        if self.eta == 0:
+        if eta == 0:
             raise ValueError("eta must be a unit or None (ramified)")
+        self.b, self.eta = b, eta
 
     @property
     def ramified(self) -> bool:

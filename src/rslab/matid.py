@@ -10,10 +10,10 @@ entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .arith import frac_gcd, is_prime, xgcd
 
@@ -175,29 +175,26 @@ def lower_unipotent2(x) -> Mat:
 # -- coset reduction --------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CosetContext:
     """Fixes the target bottom-row slope alpha = q_prime * p_prime / p.
 
     p and p_prime are distinct primes with p coprime to q_prime."""
 
-    p: int
-    q_prime: int
-    p_prime: int
+    __slots__ = ("p", "q_prime", "p_prime")
 
-    def __post_init__(self):
-        if not is_prime(self.p) or not is_prime(self.p_prime):
+    def __init__(self, p: int, q_prime: int, p_prime: int):
+        if not is_prime(p) or not is_prime(p_prime):
             raise ValueError("p and p_prime must be prime")
-        if self.p == self.p_prime or self.q_prime % self.p == 0 or self.q_prime < 1:
+        if p == p_prime or q_prime % p == 0 or q_prime < 1:
             raise ValueError("need p distinct from p_prime and coprime to q_prime")
+        self.p, self.q_prime, self.p_prime = p, q_prime, p_prime
 
     @property
     def alpha(self) -> Fraction:
         return Fraction(self.q_prime * self.p_prime, self.p)
 
 
-@dataclass(frozen=True)
-class CanonicalCoset:
+class CanonicalCoset(NamedTuple):
     gamma1: Fraction
     gamma2: Fraction
     u: Mat
@@ -276,7 +273,6 @@ def verify_lower_unipotent_split(uval, wval) -> tuple[bool, tuple[Mat, Mat, Mat]
 # -- the 3x3 reflection identity --------------------------------------------
 
 
-@dataclass(frozen=True)
 class FactorizationInstance:
     """Integer data feeding the 3x3 identity.
 
@@ -284,27 +280,23 @@ class FactorizationInstance:
     v satisfies n*r*v = -1 mod q (v != 0); u = q*v*w for an integer w.
     a_j, a_k are nonzero scale parameters (1 in the rational setting)."""
 
-    q: int
-    n: int
-    r: int
-    v: int
-    w: int
-    a_j: Fraction = Fraction(1)
-    a_k: Fraction = Fraction(1)
+    __slots__ = ("q", "n", "r", "v", "w", "a_j", "a_k")
 
-    def __post_init__(self):
-        if self.q < 1 or self.n < 1:
+    def __init__(self, q: int, n: int, r: int, v: int, w: int,
+                 a_j: Fraction = Fraction(1), a_k: Fraction = Fraction(1)):
+        if q < 1 or n < 1:
             raise ValueError("q and n must be positive")
-        if gcd(self.n, self.q) != 1:
+        if gcd(n, q) != 1:
             raise ValueError("n must be coprime to q")
-        if self.q > 1 and gcd(self.r, self.q) != 1:
+        if q > 1 and gcd(r, q) != 1:
             raise ValueError("r must be coprime to q")
-        if (self.n * self.r * self.v + 1) % self.q != 0:
+        if (n * r * v + 1) % q != 0:
             raise ValueError("need n*r*v = -1 mod q")
-        if self.v == 0:
+        if v == 0:
             raise ValueError("v must be nonzero")
-        if self.a_j == 0 or self.a_k == 0:
+        if a_j == 0 or a_k == 0:
             raise ValueError("scale parameters must be nonzero")
+        self.q, self.n, self.r, self.v, self.w, self.a_j, self.a_k = q, n, r, v, w, a_j, a_k
 
     @classmethod
     def make_consistent(cls, q: int, n: int, r: int, w: int = 1,
@@ -331,8 +323,7 @@ class FactorizationInstance:
         return Mat([[1, Fraction(-self.u * self.q, self.v)], [0, 1]])
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     identity_ok: bool
     beta1_prime: Fraction
     beta2_prime: Fraction

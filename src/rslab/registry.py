@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isnan, nan, pi
+from typing import NamedTuple
 
 from . import characters, coeffs, funceq, langlands, matid, symfunc, twists
 from .characters import char_group
@@ -26,34 +26,30 @@ EULER_GAMMA = 0.5772156649015329
 CATALAN = 0.915965594177219
 
 
-@dataclass
 class RunConfig:
-    n_max: int = 200
-    p_max: int = 40
-    seed: int = 1729
-    inject_fault: str | None = None
+    __slots__ = ("n_max", "p_max", "seed", "inject_fault")
 
-    def __post_init__(self):
+    def __init__(self, n_max: int = 200, p_max: int = 40, seed: int = 1729,
+                 inject_fault: str | None = None):
         # the upper bounds are where `verify --suite doublesum` (n_max) and
         # `verify --suite gauss` (p_max) take about 50 s on 2 vCPUs
-        if not 10 <= self.n_max <= 10**5:
+        if not 10 <= n_max <= 10**5:
             raise ValueError("n_max must be in [10, 10^5]")
-        if not 5 <= self.p_max <= 350:
+        if not 5 <= p_max <= 350:
             raise ValueError("p_max must be in [5, 350]")
-        if self.inject_fault is not None and self.inject_fault not in FAULT_CAPABLE:
+        if inject_fault is not None and inject_fault not in FAULT_CAPABLE:
             raise ValueError(f"inject_fault must be one of: {', '.join(sorted(FAULT_CAPABLE))}")
+        self.n_max, self.p_max, self.seed, self.inject_fault = n_max, p_max, seed, inject_fault
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     suite: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named check.  `mode` names the routes whose comparisons decide its
     verdict: "exact" (integers, Fraction, cyclotomic), "float" (complex
     values against a tolerance) or "exact+float" (both, on every run)."""
@@ -62,7 +58,7 @@ class Check:
     suite: str
     mode: str
     description: str
-    runner: object = field(repr=False)
+    runner: object
 
 
 def _rand_fracs(rng: random.Random, k: int, nonzero: bool = False) -> tuple:

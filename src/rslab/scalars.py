@@ -6,6 +6,9 @@ Two modes, never mixed silently inside one computation:
 * ``"float"``  -- complex binary64.
 
 ``coerce`` is the one sanctioned boundary where values enter a mode.
+Exact kernels that are polynomial in their inputs run on integers: ``split``
+puts the inputs over one common denominator D, and ``join`` turns the
+integer result of degree k back into a Fraction over D**k.
 Exact roots of unity and their sums live in :mod:`rslab.cyclotomic`.
 """
 
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import lcm
 
 EXACT = "exact"
 FLOAT = "float"
@@ -33,12 +37,39 @@ def coerce(x, mode: str):
     """
     check_mode(mode)
     if mode == EXACT:
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, int):
             return Fraction(x)
         raise TypeError(f"cannot coerce {type(x).__name__} {x!r} into exact mode")
     if isinstance(x, (int, float, complex, Fraction)):
         return complex(x)
     raise TypeError(f"cannot coerce {type(x).__name__} {x!r} into float mode")
+
+
+def split(xs, mode: str):
+    """The values a kernel computes on, and their common denominator D.
+
+    Exact mode: integer numerators over D, the lcm of the denominators, so
+    x_i = n_i / D (a float raises TypeError, as in `coerce`).  Float mode:
+    complex values, and D is None.
+    """
+    check_mode(mode)
+    if mode != EXACT:
+        return [coerce(x, mode) for x in xs], None
+    xs = list(xs)
+    for x in xs:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot coerce {type(x).__name__} {x!r} into exact mode")
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def join(value, d, degree: int):
+    """A homogeneous polynomial of this degree in split inputs, from its
+    kernel value: over d**degree in exact mode (a negative degree only comes
+    with the value 0), complex when d is None."""
+    return complex(value) if d is None else Fraction(value, d ** max(degree, 0))
 
 
 def zero(mode: str):

@@ -9,37 +9,43 @@ In exact mode every public function splits its inputs once into integer
 numerators over one common denominator D (`_split`), runs on Python ints,
 and returns one `Fraction` over D**degree (`_join`); that is exact because
 each polynomial here is homogeneous.  The six-factor expansion the Cauchy
-checks compare against does not go through the split.
+checks compare against does not go through this module's split: `euler`
+splits the six products a_i g_j on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-
 from .euler import inverse_series
-from .scalars import EXACT, check_mode, coerce
+from .scalars import EXACT, coerce
+from .scalars import join as _join
+from .scalars import split as _split
 
 #: largest first row accepted by the tableau enumerator (keeps the search small)
 TABLEAU_ROW_LIMIT = 12
 
 
-@dataclass(frozen=True)
 class Partition3:
     """A partition with at most three parts."""
 
-    l1: int
-    l2: int = 0
-    l3: int = 0
+    __slots__ = ("l1", "l2", "l3")
 
-    def __post_init__(self):
-        if not (self.l1 >= self.l2 >= self.l3 >= 0):
+    def __init__(self, l1: int, l2: int = 0, l3: int = 0):
+        self.l1, self.l2, self.l3 = l1, l2, l3
+        if not (l1 >= l2 >= l3 >= 0):
             raise ValueError(f"parts must be weakly decreasing and nonnegative: {self}")
 
     @property
     def parts(self) -> tuple[int, int, int]:
         return (self.l1, self.l2, self.l3)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if isinstance(other, Partition3) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return f"Partition3(l1={self.l1!r}, l2={self.l2!r}, l3={self.l3!r})"
 
 
 def partitions3_of(d: int):
@@ -49,31 +55,6 @@ def partitions3_of(d: int):
             l3 = d - l1 - l2
             if 0 <= l3 <= l2:
                 yield Partition3(l1, l2, l3)
-
-
-def _split(xs, mode: str):
-    """The values the kernels compute on, and their common denominator D.
-
-    Exact mode: integer numerators over D, the lcm of the denominators, so
-    x_i = n_i / D (a float raises TypeError, as in `coerce`).  Float mode:
-    complex values, and D is None.
-    """
-    check_mode(mode)
-    if mode != EXACT:
-        return [coerce(x, mode) for x in xs], None
-    xs = list(xs)
-    for x in xs:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"cannot coerce {type(x).__name__} {x!r} into exact mode")
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
-def _join(value, d, degree: int):
-    """A homogeneous polynomial of this degree, from its kernel value: over
-    d**degree in exact mode (a negative degree only comes with the value 0),
-    complex when d is None."""
-    return complex(value) if d is None else Fraction(value, d ** max(degree, 0))
 
 
 def _split_pair(alphas, gammas, mode: str):

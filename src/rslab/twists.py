@@ -9,9 +9,9 @@ the plain multiplicative one, which is the decomposition checked here.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, pi, prod
+from typing import NamedTuple
 
 from .arith import factorize, radical, valuation
 from .characters import DirichletCharacter, gauss_beta, gauss_classical, window_moduli
@@ -63,17 +63,21 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
     if data.mode == EXACT:
         # conj(chi)(-r) = e(kz/big) on the units r, and as n r > 0 the term
         # lam * unit_average(n r / q) is lam/2 e(n r / q) + (-1)^a lam/2 e(-n r / q)
-        # (just lam e(n r / q) for q <= 2): fold both into one exponent map per n
+        # (just lam e(n r / q) for q <= 2): fold both into one exponent map per n.
+        # Both sides are taken times s = 2 den(lam) (den(lam) for q <= 2), so
+        # every weight is the int +-num(lam)
         big = lcm(q, chi.group.exponent)
         lift, step = big // chi.group.exponent, big // q
         angles = [(r, chibar.angle(-r)) for r in range(1, q + 1)]
         terms = [(r, k * lift) for r, k in angles if k is not None]
         tau = gauss_beta(chi, Fraction(1, q), EXACT)
+        halves = 1 if q <= 2 else 2
         for n in ns:
             lam = lambda_std(n, data)
-            plus = lam if q <= 2 else lam / 2
+            s = halves * lam.denominator
+            plus = lam.numerator
             minus = -plus if a else plus
-            weights: dict[int, Fraction] = {}
+            weights: dict[int, int] = {}
             for r, kz in terms:
                 shift = n * r * step
                 key = (kz + shift) % big
@@ -83,10 +87,10 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
                     weights[key] = weights.get(key, 0) + minus
             acc = CycloElement.from_exponents(big, weights)
             zn = chi.value(n)
-            lhs = CycloElement.zero() if zn is None else zn * (q * lam)
+            lhs = CycloElement.zero() if zn is None else zn * (q * halves * plus)
             diff = lhs - tau * acc
             scale = max(1.0, q * abs(complex(lam)))
-            out.append(0.0 if diff.is_zero() else abs(diff.to_complex()) / scale)
+            out.append(0.0 if diff.is_zero() else abs((diff * Fraction(1, s)).to_complex()) / scale)
         return out
     terms = [(r, chibar.value_complex(-r)) for r in range(1, q + 1) if gcd(r, q) == 1]
     tau = gauss_classical(chi, FLOAT)
@@ -103,8 +107,7 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
 # -- the assembled twisted series -------------------------------------------
 
 
-@dataclass
-class TwistedSeries:
+class TwistedSeries(NamedTuple):
     prefactor: object
     coeffs: list
     mode: str

@@ -8,6 +8,7 @@ from math import gcd, sqrt
 
 import pytest
 
+from rslab import characters
 from rslab.arith import divisors, euler_phi
 from rslab.characters import (
     addtomult_check,
@@ -302,6 +303,24 @@ def test_window_rejects_out_of_range():
     # q2 = 4 is not a divisor of lcm(1, rad 12) = 6
     with pytest.raises(ValueError):
         nonvanishing_window_check(chi0, 4)
+
+
+def test_window_membership_matches_window_moduli(monkeypatch):
+    """nonvanishing_window_check accepts exactly the q2 of window_moduli, for
+    every chi mod q <= 40 and 1 <= q2 <= q, and names the window otherwise."""
+    monkeypatch.setattr(characters, "vanishing_sums", lambda chi, m, rs: [])
+    for q in range(1, 41):
+        for chi in char_group(q).characters():
+            window = window_moduli(chi)
+            for q2 in range(1, q + 1):
+                if q2 in window:
+                    assert nonvanishing_window_check(chi, q2) == (True, [])
+                else:
+                    with pytest.raises(ValueError, match=f"q2={q2} outside the window"):
+                        nonvanishing_window_check(chi, q2)
+            for q2 in (0, q + 1):
+                with pytest.raises(ValueError, match="bad window modulus"):
+                    nonvanishing_window_check(chi, q2)
 
 
 def test_addtomult_residuals():

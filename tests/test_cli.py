@@ -4,11 +4,13 @@ needs nothing outside the standard library."""
 
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -438,6 +440,65 @@ def test_twist_float_overflow_exits_3(tmp_path, param, message):
     assert message in err
 
 
+def test_twist_prints_the_multiplicative_product_bit_for_bit(tmp_path):
+    """`twist` builds a(n) as a(n / p^k) a(p^k), p the largest prime of n;
+    that is the product `euler.multiplicative` takes, in the same order, so
+    every printed float (signed zeros included) is the one it gives."""
+    from rslab.arith import primes_up_to
+    from rslab.euler import inverse_series, multiplicative
+    from rslab.langlands import parse_rep_file
+    from rslab.scalars import FLOAT
+    from rslab.twists import unit_average
+
+    rng = random.Random(18)
+    scalars = ["-2,-0.0", "0.5,-0.0", "-0.0,-0.75", "1", "-1.5,0.25", "2e-3,-7"]
+    text = "".join(f"{p} 0 1 {' '.join(rng.choice(scalars) for _ in range(3))}\n"
+                   for p in primes_up_to(900))
+    rep = tmp_path / "mixed.rep"
+    rep.write_text(text)
+    params = parse_rep_file(text, 900)
+    tables = {p: inverse_series(params[p], 10, FLOAT) for p in params}
+    for beta, parity in ((Fraction(2, 7), 1), (Fraction(0), 0)):
+        code, out, err = run_cli("twist", "--pi-file", str(rep), f"--beta={beta}",
+                                 "--N", "900", "--parity", str(parity))
+        assert code == 0, err
+        want = [
+            multiplicative(n, lambda p, k: tables[p][k], FLOAT)
+            * unit_average(n * beta, beta.denominator, parity)
+            for n in range(1, 901)
+        ]
+        assert out == "".join(
+            json.dumps({"n": n, "coeff": [c.real, c.imag]}, separators=(",", ":")) + "\n"
+            for n, c in enumerate(want, 1))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_twist_memory_stays_flat_in_n(tmp_path):
+    """`twist` keeps its coefficients as packed floats, writes its lines in
+    chunks and factorizes no n, so --N 100000 peaks within 16 MB of --N 1
+    (no per-n record, full JSON text or factorization cache entry stays)."""
+    from rslab.arith import primes_up_to
+
+    rep = tmp_path / "primes.rep"
+    rep.write_text("".join(f"{p} 0 1 0.5 0.25,0.5 -0.3\n" for p in primes_up_to(10**5)))
+    probe = (
+        "import resource, subprocess, sys; "
+        "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+
+    def peak_kb(n: str) -> int:
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, sys.executable, "-m", "rslab.cli", "twist",
+             "--pi-file", str(rep), "--beta", "1/4", "--N", n],
+            capture_output=True, text=True, timeout=120, env=_env_with_src(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    assert peak_kb("100000") - peak_kb("1") < 16 * 1024
+
+
 @pytest.mark.parametrize("beta, parity, want", [
     # float(1e400) overflows, and float(10^20) has lost 10^20 mod 1
     ("1e400", "0", [1.0, 0.0]),
@@ -712,6 +773,30 @@ def test_import_loads_only_the_standard_library():
     loaded = {name.split(".")[0] for name in proc.stdout.split()}
     assert "rslab" in loaded
     assert loaded - {"rslab"} <= set(sys.stdlib_module_names), sorted(loaded)
+
+
+def _modules_after(imports: str) -> set:
+    """The modules a fresh interpreter holds after `import sys, <imports>`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {imports}; print(' '.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_env_with_src(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cold_start_loads_neither_dataclasses_nor_inspect():
+    """A cold `rslab` start does not pay for `dataclasses`, nor for the
+    `inspect` it loads (about 7 ms of a 230 ms `verify`), unless the
+    standard-library modules rslab uses load `inspect` on this Python."""
+    cold = _modules_after("rslab, rslab.cli")
+    assert "rslab.cli" in cold
+    assert "dataclasses" not in cold
+    if "inspect" not in _modules_after("fractions, argparse, json, random, typing, cmath"):
+        assert "inspect" not in cold
 
 
 def test_public_names_resolve():

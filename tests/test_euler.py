@@ -7,11 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rslab.arith import primes_up_to
 from rslab.euler import (
     EulerFactorPoly,
     NotDivisibleError,
+    _from_roots,
     inverse_series,
     multiplicative,
     poly_divide_exact,
@@ -26,6 +29,47 @@ def test_from_roots_inverse():
     f = EulerFactorPoly.from_roots_inverse([Fraction(2), Fraction(3)])
     assert f.coeffs == (Fraction(1), Fraction(-5), Fraction(6))
     assert f.degree == 2
+
+
+def _product_oracle(roots) -> list:
+    """prod_i (1 - r_i X) on Fractions, skipping the roots that are 0."""
+    coeffs = [Fraction(1)]
+    for r in map(Fraction, roots):
+        if r:
+            coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def _series_oracle(roots, kmax: int) -> list:
+    """1 / prod_i (1 - r_i X) to X^kmax as the product of the geometric
+    series sum_k r_i^k X^k, on Fractions."""
+    out = [Fraction(1)] + [Fraction(0)] * kmax
+    for r in map(Fraction, roots):
+        geo = [r**k for k in range(kmax + 1)]
+        out = [sum(out[i] * geo[k - i] for i in range(k + 1)) for k in range(kmax + 1)]
+    return out
+
+
+_root = st.one_of(
+    st.integers(-12, 12),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36)),
+    st.just(Fraction(0)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(roots=st.lists(_root, max_size=6), kmax=st.integers(0, 9))
+def test_integer_kernel_matches_a_fraction_oracle(roots, kmax):
+    """The exact product and series run on integer numerators over one
+    denominator D; each coefficient must come back as the Fraction over the
+    right power of D, with no slot for a root that is 0."""
+    want = _product_oracle(roots)
+    got = _from_roots(roots, EXACT)
+    assert got == want and all(type(c) is Fraction for c in got)
+    assert EulerFactorPoly.from_roots_inverse(roots).coeffs == tuple(want)
+    series = inverse_series(roots, kmax, EXACT)
+    assert series == _series_oracle(roots, kmax)
+    assert all(type(c) is Fraction for c in series)
 
 
 def test_poly_mul_matches_direct_expansion():
