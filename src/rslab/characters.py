@@ -314,6 +314,12 @@ def window_moduli(chi: DirichletCharacter) -> list[int]:
     return [d for d in divisors(lcm(c, radical(chi.group.q))) if d % c == 0]
 
 
+def in_window(chi: DirichletCharacter, q2: int) -> bool:
+    """Whether q2 is in the window of chi, by the two divisibilities."""
+    c = chi.conductor()
+    return q2 >= 1 and q2 % c == 0 and lcm(c, radical(chi.group.q)) % q2 == 0
+
+
 def nonvanishing_window_check(chi: DirichletCharacter, q2: int):
     """Exact nonvanishing of tau_q(chi, r/q2) over all r coprime to q2.
 
@@ -322,9 +328,9 @@ def nonvanishing_window_check(chi: DirichletCharacter, q2: int):
     """
     if q2 < 1 or q2 > chi.group.q:
         raise ValueError("bad window modulus")
-    c = chi.conductor()
-    top = lcm(c, radical(chi.group.q))
-    if q2 % c or top % q2:
+    if not in_window(chi, q2):
+        c = chi.conductor()
+        top = lcm(c, radical(chi.group.q))
         raise ValueError(f"q2={q2} outside the window: need {c} | q2 and q2 | {top}")
     failures = vanishing_sums(chi, q2, [r for r in range(1, q2 + 1) if gcd(r, q2) == 1])
     return (not failures, failures)

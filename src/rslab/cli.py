@@ -3,8 +3,7 @@
 Subcommands: verify, coeffs, gauss, twist, reduce, funceq.  Each takes only
 the options it reads.  Exit codes: 0 on success, 2 when a verification
 check fails, 3 on bad input or configuration, or when the output cannot be
-written.  The RS_LAB_SEED environment variable overrides the config-file
-seed; command-line flags override both.
+written.  `verify` takes its seed and size bounds from its flags alone.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .euler import inverse_series
 from .matid import CosetContext, Mat
 from .scalars import EXACT, FLOAT
 
-CONFIG_KEYS = ("n_max", "p_max", "seed")
 # --q bounds where the command takes about a minute on 2 vCPUs; a prime q
 # costs most: `gauss --q 223` takes 59 s (phi(q)^2 sums of q terms), and
 # `funceq --q 399989 --chi-index 1` 58 s (q Hurwitz zeta values per point,
@@ -39,8 +37,8 @@ FUNCEQ_Q_MAX = 4 * 10**5
 # than linearly in N)
 COEFFS_N_MAX = 4 * 10**5
 # `twist --N` bound, the largest prime a rep file may list: with a file of all
-# 78,498 primes below 10^6, N = 10^5 takes 3.6 s and 44 MB on 2 vCPUs, 3*10^5
-# 6.6 s and 57 MB, 10^6 17 s and 90 MB
+# 78,498 primes below 10^6, N = 10 takes 0.5 s and 43 MB on 2 vCPUs, 10^5
+# 2.4-2.9 s and 44 MB, 3*10^5 6.3-6.9 s and 54 MB, 10^6 17-19 s and 88 MB
 TWIST_N_MAX = langlands.REP_P_MAX
 # CosetContext tests p and p_prime for primality by trial division: 0.08 s
 # at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs
@@ -78,36 +76,10 @@ def _read_text(path: str) -> str:
         _die(f"cannot read {path}: {exc}")
 
 
-def read_config(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment."""
-    out = {}
-    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            _die(f"{path}:{ln}: expected key=value")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            _die(f"{path}:{ln}: unknown key {key!r} (allowed: {', '.join(CONFIG_KEYS)})")
-        out[key] = val
-    return out
-
-
-def _resolve_config(args) -> registry.RunConfig:
-    """The config file's knobs, overridden by RS_LAB_SEED, overridden by the
-    flags; a knob none of them sets keeps its RunConfig default."""
-    knobs = read_config(args.config) if args.config else {}
-    env_seed = os.environ.get("RS_LAB_SEED")
-    if env_seed is not None:
-        knobs["seed"] = env_seed
-    for key in CONFIG_KEYS:
-        if getattr(args, key) is not None:
-            knobs[key] = getattr(args, key)
-    try:
-        knobs = {key: int(value) for key, value in knobs.items()}
-    except ValueError:
-        _die("seed, n_max and p_max must be integers")
+def _run_config(args) -> registry.RunConfig:
+    """The flags' knobs; a flag not given keeps its RunConfig default."""
+    knobs = {key: getattr(args, key) for key in ("n_max", "p_max", "seed")
+             if getattr(args, key) is not None}
     try:
         return registry.RunConfig(**knobs, inject_fault=args.inject_fault)
     except ValueError as exc:
@@ -161,7 +133,7 @@ def _write(text, out_path: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _run_config(args)
     try:
         results = registry.run_suite(args.suite, cfg)
     except ValueError as exc:
@@ -378,19 +350,14 @@ def cmd_funceq(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
-def _add_common(p: _Parser):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, help="seed for randomized checks")
-    p.add_argument("--n-max", type=int, dest="n_max", help="truncation for coefficient checks")
-    p.add_argument("--p-max", type=int, dest="p_max", help="modulus bound for character checks")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="rslab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", parents=[], help="run a verification suite")
-    _add_common(pv)
+    pv = sub.add_parser("verify", help="run a verification suite")
+    pv.add_argument("--seed", type=int, help="seed for randomized checks")
+    pv.add_argument("--n-max", type=int, dest="n_max", help="truncation for coefficient checks")
+    pv.add_argument("--p-max", type=int, dest="p_max", help="modulus bound for character checks")
     pv.add_argument("--suite", default="all", help="one of: all, " + ", ".join(registry.SUITES))
     pv.add_argument("--json", action="store_true", help="JSON lines to stdout instead of a table")
     pv.add_argument("--out", help="also write JSON lines to this file")

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import is_prime, primes_up_to
+from .arith import primes_up_to
 from .euler import EulerFactorPoly, poly_divide_exact
 from .scalars import EXACT, coerce, parse_scalar
 
 #: the largest prime a rep file may list: `twist --N` is at most this, so no
-#: line above it can enter a series, and the trial-division primality test
-#: stays cheap on every line it reaches
+#: line above it can enter a series, and the primality sieve stays small
 REP_P_MAX = 10**6
 
 
@@ -96,7 +95,8 @@ def parse_rep_file(text: str, n_max: int) -> dict:
     as a plain real.  The conductor exponent m and the root number are
     checked for consistency (m >= 0; m = 0 needs nonzero parameters and
     root 1) but not returned.  Every prime up to n_max must be listed, and
-    no p above REP_P_MAX may be.
+    no p above REP_P_MAX may be.  Each listed p must be prime: that is
+    decided last, against one sieve up to the largest p listed.
     """
     params: dict[int, tuple] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -117,8 +117,6 @@ def parse_rep_file(text: str, n_max: int) -> dict:
             raise ValueError(
                 f"line {lineno}: p = {p} is above {REP_P_MAX}, the largest a rep file may list"
             )
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if m < 0:
             raise ValueError("conductor exponent must be >= 0")
         if m == 0:
@@ -127,7 +125,12 @@ def parse_rep_file(text: str, n_max: int) -> dict:
             if root != 1:
                 raise ValueError("an unramified component has root number 1")
         params[p] = local
-    missing = [p for p in primes_up_to(n_max) if p not in params]
+    primes = primes_up_to(max([n_max, *params]))
+    prime_set = set(primes)
+    composite = next((p for p in params if p not in prime_set), None)
+    if composite is not None:
+        raise ValueError(f"{composite} is not prime")
+    missing = [p for p in primes if p <= n_max and p not in params]
     if missing:
         raise ValueError(f"missing local data at primes {missing[:10]}")
     return params

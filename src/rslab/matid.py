@@ -1,5 +1,8 @@
 """Exact rational matrices, coset reduction, and two matrix factorizations.
 
+Matrices multiply at any shape; determinant and inverse are the 2x2 closed
+forms, as every matrix they meet here is 2x2.
+
 The reduction writes any invertible 2x2 rational matrix M as
 u * M * g = [[g1*g2, 0], [g1*alpha, g1]] with u upper unipotent, g an
 integral matrix of determinant +-1, and g1, g2 > 0 uniquely determined.
@@ -99,48 +102,22 @@ class Mat:
         return hash((self.den, self.num))
 
     def det(self) -> Fraction:
-        """Bareiss' fraction-free elimination on the numerators: every
-        division is exact, and det = det(num) / den^n."""
-        n, m = self.shape
-        if n != m:
-            raise ValueError("determinant needs a square matrix")
-        a = [list(r) for r in self.num]
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            piv = next((r for r in range(k, n) if a[r][k]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            akk, rk = a[k][k], a[k]
-            for r in range(k + 1, n):
-                ar, ark = a[r], a[r][k]
-                for c in range(k + 1, n):
-                    ar[c] = (akk * ar[c] - ark * rk[c]) // prev
-            prev = akk
-        return Fraction(sign * a[n - 1][n - 1], self.den**n)
+        """ad - bc over den^2, for a 2x2 matrix only."""
+        if self.shape != (2, 2):
+            raise ValueError("det needs a 2x2 matrix")
+        (a, b), (c, d) = self.num
+        return Fraction(a * d - b * c, self.den**2)
 
     def inverse(self) -> "Mat":
-        """Fraction-free Gauss-Jordan on [num | I]: it ends at [d I | d num^-1]
-        with d = +-det(num), so the inverse is den * (d num^-1) / d."""
-        n, m = self.shape
-        if n != m:
-            raise ValueError("inverse needs a square matrix")
-        a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.num)]
-        prev = 1
-        for k in range(n):
-            piv = next((r for r in range(k, n) if a[r][k]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            a[k], a[piv] = a[piv], a[k]
-            akk, rk = a[k][k], a[k]
-            for r in range(n):
-                if r != k:
-                    ar, ark = a[r], a[r][k]
-                    a[r] = [(akk * x - ark * y) // prev for x, y in zip(ar, rk)]
-            prev = akk
-        return Mat._make([[self.den * x for x in r[n:]] for r in a], prev)
+        """den * [[d, -b], [-c, a]] / (ad - bc) on the numerators, for a 2x2
+        matrix only."""
+        if self.shape != (2, 2):
+            raise ValueError("inverse needs a 2x2 matrix")
+        (a, b), (c, d) = self.num
+        det, s = a * d - b * c, self.den
+        if det == 0:
+            raise ZeroDivisionError("matrix is singular")
+        return Mat._make([[s * d, -s * b], [-s * c, s * a]], det)
 
     def is_integral(self) -> bool:
         return self.den == 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
-from math import isnan, nan, pi
+from math import gcd, isnan, nan, pi
 from typing import NamedTuple
 
 from . import characters, coeffs, funceq, langlands, matid, symfunc, twists
@@ -111,7 +111,7 @@ def _run_two_row(cfg: RunConfig, rng: random.Random):
         sets.append((_rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True)))
     count = 0
     for alphas, gammas in sets:
-        res = symfunc.cauchy_two_row_check(alphas, gammas, 8, EXACT)
+        res = symfunc.cauchy_check(alphas, gammas, 8, EXACT)
         if any(r != 0 for r in res):
             return False, f"nonzero residual for {alphas}, {gammas}"
         count += len(res)
@@ -487,8 +487,6 @@ def _run_matid_anchor(cfg: RunConfig, rng: random.Random):
 
 
 def _run_matid_random(cfg: RunConfig, rng: random.Random):
-    from math import gcd
-
     count = 0
     for _ in range(20):
         q = rng.choice([2, 3, 4, 5, 7, 9])
@@ -529,10 +527,8 @@ def _run_conductor(cfg: RunConfig, rng: random.Random):
 
 
 def _run_hurwitz_anchors(cfg: RunConfig, rng: random.Random):
-    import math
-
     checks = [
-        ("zeta(2)", abs(funceq.hurwitz_zeta(2, 1.0) - math.pi**2 / 6)),
+        ("zeta(2)", abs(funceq.hurwitz_zeta(2, 1.0) - pi**2 / 6)),
         ("zeta(0, a)", abs(funceq.hurwitz_zeta(0, 0.3) - 0.2)),
         ("regularized value at 1", abs(funceq.hurwitz_zeta_star(1, 1.0) - EULER_GAMMA)),
     ]
@@ -577,8 +573,6 @@ def _run_synthetic_fe(cfg: RunConfig, rng: random.Random):
 
 
 def _run_fe_root_modulus(cfg: RunConfig, rng: random.Random):
-    from math import gcd
-
     errs = []
     for q in (5, 7, 8):
         for chi in _primitive_chars(q)[:3]:

@@ -8,9 +8,9 @@ enumerates semistandard tableaux.  Tests compare them pointwise.
 In exact mode every public function splits its inputs once into integer
 numerators over one common denominator D (`_split`), runs on Python ints,
 and returns one `Fraction` over D**degree (`_join`); that is exact because
-each polynomial here is homogeneous.  The six-factor expansion the Cauchy
-checks compare against does not go through this module's split: `euler`
-splits the six products a_i g_j on its own.
+each polynomial here is homogeneous.  The six-factor expansion that
+`cauchy_check` compares against does not go through this module's split:
+`euler` splits the six products a_i g_j on its own.
 """
 
 from __future__ import annotations
@@ -236,19 +236,6 @@ def schur_two_row(a: int, b: int, g1, g2, mode: str = EXACT):
     return _join(_two_row(a, b, g1, g2, d is not None), d, a + b)
 
 
-def _six_factor_expansion(alphas, gammas, kmax: int, mode: str):
-    """Power-series coefficients of prod_{i,j} (1 - a_i g_j X)^(-1) up to X^kmax."""
-    return inverse_series([ai * gj for ai in alphas for gj in gammas], kmax, mode)
-
-
-def _expansion_side(alphas, gammas, kmax: int, mode: str):
-    """The parameters coerced, and the six-factor expansion on them: the side
-    of the Cauchy checks that does not go through `_split`."""
-    a = [coerce(x, mode) for x in alphas]
-    g = [coerce(x, mode) for x in gammas]
-    return a, g, _six_factor_expansion(a, g, kmax, mode)
-
-
 def cauchy_check(alphas, gammas, kmax: int, mode: str = EXACT):
     """Gradewise residuals of the Cauchy identity for 3 x 2 variables.
 
@@ -256,7 +243,9 @@ def cauchy_check(alphas, gammas, kmax: int, mode: str = EXACT):
     sum over two-row partitions (l1, l2) of size d of s_lam(a) * s_lam(g).
     Returns the list of residuals for d = 0..kmax.
     """
-    a, g, lhs = _expansion_side(alphas, gammas, kmax, mode)
+    a = [coerce(x, mode) for x in alphas]
+    g = [coerce(x, mode) for x in gammas]
+    lhs = inverse_series([ai * gj for ai in a for gj in g], kmax, mode)
     a, (g1, g2), dd = _split_pair(a, g, mode)
     exact = dd is not None
     residuals = []
@@ -269,28 +258,3 @@ def cauchy_check(alphas, gammas, kmax: int, mode: str = EXACT):
             rhs += _schur3(Partition3(l1, l2, 0), a, exact) * _two_row(l1, l2, g1, g2, exact)
         residuals.append(lhs[d] - _join(rhs, dd, d))
     return residuals
-
-
-def _two_row_sum(k: int, a, g1, g2, exact: bool):
-    acc = 0
-    for k1 in range(k // 2 + 1):
-        k2 = k - 2 * k1
-        acc += _schur3(Partition3(k1 + k2, k1, 0), a, exact) * (g1 * g2) ** k1 * _gl2(k2, g1, g2, exact)
-    return acc
-
-
-def two_row_coeff(k: int, alphas, gammas, mode: str = EXACT):
-    """sum over 2*k1 + k2 = k of s_(k1+k2, k1, 0)(a) * (g1 g2)^k1 * h_k2(g).
-
-    The reindexing lam = (k1 + k2, k1) of the two-row Cauchy sum in degree k.
-    """
-    a, (g1, g2), dd = _split_pair(alphas, gammas, mode)
-    return _join(_two_row_sum(k, a, g1, g2, dd is not None), dd, k)
-
-
-def cauchy_two_row_check(alphas, gammas, kmax: int, mode: str = EXACT):
-    """Residuals of the reindexed (k1, k2) form against the 6-factor expansion."""
-    a, g, lhs = _expansion_side(alphas, gammas, kmax, mode)
-    a, (g1, g2), dd = _split_pair(a, g, mode)
-    return [lhs[k] - _join(_two_row_sum(k, a, g1, g2, dd is not None), dd, k)
-            for k in range(kmax + 1)]

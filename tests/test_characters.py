@@ -8,7 +8,7 @@ from math import gcd, sqrt
 
 import pytest
 
-from rslab import characters
+from rslab import characters, twists
 from rslab.arith import divisors, euler_phi
 from rslab.characters import (
     addtomult_check,
@@ -306,8 +306,9 @@ def test_window_rejects_out_of_range():
 
 
 def test_window_membership_matches_window_moduli(monkeypatch):
-    """nonvanishing_window_check accepts exactly the q2 of window_moduli, for
-    every chi mod q <= 40 and 1 <= q2 <= q, and names the window otherwise."""
+    """nonvanishing_window_check and assemble_twisted_series's validation
+    accept exactly the q2 of window_moduli, for every chi mod q <= 40 and
+    1 <= q2 <= q, and name the window otherwise."""
     monkeypatch.setattr(characters, "vanishing_sums", lambda chi, m, rs: [])
     for q in range(1, 41):
         for chi in char_group(q).characters():
@@ -315,12 +316,17 @@ def test_window_membership_matches_window_moduli(monkeypatch):
             for q2 in range(1, q + 1):
                 if q2 in window:
                     assert nonvanishing_window_check(chi, q2) == (True, [])
+                    twists._validate_window(chi, q, q2)  # q1 = q is always admissible
                 else:
                     with pytest.raises(ValueError, match=f"q2={q2} outside the window"):
                         nonvanishing_window_check(chi, q2)
+                    with pytest.raises(ValueError, match=f"q2={q2} violates"):
+                        twists._validate_window(chi, q, q2)
             for q2 in (0, q + 1):
                 with pytest.raises(ValueError, match="bad window modulus"):
                     nonvanishing_window_check(chi, q2)
+                with pytest.raises(ValueError, match=f"q2={q2} violates"):
+                    twists._validate_window(chi, q, q2)
 
 
 def test_addtomult_residuals():

@@ -1,6 +1,6 @@
-"""End-to-end command-line behavior: exit codes, JSON output, config and
-seed precedence, the table formats, the console script, and a package that
-needs nothing outside the standard library."""
+"""End-to-end command-line behavior: exit codes, JSON output, verify's
+knobs read from its flags alone, the table formats, the console script, and
+a package that needs nothing outside the standard library."""
 
 import json
 import os
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from rslab.cli import main, read_config
+from rslab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,19 +88,13 @@ def _failing_records(out: str) -> list:
     return [rec for rec in map(json.loads, out.splitlines()) if not rec["ok"]]
 
 
-@pytest.mark.parametrize("source", ["flags", "config file and environment"])
-def test_reproduce_line_reproduces(tmp_path, source):
+@pytest.mark.parametrize("source", ["flags", "defaults"])
+def test_reproduce_line_reproduces(source):
     """The printed command, run as it stands, fails the same way: it carries
-    the effective seed, n_max, p_max and fault wherever they came from."""
-    if source == "flags":
-        argv, env = ["--n-max", "60", "--p-max", "20", "--seed", "5"], None
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_max = 60\np_max = 20\n")
-        argv, env = ["--config", str(cfg)], {"RS_LAB_SEED": "5"}
+    the effective seed, n_max, p_max and fault, given as flags or not."""
+    argv = ["--n-max", "60", "--p-max", "20", "--seed", "5"] if source == "flags" else []
     code, out, err = run_cli(
-        "verify", "--suite", "doublesum", "--json", "--inject-fault", "doublesum-random",
-        *argv, env=env,
+        "verify", "--suite", "doublesum", "--json", "--inject-fault", "doublesum-random", *argv,
     )
     assert code == 2
     line = next(ln for ln in err.splitlines() if ln.startswith("reproduce: "))
@@ -140,15 +134,10 @@ def test_verify_honours_n_max():
     assert "n <= 300" in details["standardcoeff"]
 
 
-def test_verify_rejects_n_max_above_bound(tmp_path):
-    too_big = str(10**5 + 1)
-    code, _, err = run_cli("verify", "--suite", "doublesum", "--n-max", too_big)
+def test_verify_rejects_n_max_above_bound():
+    code, _, err = run_cli("verify", "--suite", "doublesum", "--n-max", str(10**5 + 1))
     assert code == 3
     assert "n_max" in err
-    cfgfile = tmp_path / "rs.cfg"
-    cfgfile.write_text(f"n_max={too_big}\n")
-    code, _, err = run_cli("verify", "--suite", "doublesum", "--config", str(cfgfile))
-    assert code == 3
 
 
 def test_verify_honours_p_max():
@@ -162,14 +151,10 @@ def test_verify_honours_p_max():
     assert counts == {"40": "284 primitive characters", "50": "470 primitive characters"}
 
 
-def test_verify_rejects_p_max_above_bound(tmp_path):
+def test_verify_rejects_p_max_above_bound():
     code, out, err = run_cli("verify", "--suite", "gauss", "--p-max", "351")
     assert (code, out) == (3, "")
     assert "p_max" in err
-    cfgfile = tmp_path / "rs.cfg"
-    cfgfile.write_text("p_max=351\n")
-    code, out, _ = run_cli("verify", "--suite", "gauss", "--config", str(cfgfile))
-    assert (code, out) == (3, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,27 +194,12 @@ def test_verify_rejects_bad_suite():
     assert code == 3
 
 
-def test_verify_seed_precedence_cli_over_env(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("seed=99\nn_max=60\np_max=20\n")
-    # config file supplies 99 ...
-    code, out, _ = run_cli(
-        "verify", "--suite", "cauchy", "--json", "--config", str(cfgfile)
-    )
+def test_verify_ignores_rs_lab_seed():
+    """The seed comes from --seed alone: with RS_LAB_SEED set, the default
+    battery still prints the seed-1729 records byte for byte."""
+    code, out, _ = run_cli("verify", "--suite", "all", "--json", env={"RS_LAB_SEED": "5"})
     assert code == 0
-    assert json.loads(out.splitlines()[0])["seed"] == 99
-    # ... env var beats config ...
-    code, out, _ = run_cli(
-        "verify", "--suite", "cauchy", "--json", "--config", str(cfgfile),
-        env={"RS_LAB_SEED": "123"},
-    )
-    assert json.loads(out.splitlines()[0])["seed"] == 123
-    # ... and the explicit flag beats both
-    code, out, _ = run_cli(
-        "verify", "--suite", "cauchy", "--json", "--config", str(cfgfile),
-        "--seed", "7", env={"RS_LAB_SEED": "123"},
-    )
-    assert json.loads(out.splitlines()[0])["seed"] == 7
+    assert out.encode() == (ROOT / "tests" / "golden" / "verify_seed1729.jsonl").read_bytes()
 
 
 #: each table command's own options, each with a valid value; --out is common to all
@@ -253,7 +223,8 @@ FOREIGN_OPTIONS = [
     *FOREIGN_OPTIONS,
 ], ids=" ".join)
 def test_option_the_command_does_not_read_exits_3(tmp_path, monkeypatch, argv):
-    """No command takes an option, config key or subcommand it would ignore."""
+    """No command takes an option or subcommand it would ignore; verify has
+    no config file, so --config is one of them."""
     monkeypatch.chdir(tmp_path)
     _write_rep(tmp_path)
     (tmp_path / "mode.cfg").write_text("mode=float\n")
@@ -267,20 +238,6 @@ def test_table_commands_run_with_their_own_options(tmp_path, monkeypatch):
     for command, own in TABLE_OPTIONS.items():
         code, out, err = run_cli(command, *(w for item in own.items() for w in item))
         assert code == 0 and out, (command, err)
-
-
-def test_read_config_rejects_unknown_keys(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("volume=11\n")
-    code, _, err = run_cli("verify", "--config", str(bad))
-    assert code == 3
-
-
-def test_config_comments_and_blanks(tmp_path):
-    f = tmp_path / "c.cfg"
-    f.write_text("# comment line\n\nseed=3\n")
-    cfg = read_config(str(f))
-    assert cfg == {"seed": "3"}
 
 
 def test_gauss_output_shape():
@@ -403,15 +360,12 @@ def test_twist_requires_pi_file():
     assert code == 3
 
 
-@pytest.mark.parametrize("command", ["twist", "verify"])
+@pytest.mark.parametrize("command", ["twist"])
 def test_file_that_is_not_utf8_exits_3(tmp_path, command):
+    """`twist --pi-file` is the one option that reads a file."""
     bad = tmp_path / "bad"
     bad.write_bytes(b"2 0 1 1 1 \xff\xfe\n")
-    argv = {
-        "twist": ("twist", "--pi-file", str(bad), "--beta", "1/4", "--N", "2"),
-        "verify": ("verify", "--suite", "cauchy", "--config", str(bad)),
-    }[command]
-    code, out, err = run_cli(*argv)
+    code, out, err = run_cli(command, "--pi-file", str(bad), "--beta", "1/4", "--N", "2")
     assert (code, out) == (3, "")
     assert "cannot read" in err
 
@@ -518,8 +472,7 @@ def test_twist_huge_integer_beta_prints_the_exact_value(tmp_path, beta, parity, 
 
 def test_twist_rejects_a_huge_prime_fast(tmp_path):
     """A line above the largest --N can enter no series, so it is refused
-    before its primality test: trial division on this 31-digit prime ran
-    for more than 20 s."""
+    by its size, before any primality test (the sieve would run to p)."""
     rep = tmp_path / "pi.rep"
     rep.write_text("1000000000000000000000000000057 0 1 1 1 1\n")
     start = time.perf_counter()
@@ -527,6 +480,16 @@ def test_twist_rejects_a_huge_prime_fast(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert "is above 1000000" in err
+
+
+def test_twist_rejects_a_composite_above_n(tmp_path):
+    """Every listed p is tested for primality, also one above --N that no
+    coefficient reads."""
+    rep = tmp_path / "pi.rep"
+    rep.write_text("2 0 1 1 1 1\n3 0 1 1 1 1\n999999 0 1 1 1 1\n")
+    code, out, err = run_cli("twist", "--pi-file", str(rep), "--beta", "1/4", "--N", "3")
+    assert (code, out) == (3, "")
+    assert "999999 is not prime" in err
 
 
 def test_reduce_command():

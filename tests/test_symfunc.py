@@ -14,7 +14,6 @@ from rslab.scalars import EXACT, FLOAT
 from rslab.symfunc import (
     Partition3,
     cauchy_check,
-    cauchy_two_row_check,
     complete_homogeneous,
     elementary_symmetric,
     partitions3_of,
@@ -24,7 +23,6 @@ from rslab.symfunc import (
     schur3_tableau,
     schur_gl2,
     schur_two_row,
-    two_row_coeff,
 )
 
 
@@ -139,16 +137,6 @@ def test_cauchy_check_float():
     assert max(abs(r) for r in residuals) < 1e-12
 
 
-def test_two_row_coeff_and_check():
-    rng = random.Random(104)
-    alphas = _rand_fracs(rng, 3)
-    gammas = _rand_fracs(rng, 2)
-    residuals = cauchy_two_row_check(alphas, gammas, kmax=8, mode=EXACT)
-    assert all(r == 0 for r in residuals)
-    # two_row_coeff at degree 0 is 1
-    assert two_row_coeff(0, alphas, gammas, EXACT) == 1
-
-
 def test_partition3_validation():
     with pytest.raises(ValueError):
         Partition3(1, 2, 0)
@@ -224,19 +212,13 @@ def test_exact_values_match_a_fraction_oracle(alphas, gammas, lam, k):
     _exact(schur3_tableau(lam, alphas, EXACT), want)
     if len(set(xs)) == 3:
         _exact(schur3_bialternant(lam, alphas, EXACT), want)
-    f = max(k, 0)
     _exact(schur_gl2(k, *gammas, EXACT), _h_oracle(k, gs))
     a, b = lam.l1, lam.l2
     _exact(schur_two_row(a, b, *gammas, EXACT), _schur_oracle((a, b), gs))
-    two_row = [lam for lam in partitions3_of(f) if lam.l3 == 0]
-    _exact(two_row_coeff(f, alphas, gammas, EXACT),
-           sum((_schur_oracle(lam.parts, xs) * _schur_oracle(lam.parts[:2], gs) for lam in two_row),
-               Fraction(0)))
-    for residuals in (cauchy_check(alphas, gammas, 4, EXACT),
-                      cauchy_two_row_check(alphas, gammas, 4, EXACT)):
-        assert len(residuals) == 5
-        for r in residuals:
-            _exact(r, 0)
+    residuals = cauchy_check(alphas, gammas, 4, EXACT)
+    assert len(residuals) == 5
+    for r in residuals:
+        _exact(r, 0)
 
 
 @pytest.mark.parametrize("call", [
@@ -248,9 +230,8 @@ def test_exact_values_match_a_fraction_oracle(alphas, gammas, lam, k):
     lambda: schur3_bialternant(Partition3(2, 1), (1, 2, 0.5), EXACT),
     lambda: schur_gl2(2, 1, 0.5, EXACT),
     lambda: schur_two_row(2, 1, 0.5, 1, EXACT),
-    lambda: two_row_coeff(2, (1, 2, 3), (1, 0.5), EXACT),
     lambda: cauchy_check((1, 2, 3), (1, 0.5), 3, EXACT),
-    lambda: cauchy_two_row_check((1, 2, 0.5), (1, 2), 3, EXACT),
+    lambda: cauchy_check((1, 2, 0.5), (1, 2), 3, EXACT),
 ])
 def test_float_in_exact_mode_raises(call):
     with pytest.raises(TypeError):
