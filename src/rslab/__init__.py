@@ -9,7 +9,7 @@ from .characters import DirichletCharacter, char_group, gauss_beta, gauss_classi
 from .langlands import SteinbergBlock
 from .coeffs import CoeffData, c_pi_tau, double_sum_check, lambda_rs, lambda_std
 from .matid import CosetContext, FactorizationInstance, Mat, coset_reduce
-from .twists import TwistedSeries, assemble_twisted_series, fe_root_number
+from .twists import fe_root_number, twisted_prefactor
 from .funceq import dirichlet_L, fe_residual_dirichlet, hurwitz_zeta, synthetic_fe_check
 from .registry import CHECKS, RunConfig, run_suite
 
@@ -24,7 +24,7 @@ __all__ = [
     "SteinbergBlock",
     "CoeffData", "c_pi_tau", "double_sum_check", "lambda_rs", "lambda_std",
     "CosetContext", "FactorizationInstance", "Mat", "coset_reduce",
-    "TwistedSeries", "assemble_twisted_series", "fe_root_number",
+    "fe_root_number", "twisted_prefactor",
     "dirichlet_L", "fe_residual_dirichlet", "hurwitz_zeta", "synthetic_fe_check",
     "CHECKS", "RunConfig", "run_suite",
     "__version__",

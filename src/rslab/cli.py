@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import funceq as fe
 from . import langlands, matid, registry, twists
-from .arith import primes_up_to
 from .characters import char_group, gauss_beta
 from .coeffs import CoeffData, coefficient_rows
 from .euler import inverse_series
@@ -37,12 +36,15 @@ FUNCEQ_Q_MAX = 4 * 10**5
 # than linearly in N)
 COEFFS_N_MAX = 4 * 10**5
 # `twist --N` bound, the largest prime a rep file may list: with a file of all
-# 78,498 primes below 10^6, N = 10 takes 0.5 s and 43 MB on 2 vCPUs, 10^5
-# 2.4-2.9 s and 44 MB, 3*10^5 6.3-6.9 s and 54 MB, 10^6 17-19 s and 88 MB
+# 78,498 primes below 10^6, N = 10 takes 0.4-0.6 s and 21 MB on 2 vCPUs, 10^5
+# 1.9-2.6 s and 27 MB, 3*10^5 4.2-5.0 s and 43 MB, 10^6 14 s and 89 MB
 TWIST_N_MAX = langlands.REP_P_MAX
 # CosetContext tests p and p_prime for primality by trial division: 0.08 s
 # at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs
 REDUCE_CTX_MAX = 10**12
+# the largest decimal exponent a rational option may carry (1e4300 has as
+# many digits as Python prints an int with by default)
+EXPONENT_MAX = 4300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,10 +82,7 @@ def _run_config(args) -> registry.RunConfig:
     """The flags' knobs; a flag not given keeps its RunConfig default."""
     knobs = {key: getattr(args, key) for key in ("n_max", "p_max", "seed")
              if getattr(args, key) is not None}
-    try:
-        return registry.RunConfig(**knobs, inject_fault=args.inject_fault)
-    except ValueError as exc:
-        _die(str(exc))
+    return registry.RunConfig(**knobs, inject_fault=args.inject_fault)
 
 
 def _jmat(m: Mat) -> list:
@@ -91,22 +90,32 @@ def _jmat(m: Mat) -> list:
     return [[str(m[i, j]) for j in range(cols)] for i in range(rows)]
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent above EXPONENT_MAX before
+    10**exponent is built (Fraction("1e10000000") alone takes 7-8 s on 2 vCPUs)."""
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > EXPONENT_MAX:
+        raise ValueError(f"the exponent of {text!r} is above {EXPONENT_MAX}")
+    return Fraction(text)
+
+
 def parse_fraction_list(text: str, want: int, label: str) -> tuple:
+    """The `want` comma-separated rationals of an option's value; any that
+    does not parse raises ValueError, which `main` turns into exit 3."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != want:
-        _die(f"{label} needs {want} comma-separated rationals, got {len(parts)}")
+        raise ValueError(f"{label} needs {want} comma-separated rationals, got {len(parts)}")
     try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        _die(f"{label}: could not parse {text!r} as rationals")
+        return tuple(_rational(p) for p in parts)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{label}: could not parse {text!r} as rationals ({exc})") from None
 
 
 def parse_matrix2(text: str) -> Mat:
     rows = text.split(";")
     if len(rows) != 2:
-        _die("matrix must look like 'a,b;c,d'")
-    entries = [parse_fraction_list(r, 2, "matrix row") for r in rows]
-    return Mat(entries)
+        raise ValueError("matrix must look like 'a,b;c,d'")
+    return Mat([parse_fraction_list(r, 2, "--matrix row") for r in rows])
 
 
 # -- verify -------------------------------------------------------------------
@@ -134,10 +143,7 @@ def _write(text, out_path: str | None) -> None:
 
 def cmd_verify(args) -> int:
     cfg = _run_config(args)
-    try:
-        results = registry.run_suite(args.suite, cfg)
-    except ValueError as exc:
-        _die(str(exc))
+    results = registry.run_suite(args.suite, cfg)
     by_id = {c.check_id: c for c in registry.CHECKS}
     records = [
         {
@@ -151,11 +157,8 @@ def cmd_verify(args) -> int:
         }
         for r in results
     ]
-    text = _json_lines(records)
-    if args.out:
-        _write(text, args.out)
     if args.json:
-        _write(text, None)
+        sys.stdout.write(_json_lines(records))
     else:
         wid = max(len(r.check_id) for r in results)
         wsuite = max(len(r.suite) for r in results)
@@ -219,24 +222,17 @@ def _gauss_records(q: int) -> list:
 def _twist_coeffs(args) -> array:
     """The twisted coefficients of n = 1..N as (re, im) pairs in one array;
     exits 3 before anything is written if one overflows a float."""
-    try:
-        beta = Fraction(args.beta)
-    except (ValueError, ZeroDivisionError):
-        _die(f"--beta: {args.beta!r} is not a rational")
+    (beta,) = parse_fraction_list(args.beta, 1, "--beta")
     n_max = args.N
     if n_max < 1 or n_max > TWIST_N_MAX:
         _die("--N out of range")
-    text = _read_text(args.pi_file)
-    tables = {}  # p -> a(p^k) for p^k <= N
-    try:
-        params = langlands.parse_rep_file(text, n_max)
-        for p in primes_up_to(n_max):
-            kmax, pk = 0, p
-            while pk <= n_max:
-                kmax, pk = kmax + 1, pk * p
-            tables[p] = inverse_series(params[p], kmax, FLOAT)
-    except ValueError as exc:
-        _die(str(exc))
+    params = langlands.parse_rep_file(_read_text(args.pi_file), n_max)
+    tables = {}  # p -> a(p^k) for p^k <= N, p ascending
+    for p in sorted(params):
+        kmax, pk = 0, p
+        while pk <= n_max:
+            kmax, pk = kmax + 1, pk * p
+        tables[p] = inverse_series(params[p], kmax, FLOAT)
     # a(n) = a(n / p^k) a(p^k) for the largest prime p of n, k = ord_p(n): the
     # products `euler.multiplicative` takes, in its (ascending) order, so the
     # same floats, with no n factorized (the cache would keep one entry per n)
@@ -293,21 +289,14 @@ def cmd_reduce(args) -> int:
         _die(f"--ctx needs three integers, got {args.ctx!r}")
     if any(abs(x) > REDUCE_CTX_MAX for x in ctx_args):
         _die(f"--ctx entries must be at most 10^12 in absolute value, got {args.ctx!r}")
-    p, qp, pp = (int(x) for x in ctx_args)
-    try:
-        ctx = CosetContext(p, qp, pp)
-    except ValueError as exc:
-        _die(str(exc))
-    if M.det() == 0:
-        _die("matrix must be invertible")
-    out = matid.coset_reduce(M, ctx)
+    out = matid.coset_reduce(M, CosetContext(*(int(x) for x in ctx_args)))
     record = {
         "gamma1": str(out.gamma1),
         "gamma2": str(out.gamma2),
         "u": _jmat(out.u),
         "g": _jmat(out.g),
         "canonical": _jmat(out.canonical_matrix()),
-        "in_support": matid.coset_in_support(out.gamma1, out.gamma2, ctx),
+        "in_support": matid.coset_in_support(out.gamma1, out.gamma2, out.ctx),
     }
     print(json.dumps(record, separators=(",", ":")))
     return 0
@@ -360,7 +349,6 @@ def build_parser() -> _Parser:
     pv.add_argument("--p-max", type=int, dest="p_max", help="modulus bound for character checks")
     pv.add_argument("--suite", default="all", help="one of: all, " + ", ".join(registry.SUITES))
     pv.add_argument("--json", action="store_true", help="JSON lines to stdout instead of a table")
-    pv.add_argument("--out", help="also write JSON lines to this file")
     pv.add_argument("--inject-fault", dest="inject_fault",
                     help="corrupt the named check's input (self-test of the harness)")
     pv.set_defaults(func=cmd_verify)
@@ -426,6 +414,8 @@ def main(argv=None) -> int:
             return args.func(args)
         finally:
             sys.stdout.flush()
+    except ValueError as exc:  # bad input, or a result too long to print
+        _die(str(exc))
     except OSError as exc:  # stdout closed early (a pipe) or full
         # the interpreter flushes stdout again at exit; let that go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -55,7 +55,7 @@ def modulus_convention_central(gammas, mode: str = EXACT):
     """Central value at p: g1 * g2 when both parameters are nonzero, else 0.
 
     The zero at ramified primes is a convention callers may override by
-    supplying their own central table.
+    supplying their own central value in a CoeffData's local map.
     """
     g1 = coerce(gammas[0], mode)
     g2 = coerce(gammas[1], mode)
@@ -65,28 +65,20 @@ def modulus_convention_central(gammas, mode: str = EXACT):
 
 
 class CoeffData:
-    """Per-prime parameter tables for the pairing.
-
-    pi maps p to three parameters, tau to two; central maps p to the value
-    of the central character at p (callers must supply it at ramified p --
-    modulus_convention_central gives the conventional choice).  Every
-    coefficient at p reads all three.
+    """Per-prime data for the pairing: local maps p to (alphas, gammas,
+    central), the three degree-3 parameters, the two degree-2 parameters and
+    the value of the central character at p (callers must supply it at
+    ramified p -- modulus_convention_central gives the conventional choice).
     """
 
-    __slots__ = ("pi", "tau", "central", "mode", "_tables")
+    __slots__ = ("local", "mode", "_tables")
 
-    def __init__(self, pi: Mapping[int, tuple], tau: Mapping[int, tuple],
-                 central: Mapping[int, object], mode: str = EXACT):
+    def __init__(self, local: Mapping[int, tuple], mode: str = EXACT):
         check_mode(mode)
-        for p, t in pi.items():
-            if len(t) != 3:
-                raise ValueError(f"pi needs 3 parameters at p={p}")
-        for p, t in tau.items():
-            if len(t) != 2:
-                raise ValueError(f"tau needs 2 parameters at p={p}")
-            if p not in central:
-                raise ValueError(f"no central value supplied at p={p}")
-        self.pi, self.tau, self.central, self.mode = pi, tau, central, mode
+        for p, (alphas, gammas, _) in local.items():
+            if len(alphas) != 3 or len(gammas) != 2:
+                raise ValueError(f"need 3 degree-3 and 2 degree-2 parameters at p={p}")
+        self.local, self.mode = local, mode
         #: p -> the local tables at p, and the coerced parameter set -> the same
         #: tables, so that primes with equal parameters share one
         self._tables: dict = {}
@@ -96,34 +88,20 @@ class CoeffData:
         """Same parameters at every prime up to n_max, central value g1*g2."""
         alphas = tuple(coerce(a, mode) for a in alphas)
         gammas = tuple(coerce(g, mode) for g in gammas)
-        ps = primes_up_to(n_max)
-        central = modulus_convention_central(gammas, mode)
-        return cls(
-            pi={p: alphas for p in ps},
-            tau={p: gammas for p in ps},
-            central={p: central for p in ps},
-            mode=mode,
-        )
-
-    def pi_at(self, p: int) -> tuple:
-        try:
-            return self.pi[p]
-        except KeyError:
-            raise ValueError(f"no degree-3 parameters at p={p}") from None
-
-    def tau_at(self, p: int) -> tuple:
-        try:
-            return self.tau[p]
-        except KeyError:
-            raise ValueError(f"no degree-2 parameters at p={p}") from None
+        triple = (alphas, gammas, modulus_convention_central(gammas, mode))
+        return cls({p: triple for p in primes_up_to(n_max)}, mode)
 
     def _local(self, p: int) -> _LocalTables:
         """The tables at p; the parameters are coerced once, on first use."""
         local = self._tables.get(p)
         if local is None:
-            key = (tuple(coerce(a, self.mode) for a in self.pi_at(p)),
-                   tuple(coerce(g, self.mode) for g in self.tau_at(p)),
-                   coerce(self.central[p], self.mode))
+            try:
+                alphas, gammas, central = self.local[p]
+            except KeyError:
+                raise ValueError(f"no local data at p={p}") from None
+            key = (tuple(coerce(a, self.mode) for a in alphas),
+                   tuple(coerce(g, self.mode) for g in gammas),
+                   coerce(central, self.mode))
             local = self._tables[p] = self._tables.setdefault(key, _LocalTables(*key, self.mode))
         return local
 
@@ -201,21 +179,20 @@ def twist_tau(data: CoeffData, units: Mapping[int, object] | int | Fraction) -> 
     """Twist the degree-2 side by unit values u_p: parameters scale by u_p,
     central values by u_p^2."""
     if not isinstance(units, Mapping):
-        units = {p: units for p in data.tau}
-    new_tau = {}
-    new_central = {}
-    for p, (g1, g2) in data.tau.items():
+        units = {p: units for p in data.local}
+    local = {}
+    for p, (alphas, gammas, central) in data.local.items():
         u = coerce(units[p], data.mode)
         if u == 0:
             raise ValueError(f"twist value at p={p} must be a unit")
-        new_tau[p] = (coerce(g1, data.mode) * u, coerce(g2, data.mode) * u)
-        new_central[p] = coerce(data.central[p], data.mode) * u * u
-    return CoeffData(pi=data.pi, tau=new_tau, central=new_central, mode=data.mode)
+        local[p] = (alphas, tuple(coerce(g, data.mode) * u for g in gammas),
+                    coerce(central, data.mode) * u * u)
+    return CoeffData(local, data.mode)
 
 
 def unit_value_at(n: int, units: Mapping[int, object] | int | Fraction, data: CoeffData):
     if not isinstance(units, Mapping):
-        units = {p: units for p in data.tau}
+        units = {p: units for p in data.local}
     return multiplicative(n, lambda p, k: coerce(units[p], data.mode) ** k, data.mode)
 
 

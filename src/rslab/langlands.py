@@ -10,7 +10,9 @@ prime; `parse_rep_file` reads it into each prime's three float parameters
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import isqrt
 
 from .arith import primes_up_to
 from .euler import EulerFactorPoly, poly_divide_exact
@@ -89,17 +91,25 @@ def degenerate_factor_check(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int) 
 
 
 def parse_rep_file(text: str, n_max: int) -> dict:
-    """Parse 'p m root a_1 a_2 a_3' lines into {p: (a_1, a_2, a_3)}.
+    """Parse 'p m root a_1 a_2 a_3' lines into {p: (a_1, a_2, a_3)} for the
+    p <= n_max, the only ones a series to n_max reads.
 
     '#' starts a comment; each scalar is a finite float, written 're,im' or
     as a plain real.  The conductor exponent m and the root number are
     checked for consistency (m >= 0; m = 0 needs nonzero parameters and
-    root 1) but not returned.  Every prime up to n_max must be listed, and
-    no p above REP_P_MAX may be.  Each listed p must be prime: that is
-    decided last, against one sieve up to the largest p listed.
+    root 1) but not returned.  Every line is checked, also one above n_max.
+    Every prime up to n_max must be listed, and no p above REP_P_MAX may be.
+    A p below 2 is refused at its line; whether any other listed p is prime
+    is decided last, by the primes up to the square root of REP_P_MAX (or
+    n_max), from the one sieve that also lists the primes up to n_max.
     """
+    seen = bytearray(max(n_max, REP_P_MAX) + 1)  # 1 at each p listed
     params: dict[int, tuple] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # line by line, so that no list of every line is held: each physical
+    # line's splitlines() gives what text.splitlines() would
+    lines = (line for physical in re.finditer(r"[^\n]*\n?", text)
+             for line in physical[0].splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -111,12 +121,14 @@ def parse_rep_file(text: str, n_max: int) -> dict:
         p, m = int(toks[0]), int(toks[1])
         root = parse_scalar(toks[2])
         local = tuple(parse_scalar(t) for t in toks[3:])
-        if p in params:
-            raise ValueError(f"line {lineno}: duplicate prime {p}")
         if p > REP_P_MAX:
             raise ValueError(
                 f"line {lineno}: p = {p} is above {REP_P_MAX}, the largest a rep file may list"
             )
+        if p < 2:
+            raise ValueError(f"line {lineno}: {p} is not prime")
+        if seen[p]:
+            raise ValueError(f"line {lineno}: duplicate prime {p}")
         if m < 0:
             raise ValueError("conductor exponent must be >= 0")
         if m == 0:
@@ -124,13 +136,22 @@ def parse_rep_file(text: str, n_max: int) -> dict:
                 raise ValueError("an unramified component needs all parameters nonzero")
             if root != 1:
                 raise ValueError("an unramified component has root number 1")
-        params[p] = local
-    primes = primes_up_to(max([n_max, *params]))
-    prime_set = set(primes)
-    composite = next((p for p in params if p not in prime_set), None)
-    if composite is not None:
-        raise ValueError(f"{composite} is not prime")
-    missing = [p for p in primes if p <= n_max and p not in params]
+        seen[p] = 1
+        if p <= n_max:
+            params[p] = local
+    primes = primes_up_to(max(n_max, isqrt(len(seen))))
+    # a listed p is composite iff a prime d with d*d <= p divides it, that
+    # is iff p is marked among d*d, d*d + d, ...: no list of primes to p
+    composites = []
+    for d in primes:
+        if d * d >= len(seen):
+            break
+        k = seen[d * d :: d].find(1)
+        if k >= 0:
+            composites.append(d * d + k * d)
+    if composites:
+        raise ValueError(f"{min(composites)} is not prime")
+    missing = [q for q in primes if q <= n_max and not seen[q]]
     if missing:
         raise ValueError(f"missing local data at primes {missing[:10]}")
     return params

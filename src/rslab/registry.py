@@ -167,12 +167,8 @@ def _run_doublesum_random(cfg: RunConfig, rng: random.Random):
         data = CoeffData.constant(alphas, gammas, n_max, EXACT)
         if cfg.inject_fault == "doublesum-random":
             # deliberately corrupt one local parameter so the harness must trip
-            data = CoeffData(
-                pi=data.pi,
-                tau={p: (g1, g2 + (1 if p == 2 else 0)) for p, (g1, g2) in data.tau.items()},
-                central=data.central,
-                mode=EXACT,
-            )
+            data = CoeffData({p: (a, (g1, g2 + (1 if p == 2 else 0)), c)
+                              for p, (a, (g1, g2), c) in data.local.items()}, EXACT)
         bad = [n for n in range(1, n_max + 1) if coeffs.double_sum_check(n, data) != 0]
         if bad:
             return False, f"convolution identity fails at n={bad[:5]} for {alphas}"
@@ -194,7 +190,7 @@ def _run_twist_compat(cfg: RunConfig, rng: random.Random):
     data = CoeffData.constant(
         _rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True), 100, EXACT
     )
-    units = {p: Fraction(rng.choice([1, -1])) for p in data.tau}
+    units = {p: Fraction(rng.choice([1, -1])) for p in data.local}
     residuals = coeffs.twist_compatibility_check(100, data, units)
     bad = [n for n, r in enumerate(residuals, 1) if r != 0]
     if bad:
@@ -351,27 +347,25 @@ def _run_gl31_decomposition(cfg: RunConfig, rng: random.Random):
 
 def _run_twisted_series(cfg: RunConfig, rng: random.Random):
     data = CoeffData.constant((1, 2, 3), (1, 2), 20, EXACT)
-    # level 1: prefactor collapses to 1 and the stream is the pairing stream
-    ts = twists.assemble_twisted_series(char_group(1).trivial(), 1, 1, 1, 1, data, 12)
-    for n in range(1, 13):
-        got = ts.coeffs[n - 1].as_rational()
-        if got != coeffs.lambda_rs(n, data):
-            return False, f"level-1 stream differs at n={n}"
+    # level 1: the prefactor is exactly 1, so the series is the pairing
+    # stream itself (lam_pair(1) = 1)
+    one = twists.twisted_prefactor(char_group(1).trivial(), 1, 1, 1, 1, data)
+    if one != 1:
+        return False, f"level-1 prefactor is {one}, not 1"
     # zeta = 1: prefactor equals the twisted sum itself
-    data12 = CoeffData.constant((1, 2, 3), (1, 2), 12, EXACT)
     for chi in list(char_group(12).characters())[:6]:
         for q2 in characters.window_moduli(chi):
-            t = twists.assemble_twisted_series(chi, twists.forced_q1(12, q2), q2, 1, 1, data12, 3)
+            t = twists.twisted_prefactor(chi, twists.forced_q1(12, q2), q2, 1, 1, data)
             tau = characters.gauss_beta(chi, Fraction(1, q2), EXACT)
-            if not (t.prefactor - tau).is_zero():
+            if not (t - tau).is_zero():
                 return False, f"prefactor != twisted sum at q2={q2} for {chi}"
     # nontrivial zeta on a level-4 primitive character, exact square case
     chi4 = _primitive_chars(4)[0]
-    t = twists.assemble_twisted_series(chi4, 4, 4, 1, 16, data, 5)
+    t = twists.twisted_prefactor(chi4, 4, 4, 1, 16, data)
     manual = characters.gauss_beta(chi4, Fraction(1, 4), EXACT) * (
         Fraction(16, 64) * coeffs.lambda_tau(16, data)
     )
-    if not (t.prefactor - manual).is_zero():
+    if not (t - manual).is_zero():
         return False, "prefactor with zeta = 16 disagrees with manual assembly"
     return True, "prefactor degenerations (level 1, zeta = 1, zeta = q^2) all match"
 
@@ -478,11 +472,11 @@ def _run_matid_anchor(cfg: RunConfig, rng: random.Random):
         return False, f"anchor instance solved to v={inst.v}, u={inst.u}"
     rep = matid.verify_3x3_factorization(inst)
     if not rep.identity_ok or not rep.det_gamma_ok:
-        return False, f"anchor identity fails: {rep.notes}"
+        return False, f"anchor identity fails: {rep}"
     if rep.beta1_prime != 0:
         return False, f"anchor beta1' = {rep.beta1_prime}, expected 0"
     if not rep.all_side_conditions:
-        return False, f"side conditions fail: {rep.notes}"
+        return False, f"side conditions fail: {rep}"
     return True, "anchor instance (q=3) factorizes with all side conditions"
 
 
@@ -498,7 +492,7 @@ def _run_matid_random(cfg: RunConfig, rng: random.Random):
         inst = FactorizationInstance.make_consistent(q, n, r, w, a_j, a_k)
         rep = matid.verify_3x3_factorization(inst)
         if not (rep.identity_ok and rep.det_gamma_ok):
-            return False, f"identity fails at q={q}, n={n}, r={r}: {rep.notes}"
+            return False, f"identity fails at q={q}, n={n}, r={r}: {rep}"
         kappa = Mat([[1, Fraction(rng.randint(-5, 5))], [Fraction(rng.randint(-2, 2)),
                      Fraction(rng.choice([1, 2]))]])
         if kappa.det() == 0:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd, isqrt, lcm, pi, prod
-from typing import NamedTuple
 
 from .arith import factorize, radical, valuation
 from .characters import DirichletCharacter, gauss_beta, gauss_classical, in_window
-from .coeffs import CoeffData, lambda_rs, lambda_std, lambda_tau
+from .coeffs import CoeffData, lambda_std, lambda_tau
 from .cyclotomic import CycloElement
 from .scalars import EXACT, FLOAT
 
@@ -104,17 +103,7 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
     return out
 
 
-# -- the assembled twisted series -------------------------------------------
-
-
-class TwistedSeries(NamedTuple):
-    prefactor: object
-    coeffs: list
-    mode: str
-    q1: int
-    q2: int
-    zeta: int
-    beta2: Fraction
+# -- the twisted-series prefactor -------------------------------------------
 
 
 def forced_q1(q: int, q2: int) -> int:
@@ -133,9 +122,10 @@ def _validate_window(chi: DirichletCharacter, q1: int, q2: int) -> None:
         raise ValueError(f"q1={q1} violates {forced} | q1 | {q}")
 
 
-def assemble_twisted_series(chi: DirichletCharacter, q1: int, q2: int, r: int,
-                            zeta: int, data: CoeffData, trunc: int) -> TwistedSeries:
-    """Prefactor and coefficient stream of the twisted-series identity.
+def twisted_prefactor(chi: DirichletCharacter, q1: int, q2: int, r: int,
+                      zeta: int, data: CoeffData) -> CycloElement:
+    """The exact prefactor of the twisted-series identity, whose series
+    coefficients are prefactor * lam_pair(n).
 
     chi lives mod q (the level); its conductor and q1, q2 must satisfy the
     window conditions, beta2 = r/q2 with gcd(r, q2) = 1, and zeta must be
@@ -144,8 +134,8 @@ def assemble_twisted_series(chi: DirichletCharacter, q1: int, q2: int, r: int,
 
         sqrt(q^2 zeta) / lcm(q1 zeta, q2) * tau_q(chi, beta2) * mu(zeta)
 
-    with mu the degree-2 coefficient stream; the series coefficients are
-    prefactor * lam_pair(n).  With zeta = 1 the prefactor collapses to
+    with mu the degree-2 coefficient stream of the exact data, so q^2 zeta
+    must be a perfect square.  With zeta = 1 the prefactor collapses to
     tau_q(chi, beta2), and for level 1 it is exactly 1.
     """
     q = chi.group.q
@@ -159,21 +149,13 @@ def assemble_twisted_series(chi: DirichletCharacter, q1: int, q2: int, r: int,
         raise ValueError("zeta must be supported on primes dividing the level")
     if zeta != 1 and cond != q:
         raise ValueError("zeta != 1 requires conductor equal to the level")
-    beta2 = Fraction(r, q2)
-    mode = data.mode
-    lam_zeta = lambda_tau(zeta, data)
-    denom = lcm(q1 * zeta, q2)
-    if mode == EXACT:
-        root = isqrt(q * q * zeta)
-        if root * root != q * q * zeta:
-            raise ValueError("exact mode needs q^2 * zeta to be a perfect square")
-        tau = gauss_beta(chi, beta2, EXACT)
-        prefactor = tau * (Fraction(root, denom) * lam_zeta)
-    else:
-        tau = gauss_beta(chi, beta2, FLOAT)
-        prefactor = (q * q * zeta) ** 0.5 / denom * tau * lam_zeta
-    coeffs = [prefactor * lambda_rs(n, data) for n in range(1, trunc + 1)]
-    return TwistedSeries(prefactor, coeffs, mode, q1, q2, zeta, beta2)
+    if data.mode != EXACT:
+        raise ValueError("the prefactor is exact; data must be exact")
+    root = isqrt(q * q * zeta)
+    if root * root != q * q * zeta:
+        raise ValueError("q^2 * zeta must be a perfect square")
+    tau = gauss_beta(chi, Fraction(r, q2), EXACT)
+    return tau * (Fraction(root, lcm(q1 * zeta, q2)) * lambda_tau(zeta, data))
 
 
 def fe_root_number(eps_pi: complex, eps_tau: complex, chi_omega_pi_q: complex,

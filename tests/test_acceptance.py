@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from math import gcd, lcm, sqrt
 
-from rslab.arith import divisors, primes_up_to, radical
+from rslab.arith import divisors, radical
 from rslab.characters import (
     addtomult_residuals,
     char_group,

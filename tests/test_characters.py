@@ -306,7 +306,7 @@ def test_window_rejects_out_of_range():
 
 
 def test_window_membership_matches_window_moduli(monkeypatch):
-    """nonvanishing_window_check and assemble_twisted_series's validation
+    """nonvanishing_window_check and twisted_prefactor's validation
     accept exactly the q2 of window_moduli, for every chi mod q <= 40 and
     1 <= q2 <= q, and name the window otherwise."""
     monkeypatch.setattr(characters, "vanishing_sums", lambda chi, m, rs: [])

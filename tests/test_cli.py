@@ -219,6 +219,8 @@ FOREIGN_OPTIONS = [
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "cauchy", "--mode", "float"),
     ("verify", "--suite", "cauchy", "--config", "mode.cfg"),
+    # JSON records go to stdout only (--json > FILE)
+    ("verify", "--suite", "cauchy", "--out", "records.jsonl"),
     ("dump", "coeffs"),
     *FOREIGN_OPTIONS,
 ], ids=" ".join)
@@ -295,6 +297,35 @@ def test_coeffs_with_a_parameter_beyond_float_range_exits_0():
     rows = out.strip().splitlines()[1:]
     assert [row.split(",", 1)[0] for row in rows] == ["1", "2", "3"]
     assert all(row.rsplit(",", 1)[1] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "--matrix", "1e5000,0;0,1", "--ctx", "5,3,2"),
+    ("coeffs", "--alphas", "1e5000,1,1", "--N", "3"),
+    ("twist", "--pi-file", "pi.rep", "--beta", "1e99999999", "--N", "1"),
+], ids=" ".join)
+def test_huge_exponent_exits_3_promptly(tmp_path, argv):
+    """A decimal exponent above EXPONENT_MAX is refused before 10**exponent
+    is built: 1e5000 is built at once but prints past Python's int-to-str
+    limit, and 1e99999999 alone takes minutes to build.  A subprocess, so
+    that a slow build fails by its timeout rather than hanging the suite."""
+    (tmp_path / "pi.rep").write_text("# no primes are needed for N = 1\n")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "rslab.cli", *argv], capture_output=True,
+                          text=True, timeout=30, cwd=tmp_path, env=_env_with_src())
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "is above 4300" in proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+def test_result_too_long_to_print_exits_3():
+    """1e4000 is within the exponent bound, but lambda(4) ~ 1e8000 has more
+    digits than Python prints an int with: exit 3, nothing on stdout."""
+    code, out, err = run_cli("coeffs", "--alphas", "1e4000,1,1", "--N", "4")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name, extra", [
@@ -426,31 +457,47 @@ def test_twist_prints_the_multiplicative_product_bit_for_bit(tmp_path):
             for n, c in enumerate(want, 1))
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
-def test_twist_memory_stays_flat_in_n(tmp_path):
-    """`twist` keeps its coefficients as packed floats, writes its lines in
-    chunks and factorizes no n, so --N 100000 peaks within 16 MB of --N 1
-    (no per-n record, full JSON text or factorization cache entry stays)."""
-    from rslab.arith import primes_up_to
-
-    rep = tmp_path / "primes.rep"
-    rep.write_text("".join(f"{p} 0 1 0.5 0.25,0.5 -0.3\n" for p in primes_up_to(10**5)))
+def _twist_peak_kb(rep, n: str) -> int:
+    """The peak RSS in kB of `rslab twist --pi-file rep --N n` in a child."""
     probe = (
         "import resource, subprocess, sys; "
         "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "rslab.cli", "twist",
+         "--pi-file", str(rep), "--beta", "1/4", "--N", n],
+        capture_output=True, text=True, timeout=120, env=_env_with_src(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
-    def peak_kb(n: str) -> int:
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, sys.executable, "-m", "rslab.cli", "twist",
-             "--pi-file", str(rep), "--beta", "1/4", "--N", n],
-            capture_output=True, text=True, timeout=120, env=_env_with_src(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout)
 
-    assert peak_kb("100000") - peak_kb("1") < 16 * 1024
+def _primes_rep(path, bound: int):
+    from rslab.arith import primes_up_to
+
+    path.write_text("".join(f"{p} 0 1 0.5 0.25,0.5 -0.3\n" for p in primes_up_to(bound)))
+    return path
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_twist_memory_stays_flat_in_n(tmp_path):
+    """`twist` keeps its coefficients as packed floats, writes its lines in
+    chunks and factorizes no n, so --N 100000 peaks within 16 MB of --N 1
+    (no per-n record, full JSON text or factorization cache entry stays)."""
+    rep = _primes_rep(tmp_path / "primes.rep", 10**5)
+    assert _twist_peak_kb(rep, "100000") - _twist_peak_kb(rep, "1") < 16 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_twist_memory_stays_flat_in_the_file(tmp_path):
+    """At --N 10, a file of all 78,498 primes below 10^6 peaks within 6 MB of
+    one of the primes below 10^5: `twist` keeps the parameters of the
+    primes <= --N only, and holds neither a list of the file's lines nor
+    one of the primes up to its largest p (the text itself remains)."""
+    small = _primes_rep(tmp_path / "small.rep", 10**5)
+    large = _primes_rep(tmp_path / "large.rep", 10**6)
+    assert _twist_peak_kb(large, "10") - _twist_peak_kb(small, "10") < 6 * 1024
 
 
 @pytest.mark.parametrize("beta, parity, want", [

@@ -149,12 +149,22 @@ def _varying_data(p_max=200):
     rest = ((Fraction(2), Fraction(-1), Fraction(1, 4)), (Fraction(1, 2), Fraction(-2)))
     special = {2: (a2, g2), 3: (a3, g3), 5: (a2, g2), 7: (a2, g2), 11: (a2, g3), 13: (a3, g2)}
     params = {p: special.get(p, rest) for p in primes_up_to(p_max)}
-    return params, CoeffData(
-        pi={p: a for p, (a, _) in params.items()},
-        tau={p: g for p, (_, g) in params.items()},
-        central={p: modulus_convention_central(g) for p, (_, g) in params.items()},
-        mode=EXACT,
-    )
+    local = {p: (a, g, modulus_convention_central(g)) for p, (a, g) in params.items()}
+    return params, CoeffData(local, EXACT)
+
+
+def test_prime_missing_from_local_raises():
+    """A coefficient that reads a prime the local map lacks is refused, and
+    so is a map entry without 3 + 2 parameters."""
+    data = CoeffData.constant((1, 2, 3), (1, 2), 10)
+    with pytest.raises(ValueError, match="no local data at p=11"):
+        lambda_rs(11, data)
+    with pytest.raises(ValueError, match="no local data at p=11"):
+        c_pi_tau(22, data)
+    with pytest.raises(ValueError, match="no local data at p=11"):
+        lambda_double(1, 11, data)
+    with pytest.raises(ValueError, match="at p=2"):
+        CoeffData({2: ((1, 2), (1, 2), 2)})
 
 
 def test_parameters_varying_by_prime():

@@ -28,7 +28,8 @@ _p = st.sampled_from([2, 3, 100000007, 999999999989])
 _p_prime = st.sampled_from([5, 7, 11, 13])
 _integers = st.one_of(st.integers(-10**13, 10**13), _p, _p_prime)
 _number = st.one_of(_rationals, _integers).map(str)
-_junk = st.sampled_from(["", " ", "x", "1/0", "nan", "inf", "1e5", "--", ";", ",", "2/", "0x10"])
+_junk = st.sampled_from(["", " ", "x", "1/0", "nan", "inf", "1e5", "--", ";", ",", "2/", "0x10",
+                         "1e5000", "1e99999999"])
 _token = st.one_of(_number, _junk)
 
 

@@ -51,9 +51,11 @@ def test_global_rep_series_multiplicative(tmp_path):
 
 
 def test_local_factor_degree():
-    """Every prime gets three parameters, zeros padding a ramified one."""
+    """Every prime gets three parameters, zeros padding a ramified one;
+    only the primes up to n_max are returned, though every line is read."""
     text = "".join(f"{p} 0 1 0.5 -2 1\n" for p in primes_up_to(30)) + "31 2 -1 0.5 0 0\n"
-    params = parse_rep_file(text, 30)
+    assert sorted(parse_rep_file(text, 30)) == primes_up_to(30)
+    params = parse_rep_file(text, 31)
     assert sorted(params) == primes_up_to(31)
     assert all(len(local) == 3 for local in params.values())
     assert params[31] == (0.5, 0j, 0j)

@@ -9,7 +9,6 @@ import pytest
 
 from rslab.arith import factorize, valuation
 from rslab.matid import (
-    CanonicalCoset,
     CosetContext,
     FactorizationInstance,
     Mat,

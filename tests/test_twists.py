@@ -1,22 +1,22 @@
-"""Additive twists of degree-3 coefficients, window-constrained twisted
-series assembly, and the root-number bookkeeping."""
+"""Additive twists of degree-3 coefficients, the window-constrained
+twisted-series prefactor, and the root-number bookkeeping."""
 
 import cmath
 import random
 from fractions import Fraction
-from math import gcd, isclose, sqrt
+from math import gcd, isclose
 
 import pytest
 
-from rslab.characters import char_group, gauss_beta
+from rslab.characters import char_group
 from rslab.coeffs import CoeffData
 from rslab.scalars import EXACT, FLOAT
 from rslab.twists import (
-    assemble_twisted_series,
     conductor_exponent_check,
     fe_root_number,
     forced_q1,
     gl31_decomposition_residuals,
+    twisted_prefactor,
     unit_average,
 )
 
@@ -93,63 +93,64 @@ def test_gl31_decomposition_exact():
         assert gl31_decomposition_residuals(chi, data, range(1, 25)) == [0.0] * 24, chi
 
 
-def test_assemble_twisted_series_trivial_level():
-    """q = 1 collapses: prefactor 1 and plain pairing coefficients."""
-    alphas = (Fraction(1), Fraction(2), Fraction(3))
-    gammas = (Fraction(1), Fraction(2))
-    data = CoeffData.constant(alphas, gammas, 20, EXACT)
-    chi = char_group(1).trivial()
-    ts = assemble_twisted_series(chi, 1, 1, 0, 1, data, trunc=20)
-    from rslab.coeffs import lambda_rs
-
-    assert ts.prefactor == 1
-    for n in (1, 2, 4, 8, 18):
-        assert ts.coeffs[n - 1] == lambda_rs(n, data)
+def _exact_data():
+    return CoeffData.constant((1, 2, 3), (1, 2), 20, EXACT)
 
 
-def test_assemble_twisted_series_window_validation():
-    alphas = (Fraction(1), Fraction(2), Fraction(3))
-    gammas = (Fraction(1), Fraction(2))
-    data = CoeffData.constant(alphas, gammas, 20, EXACT)
+def test_twisted_prefactor_trivial_level():
+    """q = 1 collapses: the prefactor is exactly 1, so the twisted series is
+    the plain pairing stream (lam_pair(1) = 1)."""
+    assert twisted_prefactor(char_group(1).trivial(), 1, 1, 0, 1, _exact_data()) == 1
+
+
+def test_twisted_prefactor_window_validation():
+    data = _exact_data()
     chi = next(c for c in char_group(12).characters() if c.conductor() == 12)
     # q2 = 6 misses the conductor divisibility requirement
-    with pytest.raises(ValueError):
-        assemble_twisted_series(chi, 12, 6, 1, 1, data, trunc=10)
-    # q2 = 12 works, and then q1 must be a multiple of 1 dividing 12
-    ts = assemble_twisted_series(chi, 1, 12, 1, 1, data, trunc=10)
-    assert ts.q2 == 12
+    with pytest.raises(ValueError, match="q2=6 violates"):
+        twisted_prefactor(chi, 12, 6, 1, 1, data)
+    # q2 = 12 works, and then q1 must be a multiple of 1 dividing 12; the
+    # prefactor is the Gauss sum of a primitive character, so nonzero
+    assert not twisted_prefactor(chi, 1, 12, 1, 1, data).is_zero()
+    with pytest.raises(ValueError, match="gcd"):
+        twisted_prefactor(chi, 1, 12, 2, 1, data)
 
 
-def test_assemble_twisted_series_forced_q1():
+def test_twisted_prefactor_forced_q1():
     """Primes where ord_p(q2) < ord_p(q) must enter q1 at full weight."""
-    alphas = (Fraction(1), Fraction(2), Fraction(3))
-    gammas = (Fraction(1), Fraction(2))
-    data = CoeffData.constant(alphas, gammas, 20, EXACT)
+    data = _exact_data()
     # the one character mod 12 of conductor 3: the quadratic character mod 3
     chi12 = next(c for c in char_group(12).characters() if c.conductor() == 3)
     # window: 3 | q2 | lcm(3, 6) = 6; q2 = 3 leaves ord_2(q2)=0 < 2 = ord_2(12),
     # so 4 | q1; q1 = 4 and 12 both work, q1 = 2 does not
-    assemble_twisted_series(chi12, 4, 3, 1, 1, data, trunc=10)
-    assemble_twisted_series(chi12, 12, 3, 1, 1, data, trunc=10)
-    with pytest.raises(ValueError):
-        assemble_twisted_series(chi12, 2, 3, 1, 1, data, trunc=10)
+    twisted_prefactor(chi12, 4, 3, 1, 1, data)
+    twisted_prefactor(chi12, 12, 3, 1, 1, data)
+    with pytest.raises(ValueError, match="q1=2 violates 4"):
+        twisted_prefactor(chi12, 2, 3, 1, 1, data)
     assert [forced_q1(12, q2) for q2 in (1, 2, 3, 4, 6, 12)] == [12, 12, 4, 3, 4, 1]
     assert forced_q1(1, 1) == 1
+    # zeta != 1 needs the conductor to be the level
+    with pytest.raises(ValueError, match="conductor equal to the level"):
+        twisted_prefactor(chi12, 4, 3, 1, 4, data)
 
 
-def test_assemble_twisted_series_zeta_rules():
-    alphas = (Fraction(1), Fraction(2), Fraction(3))
-    gammas = (Fraction(1), Fraction(2))
-    data = CoeffData.constant(alphas, gammas, 20, EXACT)
+def test_twisted_prefactor_zeta_rules():
+    data = _exact_data()
     chi = next(c for c in char_group(3).characters() if not c.is_trivial())
-    # zeta with a prime outside q is rejected
-    with pytest.raises(ValueError):
-        assemble_twisted_series(chi, 3, 3, 1, 5, data, trunc=10)
-    # zeta = 3 rides along when cond = q = 3 (exactness needs q^2 * zeta square,
-    # so this instance must be assembled in float mode)
-    data_f = CoeffData.constant(alphas, gammas, 20, FLOAT)
-    ts = assemble_twisted_series(chi, 3, 3, 1, 3, data_f, trunc=10)
-    assert ts.zeta == 3
+    tau = twisted_prefactor(chi, 3, 3, 1, 1, data)  # zeta = 1: tau_3(chi, 1/3)
+    # zeta must be a positive integer supported on the primes of q
+    with pytest.raises(ValueError, match="positive"):
+        twisted_prefactor(chi, 3, 3, 1, 0, data)
+    with pytest.raises(ValueError, match="supported on primes"):
+        twisted_prefactor(chi, 3, 3, 1, 5, data)
+    # zeta = 3 rides along when cond = q = 3, but q^2 zeta = 27 is no square
+    with pytest.raises(ValueError, match="perfect square"):
+        twisted_prefactor(chi, 3, 3, 1, 3, data)
+    # zeta = 9: sqrt(81) / lcm(27, 3) * tau * mu(9), mu(9) = h_2(1, 2) = 7
+    assert twisted_prefactor(chi, 3, 3, 1, 9, data) == tau * Fraction(7, 3)
+    # the prefactor is exact only
+    with pytest.raises(ValueError, match="must be exact"):
+        twisted_prefactor(chi, 3, 3, 1, 1, CoeffData.constant((1, 2, 3), (1, 2), 20, FLOAT))
 
 
 def test_fe_root_number_unitary():
