@@ -5,6 +5,7 @@ Everything here is exact integer/Fraction arithmetic; no floats.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -21,6 +22,20 @@ def primes_up_to(n: int) -> list[int]:
             start = p * p
             sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
     return [i for i, v in enumerate(sieve) if v]
+
+
+def largest_prime_powers(n: int) -> tuple[array, array, array]:
+    """(top, rest, exp) with k = rest[k] * top[k]**exp[k] for 2 <= k <= n and
+    top[k] the largest prime factor of k (top 0, rest 1, exp 0 below 2)."""
+    top = array("i", [0]) * (n + 1)
+    for p in range(2, n + 1):
+        if not top[p]:  # each prime, ascending, marks its multiples
+            top[p::p] = array("i", [p]) * (n // p)
+    rest, exp = array("i", [1]) * (n + 1), array("i", [0]) * (n + 1)
+    for k in range(2, n + 1):
+        m = k // top[k]
+        rest[k], exp[k] = (rest[m], exp[m] + 1) if top[m] == top[k] else (m, 1)
+    return top, rest, exp
 
 
 def is_prime(n: int) -> bool:

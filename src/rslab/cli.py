@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import funceq as fe
 from . import langlands, matid, registry, twists
+from .arith import largest_prime_powers
 from .characters import char_group, gauss_beta
 from .coeffs import CoeffData, coefficient_rows
 from .euler import inverse_series
@@ -31,13 +32,13 @@ from .scalars import EXACT, FLOAT
 # so funceq bounds q times the number of points)
 GAUSS_Q_MAX = 225
 FUNCEQ_Q_MAX = 4 * 10**5
-# `coeffs --N` bound: N = 128000 takes 15 s and 126 MB on 2 vCPUs, 256000 37 s
-# and 236 MB, 400000 53 s and 362 MB (the double sum grows a little faster
-# than linearly in N)
+# `coeffs --N` bound: N = 128000 takes 1.2 s and 83 MB on 2 vCPUs, 256000
+# 2.9-3.6 s and 151 MB, 400000 4.1-4.7 s and 225 MB (every row is built before
+# one is written)
 COEFFS_N_MAX = 4 * 10**5
 # `twist --N` bound, the largest prime a rep file may list: with a file of all
-# 78,498 primes below 10^6, N = 10 takes 0.4-0.6 s and 21 MB on 2 vCPUs, 10^5
-# 1.9-2.6 s and 27 MB, 3*10^5 4.2-5.0 s and 43 MB, 10^6 14 s and 89 MB
+# 78,498 primes below 10^6, N = 10 takes 0.5 s and 19 MB on 2 vCPUs, 10^5
+# 1.9-3.4 s and 28 MB, 3*10^5 6.3-7.0 s and 45 MB, 10^6 17-24 s and 92 MB
 TWIST_N_MAX = langlands.REP_P_MAX
 # CosetContext tests p and p_prime for primality by trial division: 0.08 s
 # at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs
@@ -58,6 +59,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(3)
+
+    def _get_values(self, action, arg_strings):
+        # '--' given as an option's value is no value (argparse 3.11 drops it)
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
 
     def print_help(self, file=None):
         # argparse drops a failed write; this one reaches main's output guard
@@ -236,9 +243,7 @@ def _twist_coeffs(args) -> array:
     # a(n) = a(n / p^k) a(p^k) for the largest prime p of n, k = ord_p(n): the
     # products `euler.multiplicative` takes, in its (ascending) order, so the
     # same floats, with no n factorized (the cache would keep one entry per n)
-    top = array("i", [0]) * (n_max + 1)  # the largest prime factor of n
-    for p in tables:
-        top[p::p] = array("i", [p]) * (n_max // p)
+    top, rest, exp = largest_prime_powers(n_max)
     q_mod = beta.denominator
     a = array("d", (0.0, 0.0))  # a(n) at 2n, 2n + 1
     coeffs = array("d")
@@ -246,10 +251,8 @@ def _twist_coeffs(args) -> array:
         if n == 1:
             a_n = complex(1)
         else:
-            p, m, k = top[n], n, 0
-            while m % p == 0:
-                m, k = m // p, k + 1
-            a_n = complex(a[2 * m], a[2 * m + 1]) * tables[p][k]
+            m = rest[n]
+            a_n = complex(a[2 * m], a[2 * m + 1]) * tables[top[n]][exp[n]]
         a.extend((a_n.real, a_n.imag))
         coeff = a_n * twists.unit_average(n * beta, q_mod, args.parity)
         if not cmath.isfinite(coeff):

@@ -12,9 +12,10 @@ with lam_pair the coefficient of the expanded 6-factor product.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Mapping
 
-from .arith import factorize, primes_up_to
+from .arith import factorize, largest_prime_powers, primes_up_to
 from .euler import inverse_series, multiplicative
 from .scalars import EXACT, check_mode, coerce, one, zero
 from .symfunc import Partition3, schur3
@@ -190,27 +191,88 @@ def twist_tau(data: CoeffData, units: Mapping[int, object] | int | Fraction) -> 
     return CoeffData(local, data.mode)
 
 
-def unit_value_at(n: int, units: Mapping[int, object] | int | Fraction, data: CoeffData):
-    if not isinstance(units, Mapping):
-        units = {p: units for p in data.local}
-    return multiplicative(n, lambda p, k: coerce(units[p], data.mode) ** k, data.mode)
+def _whole(x):
+    return x.numerator if x.denominator == 1 else x  # never rounded
+
+
+class CoeffStreams:
+    """Every n <= n_max at once, beside the single-index functions: on exact
+    data, each multiplicative stream by one largest-prime-factor sieve, and c
+    by the global double sum.  Alphas are scaled by D_alpha, gammas by
+    D_gamma (lcms over the primes <= n_max), so a value of degree i, j in them
+    carries (D_alpha^i D_gamma^j)^Omega(n) (see scale) and is an int if whole."""
+
+    def __init__(self, data: CoeffData, n_max: int):
+        if data.mode != EXACT:
+            raise ValueError("the stream engine needs exact data")
+        self.n_max, self.tables = n_max, {p: data._local(p) for p in primes_up_to(n_max)}
+        self.d_alpha = lcm(*(a.denominator for t in self.tables.values() for a in t.alphas))
+        self.d_gamma = lcm(*(g.denominator for t in self.tables.values() for g in t.gammas))
+        self.top, self.rest, self.exp = largest_prime_powers(n_max)
+
+    def stream(self, value, keys: Mapping | None = None) -> list:
+        """a(0) = 0, a(1), ..., a(n_max) of the multiplicative a with a(p^k) =
+        value(keys[p], k), keys the local tables by default."""
+        local, seen = {}, {}
+        for p, key in (keys or self.tables).items():  # ascending: the first p has the most powers
+            if key not in seen:
+                seen[key] = [_whole(value(key, k)) for k in range(self.n_max.bit_length())
+                             if p**k <= self.n_max]
+            local[p] = seen[key]
+        a = [0, 1] + [0] * (self.n_max - 1)
+        for n, p, m, k in zip(range(2, len(a)), self.top[2:], self.rest[2:], self.exp[2:]):
+            a[n] = a[m] * local[p][k]
+        return a
+
+    def expansion(self, factor: str) -> list:
+        """The scaled coefficients of the "pi", "tau" or "pair" expansion."""
+        d = {"pi": self.d_alpha, "tau": self.d_gamma, "pair": self.d_alpha * self.d_gamma}[factor]
+        return self.stream(lambda t, k: t.expansion(factor, k) * d**k)
+
+    def schur(self) -> list:
+        """The scaled lambda(1, n), from the Schur tables."""
+        return self.stream(lambda t, k: t.schur_value(0, k) * self.d_alpha**k)
+
+    def scale(self, d: int) -> list:
+        return self.stream(lambda d, k: d**k, dict.fromkeys(self.tables, d))
+
+    def c(self) -> list:
+        """The scaled sum over m1^2 m2 = n of lambda(m1, m2) mu(m2) omega(m1),
+        m2 = u w with u on the primes of m1 and w prime to m1."""
+        mu, da, dg = self.expansion("tau"), self.d_alpha, self.d_gamma
+        paired = [s * t for s, t in zip(self.schur(), mu)]  # lambda(1, w) mu(w)
+        c = paired[:]  # m1 = 1
+        for m1 in range(2, isqrt(self.n_max) + 1):
+            bound, terms = self.n_max // (m1 * m1), [(1, 1)]  # (u, omega(m1) lambda(m1, u))
+            for p, j in factorize(m1):
+                t = self.tables[p]
+                terms = [(u * p**k, v * (t.central * dg * dg * da * da) ** j * t.schur_value(j, k)
+                          * da**k) for u, v in terms for k in range(bound.bit_length())
+                         if u * p**k <= bound]
+            for u, v in terms:
+                v, step = _whole(v) * mu[u], m1 * m1 * u
+                for w in range(1, bound // u + 1):
+                    if gcd(w, m1) == 1:
+                        c[step * w] += v * paired[w]
+        return c
 
 
 def twist_compatibility_check(n_max: int, data: CoeffData, units) -> list:
     """Residuals of c_twisted(n) = u(n) * c(n) under an unramified unit twist,
-    for n = 1..n_max; the twisted data is built once."""
-    twisted = twist_tau(data, units)
-    return [
-        c_pi_tau(n, twisted) - unit_value_at(n, units, data) * c_pi_tau(n, data)
-        for n in range(1, n_max + 1)
-    ]
+    for n = 1..n_max; each side is unscaled by its own denominators."""
+    plain, twisted = CoeffStreams(data, n_max), CoeffStreams(twist_tau(data, units), n_max)
+    u = plain.stream(lambda x, k: x**k, {p: coerce(units[p] if isinstance(units, Mapping)
+                                                   else units, EXACT) for p in plain.tables})
+    cols = zip(twisted.c(), twisted.scale(twisted.d_alpha * twisted.d_gamma), u, plain.c(),
+               plain.scale(plain.d_alpha * plain.d_gamma))
+    return [Fraction(t, dt) - v * Fraction(c, dp) for n, (t, dt, v, c, dp) in enumerate(cols) if n]
 
 
 def coefficient_rows(n_max: int, data: CoeffData) -> list[tuple]:
-    """Rows (n, lam_std, c, lam_pair, residual) for n = 1..n_max."""
-    rows = []
-    for n in range(1, n_max + 1):
-        c = c_pi_tau(n, data)
-        lam = lambda_rs(n, data)
-        rows.append((n, lambda_std(n, data), c, lam, c - lam))
-    return rows
+    """Rows (n, lam_std, c, lam_pair, residual) for n = 1..n_max, from
+    CoeffStreams; here, to be printed, the values become Fractions."""
+    s = CoeffStreams(data, n_max)
+    cols = zip(s.expansion("pi"), s.scale(s.d_alpha), s.c(), s.expansion("pair"),
+               s.scale(s.d_alpha * s.d_gamma))
+    return [(n, Fraction(ls, sa), Fraction(c, sd), Fraction(lp, sd), Fraction(c - lp, sd))
+            for n, (ls, sa, c, lp, sd) in enumerate(cols) if n]

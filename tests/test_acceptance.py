@@ -41,6 +41,7 @@ from rslab.matid import (
     verify_3x3_factorization,
     verify_lower_unipotent_split,
 )
+from rslab.registry import RunConfig, run_suite
 from rslab.scalars import EXACT, FLOAT
 from rslab.symfunc import (
     Partition3,
@@ -79,6 +80,19 @@ def test_double_sum_equals_pairing_to_5000():
             assert c_pi_tau(n, data) == lambda_rs(n, data), (idx, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"took {elapsed:.1f}s"
+
+
+def test_stream_checks_at_the_n_max_bound():
+    """doublesum-random, standardcoeff and twist-compat, on the stream
+    engine, pass at n_max = 10^5, the largest `verify --n-max`, in under 30 s
+    (1.5-2 s on 2 vCPUs)."""
+    start = time.perf_counter()
+    results = run_suite("doublesum", RunConfig(n_max=10**5))
+    stream_checks = {"doublesum-random", "standardcoeff", "twist-compat"}
+    assert stream_checks <= {r.check_id for r in results}
+    assert all(r.ok for r in results), [r.detail for r in results if not r.ok]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30, f"took {elapsed:.1f}s"
 
 
 def test_cauchy_expansion_and_two_row_to_degree_12():

@@ -170,6 +170,21 @@ def test_q_above_bound_exits_3(argv):
     assert "--q" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n-max=--"),
+    ("verify", "--seed=--"),
+    ("coeffs", "--alphas=--"),
+    ("gauss", "--q=--"),
+    ("twist", "--pi-file=--", "--beta", "1/4"),
+])
+def test_option_value_written_as_double_dash_exits_3(argv):
+    """An option's value written '--' (the end-of-options marker) is a bad
+    input naming the option, not a crash."""
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, "")
+    assert argv[1].split("=")[0] in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("exc", [ValueError("bad knob"), ZeroDivisionError("division by zero")])
 def test_verify_reports_an_error_inside_a_check(monkeypatch, exc):
     """A check that raises fails with an `error:` record and its traceback

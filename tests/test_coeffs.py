@@ -8,9 +8,11 @@ from math import prod
 
 import pytest
 
-from rslab.arith import primes_up_to
+from rslab import coeffs
+from rslab.arith import factorize, primes_up_to
 from rslab.coeffs import (
     CoeffData,
+    CoeffStreams,
     c_pi_tau,
     central_char,
     coefficient_rows,
@@ -22,8 +24,9 @@ from rslab.coeffs import (
     modulus_convention_central,
     standardcoeff_check,
     twist_compatibility_check,
+    twist_tau,
 )
-from rslab.scalars import EXACT
+from rslab.scalars import EXACT, FLOAT
 
 
 def _anchor_data(p_max=120):
@@ -134,6 +137,29 @@ def test_twist_compatibility():
     assert all(r == 0 for r in residuals), residuals
 
 
+def test_twist_compatibility_with_units_off_the_integers():
+    """Units with denominators give the twisted data other denominators than
+    the plain data; both sides are still scaled alike, and the identity holds."""
+    _, data = _varying_data(60)
+    units = {p: Fraction(3, 2) if p % 3 == 1 else Fraction(-2, 5) for p in data.local}
+    residuals = twist_compatibility_check(60, data, units)
+    assert len(residuals) == 60
+    assert all(r == 0 for r in residuals), residuals
+
+
+def test_twist_compatibility_residuals_are_the_per_n_ones(monkeypatch):
+    """A twist that disagrees with the units leaves residuals, and they are
+    c_twisted(n) - u(n) c(n) of the per-n functions, with no scale factor."""
+    _, data = _varying_data(40)
+    wrong = twist_tau(data, Fraction(3, 2))
+    monkeypatch.setattr(coeffs, "twist_tau", lambda d, units: wrong)
+    residuals = twist_compatibility_check(40, data, Fraction(-1))
+    omega = [sum(e for _, e in factorize(n)) for n in range(1, 41)]
+    want = [c_pi_tau(n, wrong) - (-1) ** omega[n - 1] * c_pi_tau(n, data) for n in range(1, 41)]
+    assert residuals == want
+    assert any(r != 0 for r in residuals)
+
+
 def _h(k, xs):
     """h_k(xs) summed monomial by monomial."""
     return sum((prod(m, start=Fraction(1)) for m in combinations_with_replacement(xs, k)),
@@ -180,3 +206,67 @@ def test_parameters_varying_by_prime():
             k, pk = k + 1, pk * p
     for n in range(1, 201):
         assert double_sum_check(n, data) == 0, n
+
+
+def _zero_gamma_data():
+    """_varying_data with gamma_1 = 0 at p = 7, so that its central value is 0."""
+    _, data = _varying_data()
+    local = dict(data.local)
+    alphas, (_, g2), _ = local[7]
+    local[7] = (alphas, (Fraction(0), g2), modulus_convention_central((0, g2)))
+    return CoeffData(local, EXACT)
+
+
+def _twisted_data():
+    """_varying_data with its gammas twisted by units with denominators."""
+    _, data = _varying_data()
+    return twist_tau(data, {p: Fraction(-1) if p % 4 == 1 else Fraction(3, 2) for p in data.local})
+
+
+def _central_off_the_lattice():
+    """A central value at p = 3 that no power of D_gamma makes whole: its
+    scaled values stay Fractions."""
+    local = dict(_anchor_data(200).local)
+    alphas, gammas, _ = local[3]
+    local[3] = (alphas, gammas, Fraction(1, 7))
+    return CoeffData(local, EXACT)
+
+
+@pytest.mark.parametrize("make", [lambda: _varying_data()[1], _zero_gamma_data, _twisted_data,
+                                  _central_off_the_lattice],
+                         ids=["varying", "zero-gamma", "twisted", "central-off-lattice"])
+def test_streams_equal_the_per_n_functions(make):
+    """Every stream of the engine, over its scale, is the per-n value for
+    n <= 200: lambda_std from the "pi" expansion, lambda(1, n) from the Schur
+    tables, mu, lambda_pair and the double sum c."""
+    data = make()
+    streams = CoeffStreams(data, 200)
+    da, dg = streams.d_alpha, streams.d_gamma
+    routes = [
+        (streams.expansion("pi"), da, lambda n: lambda_std(n, data)),
+        (streams.schur(), da, lambda n: lambda_double(1, n, data)),
+        (streams.expansion("tau"), dg, lambda n: lambda_tau(n, data)),
+        (streams.expansion("pair"), da * dg, lambda n: lambda_rs(n, data)),
+        (streams.c(), da * dg, lambda n: c_pi_tau(n, data)),
+    ]
+    for values, d, per_n in routes:
+        scale = streams.scale(d)
+        assert len(values) == 201
+        for n in range(1, 201):
+            assert Fraction(values[n], scale[n]) == per_n(n), (n, d)
+
+
+def test_stream_denominators_span_every_prime():
+    """D_alpha and D_gamma are the lcms over all primes <= n_max, so primes
+    with their own denominators each count."""
+    _, data = _varying_data()
+    for n_max, want in ((2, (1, 1)), (3, (6, 5)), (200, (12, 10))):
+        streams = CoeffStreams(data, n_max)
+        assert (streams.d_alpha, streams.d_gamma) == want, n_max
+
+
+def test_streams_refuse_float_data_and_missing_primes():
+    with pytest.raises(ValueError, match="exact"):
+        CoeffStreams(CoeffData.constant((1, 2, 3), (1, 2), 10, FLOAT), 10)
+    with pytest.raises(ValueError, match="no local data at p=11"):
+        CoeffStreams(CoeffData.constant((1, 2, 3), (1, 2), 10), 11)

@@ -1,8 +1,8 @@
 """Property tests of the command-line contract on generated input: whatever
-`rslab reduce` or `rslab twist --pi-file` is given, it answers (exit 0) or
-rejects the input (exit 3), promptly and without a traceback; `reduce`
-answers the same whether each value follows its option after '=' or as its
-own argv word."""
+`rslab reduce`, `rslab twist --pi-file` or `rslab verify --suite doublesum`
+is given, it answers (exit 0) or rejects the input (exit 3), promptly and
+without a traceback; `reduce` answers the same whether each value follows
+its option after '=' or as its own argv word."""
 
 import contextlib
 import io
@@ -140,3 +140,18 @@ def test_twist_rep_file_exits_0_or_3_promptly(tmp_path_factory, rep, beta, parit
     assert code in (0, 3), (code, err)
     assert "Traceback" not in err
     assert len(out.splitlines()) == (n_max if code == 0 else 0)
+
+
+# --n-max at and around both of its bounds, 10 and 10^5, and a mid-size run
+_n_max = st.one_of(st.sampled_from(["9", "10", "11", "199", "5000", "100001", "-1"]), _junk)
+_seed = st.one_of(st.integers(-10**30, 10**30).map(str), _junk)
+
+
+@settings(deadline=2000, derandomize=True, max_examples=60)
+@given(n_max=_n_max, seed=_seed)
+def test_verify_doublesum_exits_0_or_3_promptly(n_max, seed):
+    code, out, err = _run(["verify", "--suite", "doublesum", f"--n-max={n_max}", f"--seed={seed}",
+                           "--json"])
+    assert code in (0, 3), (code, err)
+    assert "Traceback" not in err
+    assert (out != "") == (code == 0)

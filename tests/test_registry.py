@@ -4,7 +4,7 @@ from math import nan
 
 import pytest
 
-from rslab import characters, cyclotomic, funceq, symfunc, twists
+from rslab import characters, coeffs, cyclotomic, funceq, symfunc, twists
 from rslab.registry import (
     CHECKS,
     FAULT_CAPABLE,
@@ -110,6 +110,38 @@ def test_wrong_split_denominator_fails_checks_against_the_expansion(monkeypatch,
     res = run_check(check, RunConfig(n_max=60, p_max=20))
     assert not res.ok, f"{check_id} passed with a wrong denominator"
     assert not res.detail.startswith("error:"), res.detail
+
+
+@pytest.mark.parametrize("check_id, factor", [("standardcoeff", "pi"), ("twist-compat", "tau")])
+def test_one_wrong_local_value_fails_the_stream_checks(monkeypatch, check_id, factor):
+    """The first coefficient of one local expansion, off by 1, fails its
+    check.  standardcoeff compares the "pi" expansion with the Schur tables,
+    which never read it; twist-compat reads mu(p) + 1 on the twisted side as
+    -mu(p) + 1 where u_p = -1, and as u(p) (mu(p) + 1) = -mu(p) - 1 on the
+    plain side."""
+    expansion = coeffs._LocalTables.expansion
+
+    def off_by_one(self, name, k):
+        value = expansion(self, name, k)
+        return value + 1 if (name, k) == (factor, 1) else value
+
+    monkeypatch.setattr(coeffs._LocalTables, "expansion", off_by_one)
+    check = next(c for c in CHECKS if c.check_id == check_id)
+    res = run_check(check, RunConfig())
+    assert not res.ok, f"{check_id} passed with a wrong local value"
+    assert not res.detail.startswith("error:"), res.detail
+
+
+def test_schur_tableau_fails_on_a_missing_partition(monkeypatch):
+    """Without the partitions with l3 = 0 both routes still agree, on 52
+    points; the check decides on its count, 112, and so fails."""
+    partitions = symfunc.partitions3_of
+    monkeypatch.setattr(symfunc, "partitions3_of",
+                        lambda d: (lam for lam in partitions(d) if lam.l3 != 0))
+    check = next(c for c in CHECKS if c.check_id == "schur-tableau")
+    res = run_check(check, RunConfig())
+    assert not res.ok
+    assert res.detail == "determinant and tableau routes agree at 52 points"
 
 
 def test_run_config_validation():
