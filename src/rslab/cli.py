@@ -132,22 +132,6 @@ def _json_lines(records) -> str:
     return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
 
 
-def _write(text, out_path: str | None) -> None:
-    """Write text (a str, or an iterable of str chunks) to out_path, or to
-    stdout when out_path is None."""
-    chunks = (text,) if isinstance(text, str) else text
-    if out_path is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-        return
-    try:
-        with open(out_path, "w") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-    except OSError as exc:
-        _die(f"cannot write {out_path}: {exc}")
-
-
 def cmd_verify(args) -> int:
     cfg = _run_config(args)
     results = registry.run_suite(args.suite, cfg)
@@ -201,7 +185,7 @@ def cmd_coeffs(args) -> int:
     rows = coefficient_rows(n_max, data)
     lines = ["n,lambda,c,pair,residual"]
     lines += [f"{n},{ls},{c},{lp},{res}" for n, ls, c, lp, res in rows]
-    _write("\n".join(lines) + "\n", args.out)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -268,7 +252,7 @@ def _check_q(q: int, bound: int) -> int:
 
 
 def cmd_gauss(args) -> int:
-    _write(_json_lines(_gauss_records(_check_q(args.q, GAUSS_Q_MAX))), args.out)
+    sys.stdout.write(_json_lines(_gauss_records(_check_q(args.q, GAUSS_Q_MAX))))
     return 0
 
 
@@ -281,7 +265,7 @@ def _twist_lines(coeffs: array):
 
 
 def cmd_twist(args) -> int:
-    _write(_twist_lines(_twist_coeffs(args)), args.out)
+    sys.stdout.writelines(_twist_lines(_twist_coeffs(args)))
     return 0
 
 
@@ -353,19 +337,18 @@ def build_parser() -> _Parser:
     pv.add_argument("--suite", default="all", help="one of: all, " + ", ".join(registry.SUITES))
     pv.add_argument("--json", action="store_true", help="JSON lines to stdout instead of a table")
     pv.add_argument("--inject-fault", dest="inject_fault",
-                    help="corrupt the named check's input (self-test of the harness)")
+                    help="corrupt the input of one check, one of: "
+                         + ", ".join(sorted(registry.FAULT_CAPABLE)) + " (self-test of the harness)")
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("coeffs", help="coefficient table n, lambda, c, pairing, residual (CSV)")
     pc.add_argument("--alphas", default="1,2,3", help="three rationals")
     pc.add_argument("--gammas", default="1,2", help="two nonzero rationals")
     pc.add_argument("--N", type=int, default=100, help="number of coefficients")
-    pc.add_argument("--out", help="output path (default stdout)")
     pc.set_defaults(func=cmd_coeffs)
 
     pg = sub.add_parser("gauss", help="character-sum table for one modulus (JSON lines)")
     pg.add_argument("--q", type=int, required=True)
-    pg.add_argument("--out", help="output path (default stdout)")
     pg.set_defaults(func=cmd_gauss)
 
     pt = sub.add_parser("twist", help="additive twist of a degree-3 coefficient stream")
@@ -373,7 +356,6 @@ def build_parser() -> _Parser:
     pt.add_argument("--beta", required=True, help="rational shift r/q")
     pt.add_argument("--parity", type=int, choices=(0, 1), default=0)
     pt.add_argument("--N", type=int, default=50)
-    pt.add_argument("--out", help="output path (default stdout)")
     pt.set_defaults(func=cmd_twist)
 
     pr = sub.add_parser("reduce", help="canonical coset form of a 2x2 rational matrix")

@@ -120,18 +120,14 @@ def _run_two_row(cfg: RunConfig, rng: random.Random):
 
 def _run_schur_tableau(cfg: RunConfig, rng: random.Random):
     points = [(1, 2, 3), (2, 2, 5), (1, 1, 1), _rand_fracs(rng, 3)]
-    tableau_points = points
-    if cfg.inject_fault == "schur-tableau":
-        # the tableau route alone reads a moved point: s_(1) = x1 + x2 + x3 differs
-        tableau_points = [(1, 2, 4), *points[1:]]
     checked = 0
     for d in range(0, 9):
         for lam in symfunc.partitions3_of(d):
             if lam.l1 > 4:
                 continue
-            for xs, ys in zip(points, tableau_points):
+            for xs in points:
                 a = symfunc.schur3(lam, xs, EXACT)
-                b = symfunc.schur3_tableau(lam, ys, EXACT)
+                b = symfunc.schur3_tableau(lam, xs, EXACT)
                 if a != b:
                     return False, f"s_{lam.parts} disagrees at {xs}: {a} vs {b}"
                 checked += 1
@@ -278,13 +274,6 @@ def _run_gauss_modulus(cfg: RunConfig, rng: random.Random):
 
 
 def _run_gauss_window(cfg: RunConfig, rng: random.Random):
-    if cfg.inject_fault == "gauss-window":
-        # the trivial character mod 16 at q2 = 16, outside its window: tau is
-        # the Ramanujan sum c_16(1) = mu(16) = 0, which the numeric prefilter
-        # cannot certify, so only the exact descent reports it
-        zeros = characters.vanishing_sums(char_group(16).trivial(), 16, [1])
-        if zeros:
-            return False, f"vanishing twisted sum at q=16, q2=16, r={zeros}"
     tried = 0
     for q in (9, 12, 16, 18, 24):
         chars = list(char_group(q).characters())
@@ -413,11 +402,7 @@ def _run_clgp_random(cfg: RunConfig, rng: random.Random):
         for _ in range(10):
             M = _rand_matrix(rng)
             out = matid.coset_reduce(M, ctx)
-            g = out.g
-            if cfg.inject_fault == "clgp-random":
-                # a wrong witness: the top-right entry of u*M*g becomes gamma1*gamma2 != 0
-                g = g * Mat([[1, 1], [0, 1]])
-            if (out.u * M * g) != out.canonical_matrix():
+            if (out.u * M * out.g) != out.canonical_matrix():
                 return False, f"witnesses do not reproduce the canonical form for {M}"
             if out.gamma1 <= 0 or out.gamma2 == 0:
                 return False, f"degenerate invariants ({out.gamma1}, {out.gamma2})"
@@ -623,9 +608,7 @@ CHECKS: tuple[Check, ...] = (
 
 SUITES: tuple[str, ...] = tuple(dict.fromkeys(c.suite for c in CHECKS))
 
-FAULT_CAPABLE: frozenset = frozenset(
-    {"schur-tableau", "doublesum-random", "gauss-modulus", "gauss-window", "clgp-random"}
-)
+FAULT_CAPABLE: frozenset = frozenset({"doublesum-random", "gauss-modulus"})
 
 
 def check_ids() -> list[str]:

@@ -86,7 +86,7 @@ def _divide(num, den):
 
 
 def _h(k: int, xs):
-    if k < 0 or (k > 0 and not xs):
+    if k < 0:
         return 0
     # h_k(x1..xm) = sum_j x1^j * h_{k-j}(x2..xm), iteratively by variable
     table = [1] + [0] * k
@@ -94,12 +94,6 @@ def _h(k: int, xs):
         for deg in range(1, k + 1):
             table[deg] = table[deg] + x * table[deg - 1]
     return table[k]
-
-
-def complete_homogeneous(k: int, xs, mode: str = EXACT):
-    """h_k(xs): sum of all degree-k monomials in the given variables."""
-    xs, d = _split(xs, mode)
-    return _join(_h(k, xs), d, k)
 
 
 def elementary_symmetric(k: int, xs, mode: str = EXACT):
@@ -142,19 +136,6 @@ def _schur3(lam: Partition3, a, exact: bool):
         scale = max(1.0, *(abs(x) for x in a))
         distinct = min(abs(a[0] - a[1]), abs(a[0] - a[2]), abs(a[1] - a[2])) > 1e-6 * scale
     return _bialternant(lam, a) if distinct else _jacobi_trudi(lam, a)
-
-
-def schur3_jacobi_trudi(lam: Partition3, alphas, mode: str = EXACT):
-    """s_lam via the 3x3 determinant of complete homogeneous polynomials."""
-    a, d = _split3(alphas, mode)
-    return _join(_jacobi_trudi(lam, a), d, sum(lam.parts))
-
-
-def schur3_bialternant(lam: Partition3, alphas, mode: str = EXACT):
-    """s_lam as a ratio of alternants; requires pairwise distinct variables.
-    In exact mode the Vandermonde divides the integer alternant exactly."""
-    a, d = _split3(alphas, mode)
-    return _join(_bialternant(lam, a), d, sum(lam.parts))
 
 
 def schur3(lam: Partition3, alphas, mode: str = EXACT):
@@ -205,8 +186,6 @@ def schur3_tableau(lam: Partition3, alphas, mode: str = EXACT):
 
 
 def _gl2(f: int, g1, g2, exact: bool):
-    if f < 0:
-        return 0
     if exact:
         if g1 == g2:
             return (f + 1) * g1**f
@@ -220,20 +199,6 @@ def _gl2(f: int, g1, g2, exact: bool):
 
 def _two_row(a: int, b: int, g1, g2, exact: bool):
     return (g1 * g2) ** b * _gl2(a - b, g1, g2, exact)
-
-
-def schur_gl2(f: int, g1, g2, mode: str = EXACT):
-    """s_(f,0)(g1, g2) = (g1^(f+1) - g2^(f+1)) / (g1 - g2), i.e. h_f in two variables."""
-    (g1, g2), d = _split((g1, g2), mode)
-    return _join(_gl2(f, g1, g2, d is not None), d, f)
-
-
-def schur_two_row(a: int, b: int, g1, g2, mode: str = EXACT):
-    """s_(a,b)(g1, g2) = (g1*g2)^b * h_(a-b)(g1, g2) for a >= b >= 0."""
-    if a < b or b < 0:
-        raise ValueError(f"need a >= b >= 0, got ({a}, {b})")
-    (g1, g2), d = _split((g1, g2), mode)
-    return _join(_two_row(a, b, g1, g2, d is not None), d, a + b)
 
 
 def cauchy_check(alphas, gammas, kmax: int, mode: str = EXACT):

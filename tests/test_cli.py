@@ -110,20 +110,23 @@ def test_reproduce_line_reproduces(source):
     ("doublesum", "clgp-random", 3),
     ("doublesum", "doublesum-random", 2),
     ("gauss", "gauss-modulus", 2),
-    ("gauss", "gauss-window", 2),
+    # checks that take no fault: each is shown able to fail in test_registry
+    ("gauss", "gauss-window", 3),
     ("clgp", "gauss-window", 3),
-    ("clgp", "clgp-random", 2),
-    ("cauchy", "schur-tableau", 2),
+    ("clgp", "clgp-random", 3),
+    ("cauchy", "schur-tableau", 3),
     ("all", "gauss-modulus", 2),
 ])
 def test_inject_fault_must_name_a_check_of_the_suite(suite, fault, want):
-    """A fault outside the selected suite would never be applied, so the run
-    is rejected instead of passing unseen."""
+    """A fault outside the selected suite, or one no check takes, would never
+    be applied, so the run is rejected instead of passing unseen."""
     code, out, err = run_cli(
         "verify", "--suite", suite, "--inject-fault", fault, "--n-max", "60", "--p-max", "20",
     )
     assert code == want, err
     assert (out == "") == (want == 3)
+    if want == 3:
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_honours_n_max():
@@ -159,7 +162,7 @@ def test_verify_rejects_p_max_above_bound():
 
 @pytest.mark.parametrize("argv", [
     ("gauss", "--q", "226"),
-    ("gauss", "--q", "226", "--out", os.devnull),
+    ("gauss", "--q", "0"),
     ("funceq", "--q", str(4 * 10**5 + 1), "--chi-index", "1"),
     # each point costs q Hurwitz zeta values: q = 30011 at 14 points is past the bound
     ("funceq", "--q", "30011", "--chi-index", "1", "--points", ",".join(["0.5"] * 14)),
@@ -217,7 +220,7 @@ def test_verify_ignores_rs_lab_seed():
     assert out.encode() == (ROOT / "tests" / "golden" / "verify_seed1729.jsonl").read_bytes()
 
 
-#: each table command's own options, each with a valid value; --out is common to all
+#: each table command's own options, each with a valid value
 TABLE_OPTIONS = {
     "coeffs": {"--alphas": "1,2,3", "--gammas": "1,2", "--N": "5"},
     "gauss": {"--q": "5"},
@@ -283,11 +286,10 @@ def test_gauss_q12_has_vanishing_rows():
     assert any(rec["abs2"] < 1e-18 for rec in records)
 
 
-def test_dump_coeffs_csv(tmp_path):
-    target = tmp_path / "rows.csv"
-    code, out, _ = run_cli("coeffs", "--N", "12", "--out", str(target))
+def test_dump_coeffs_csv():
+    code, out, _ = run_cli("coeffs", "--N", "12")
     assert code == 0
-    lines = target.read_text().strip().splitlines()
+    lines = out.strip().splitlines()
     assert lines[0] == "n,lambda,c,pair,residual"
     row2 = lines[2].split(",")
     assert row2[0] == "2"
@@ -347,14 +349,13 @@ def test_result_too_long_to_print_exits_3():
     ("coeffs_anchor.csv", ()),
     ("coeffs_mixed.csv", ("--alphas=-1/2,3,2/5", "--gammas=-3,1/7")),
 ])
-def test_dump_coeffs_matches_golden(tmp_path, name, extra):
+def test_dump_coeffs_matches_golden(name, extra):
     """Byte for byte the committed table: a fault shared by both routes of the
     double sum leaves the residual column at 0, but not the values."""
-    target = tmp_path / name
-    code, _, _ = run_cli("coeffs", "--N", "120", *extra, "--out", str(target))
-    assert code == 0
+    code, out, err = run_cli("coeffs", "--N", "120", *extra)
+    assert code == 0, err
     golden = Path(__file__).resolve().parent / "golden" / name
-    assert target.read_bytes() == golden.read_bytes()
+    assert out.encode() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("seed", ["1729", "7"])
@@ -735,10 +736,13 @@ README_COMMANDS = [shlex.split(line, comments=True) for block in _readme_blocks(
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
 def test_readme_command_runs(tmp_path, monkeypatch, argv):
     """Every `rslab` line of the README's code blocks exits 0, run from a
-    directory that holds the README's local-parameter file as pi.rep."""
+    directory that holds the README's local-parameter file as pi.rep.  A
+    trailing `> FILE` is the shell's redirection, not an option."""
     rep = next(block for block in _readme_blocks() if block.startswith("# p "))
     (tmp_path / "pi.rep").write_text(rep)
     monkeypatch.chdir(tmp_path)
+    if ">" in argv:
+        argv = argv[:argv.index(">")]
     code, _, err = run_cli(*argv[1:])
     assert code == 0, err
 

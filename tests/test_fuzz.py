@@ -1,6 +1,7 @@
 """Property tests of the command-line contract on generated input: whatever
-`rslab reduce`, `rslab twist --pi-file` or `rslab verify --suite doublesum`
-is given, it answers (exit 0) or rejects the input (exit 3), promptly and
+`rslab reduce`, `rslab twist --pi-file`, `rslab verify` (its suite, sizes,
+seed and fault) or `rslab funceq --points` is given, it answers (exit 0),
+reports a failed check (exit 2) or rejects the input (exit 3), promptly and
 without a traceback; `reduce` answers the same whether each value follows
 its option after '=' or as its own argv word."""
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from rslab.arith import primes_up_to  # noqa: E402
 from rslab.cli import main  # noqa: E402
+from rslab.registry import CHECKS, FAULT_CAPABLE, SUITES  # noqa: E402
 
 #: an example slower than this fails as a hang, past the 2-s deadline
 HANG_S = 10
@@ -155,3 +157,76 @@ def test_verify_doublesum_exits_0_or_3_promptly(n_max, seed):
     assert code in (0, 3), (code, err)
     assert "Traceback" not in err
     assert (out != "") == (code == 0)
+
+
+# suites, faults and --p-max (bounds 5 and 350): mostly a valid run, with or
+# without a fault its suite takes, and otherwise a fault outside its suite,
+# one no check takes or a bound just past either end; --p-max stays small, as
+# the gauss suite grows as its square
+_suite = st.sampled_from(["all", *SUITES, "", "nope", "--", "1e5"])
+_fault = st.sampled_from([*sorted(FAULT_CAPABLE), "schur-tableau", "gauss-window", "clgp-random",
+                          "", "x", "--"])
+_suite_fault = st.one_of(
+    st.tuples(_suite, st.none()),
+    st.sampled_from([("all", "doublesum-random"), ("doublesum", "doublesum-random"),
+                     ("all", "gauss-modulus"), ("gauss", "gauss-modulus")]),
+    st.tuples(_suite, _fault),
+)
+_p_max = st.sampled_from(["5", "6", "11", "20", "31", "40", "47", "60", "4", "351", "-1", "x", "--"])
+_SUITE_OF = {c.check_id: c.suite for c in CHECKS}
+
+
+@settings(deadline=2000, derandomize=True, max_examples=80)
+@given(suite_fault=_suite_fault, p_max=_p_max)
+def test_verify_exits_0_2_or_3_promptly(suite_fault, p_max):
+    suite, fault = suite_fault
+    argv = ["verify", f"--suite={suite}", f"--p-max={p_max}", "--json"]
+    code, out, err = _run(argv + ([] if fault is None else [f"--inject-fault={fault}"]))
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    assert (out != "") == (code != 3)
+    # a check fails only where a fault is injected, and only one that is applied
+    assert code != 2 or (fault in FAULT_CAPABLE and suite in ("all", _SUITE_OF[fault]))
+
+
+_part = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                  st.integers(-10**6, 10**6).map(str),
+                  st.sampled_from(["0", "1", "-1", "0.5", "1e-300", "1e5000", "-0.0", "nan", "inf"]))
+# points in and around the validated range most often
+_near = st.tuples(st.floats(-2, 3), st.floats(-60, 60)).map(lambda t: repr(complex(*t)))
+_point = st.one_of(
+    _near, _near, _near,
+    st.tuples(_part, _part).map(lambda t: f"{t[0]}+{t[1]}j"),
+    _part,
+    _junk,
+)
+
+
+@settings(deadline=2000, derandomize=True, max_examples=150)
+@given(points=st.lists(_point, min_size=1, max_size=4).map(",".join),
+       chi_index=st.sampled_from(["1", "2", "3"]))
+def test_funceq_points_exits_0_2_or_3_promptly(points, chi_index):
+    code, out, err = _run(["funceq", "--q", "5", "--chi-index", chi_index, f"--points={points}"])
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    assert (out != "") == (code != 3)
+
+
+#: each table command with valid options of its own; none takes --out
+_TABLES = {
+    "coeffs": ["--N", "5"],
+    "gauss": ["--q", "5"],
+    "twist": ["--pi-file", "pi.rep", "--beta", "1/4", "--N", "3"],
+}
+
+
+@settings(deadline=2000, derandomize=True, max_examples=30)
+@given(command=st.sampled_from(sorted(_TABLES)),
+       path=st.one_of(st.sampled_from(["rows.csv", "-", "/dev/null", "a b", "--"]), _junk),
+       at=st.integers(0, 8))
+def test_out_on_a_table_command_exits_3(command, path, at):
+    argv = list(_TABLES[command])
+    argv.insert(min(at, len(argv)) // 2 * 2, f"--out={path}")
+    code, out, err = _run([command, *argv])
+    assert (code, out) == (3, ""), err
+    assert "error: " in err and "--out" in err and "Traceback" not in err

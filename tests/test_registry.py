@@ -1,10 +1,13 @@
-"""The check registry: determinism, coverage, and fault injection."""
+"""The check registry: determinism, coverage, fault injection, and each
+check shown able to fail."""
 
 from math import nan
 
 import pytest
 
-from rslab import characters, coeffs, cyclotomic, funceq, symfunc, twists
+from rslab import characters, coeffs, cyclotomic, funceq, matid, symfunc, twists
+from rslab.characters import char_group
+from rslab.matid import Mat
 from rslab.registry import (
     CHECKS,
     FAULT_CAPABLE,
@@ -59,35 +62,53 @@ def test_different_seeds_still_pass():
         assert all(r.ok for r in rs)
 
 
+def _fails_alone(check_id, inject_fault=None):
+    """Run the suite of check_id: that check fails on a comparison (an
+    exception would show only that something raised) and every other check
+    of its suite passes."""
+    check = next(c for c in CHECKS if c.check_id == check_id)
+    results = run_suite(check.suite, RunConfig(n_max=60, p_max=20, inject_fault=inject_fault))
+    res = next(r for r in results if r.check_id == check_id)
+    assert not res.ok, f"{check_id} still passed"
+    assert not res.detail.startswith("error:"), res.detail
+    assert all(r.ok for r in results if r is not res), [r for r in results if not r.ok]
+
+
 def test_fault_injection_breaks_named_checks():
     """Corrupting the inputs must flip the targeted check to failure --
     the detector is not vacuous."""
     for check_id in sorted(FAULT_CAPABLE):
-        cfg = RunConfig(n_max=60, p_max=20, inject_fault=check_id)
-        check = next(c for c in CHECKS if c.check_id == check_id)
-        res = run_check(check, cfg)
-        assert not res.ok, f"{check_id} still passed with a fault injected"
-        # an exception also fails a check, but shows only that the hook raised
-        assert not res.detail.startswith("error:"), res.detail
-        # and the rest of its suite is untouched
-        others = [
-            run_check(c, cfg)
-            for c in CHECKS
-            if c.suite == check.suite and c.check_id != check_id
-        ]
-        assert all(r.ok for r in others)
+        _fails_alone(check_id, inject_fault=check_id)
+
+
+def test_clgp_random_fails_on_a_wrong_witness(monkeypatch):
+    """A right witness g*[[1,1],[0,1]]: the top-right entry of u*M*g becomes
+    gamma1*gamma2 != 0.  The other clgp checks read only the invariants."""
+    reduce = matid.coset_reduce
+
+    def wrong_witness(M, ctx):
+        out = reduce(M, ctx)
+        return out._replace(g=out.g * Mat([[1, 1], [0, 1]]))
+
+    monkeypatch.setattr(matid, "coset_reduce", wrong_witness)
+    _fails_alone("clgp-random")
+
+
+def test_gauss_window_fails_on_a_reported_zero(monkeypatch):
+    monkeypatch.setattr(characters, "vanishing_sums", lambda chi, m, rs: rs[:1])
+    _fails_alone("gauss-window")
 
 
 def test_gauss_window_fault_is_caught_only_by_the_exact_descent(monkeypatch):
-    """The injected sum c_16(1) = mu(16) = 0 is a true zero, which no numeric
-    bound can certify: the faulted check fails because the exact descent
-    says "zero".  With the descent made to answer "nonzero", it passes."""
-    check = next(c for c in CHECKS if c.check_id == "gauss-window")
-    cfg = RunConfig(n_max=60, p_max=20, inject_fault="gauss-window")
-    assert not run_check(check, cfg).ok
+    """The sum of the trivial character mod 16 at 1/16, outside its window,
+    is the Ramanujan sum c_16(1) = mu(16) = 0: a true zero, which no numeric
+    bound can certify, so `vanishing_sums` reports it because the exact
+    descent says "zero".  With the descent made to answer "nonzero", it
+    reports none."""
+    trivial = char_group(16).trivial()
+    assert characters.vanishing_sums(trivial, 16, [1]) == [1]
     monkeypatch.setattr(cyclotomic, "_vanishes", lambda n, weights, primes: False)
-    res = run_check(check, cfg)
-    assert res.ok, res.detail
+    assert characters.vanishing_sums(trivial, 16, [1]) == []
 
 
 @pytest.mark.parametrize("check_id", ["cauchy-gradewise", "cauchy-two-row", "standardcoeff"])
@@ -155,7 +176,7 @@ def test_run_config_validation():
         RunConfig(p_max=351)
     RunConfig(n_max=10**5, p_max=350)
     # a fault the checks do not know would otherwise pass every check unseen
-    for bad in ("gauss-root", "", "no-such-check"):
+    for bad in ("gauss-root", "", "no-such-check", "schur-tableau", "gauss-window", "clgp-random"):
         with pytest.raises(ValueError, match="inject_fault"):
             RunConfig(p_max=20, inject_fault=bad)
 

@@ -1,5 +1,10 @@
 """Schur polynomials in three variables, two-row specializations, and the
-Cauchy-type expansion they satisfy."""
+Cauchy-type expansion they satisfy.
+
+`schur3` takes the bialternant route at pairwise distinct points and the
+Jacobi-Trudi route at repeated ones; a zero third variable gives the
+two-variable values, s_lam(x, y, 0) = s_lam(x, y).  `cauchy_check` alone
+reaches the two-variable kernels that the expansion's right side uses."""
 
 import itertools
 import random
@@ -14,15 +19,10 @@ from rslab.scalars import EXACT, FLOAT
 from rslab.symfunc import (
     Partition3,
     cauchy_check,
-    complete_homogeneous,
     elementary_symmetric,
     partitions3_of,
     schur3,
-    schur3_bialternant,
-    schur3_jacobi_trudi,
     schur3_tableau,
-    schur_gl2,
-    schur_two_row,
 )
 
 
@@ -45,18 +45,20 @@ def test_elementary_symmetric_anchor():
 
 
 def test_complete_homogeneous_anchor():
-    xs = [Fraction(1), Fraction(2)]
+    """h_k = s_(k); at (1, 2, 0) the bialternant route gives h_k(1, 2)."""
+    xs = [Fraction(1), Fraction(2), Fraction(0)]
     # h_2(x, y) = x^2 + xy + y^2
-    assert complete_homogeneous(2, xs, EXACT) == 7
-    assert complete_homogeneous(0, xs, EXACT) == 1
-    assert complete_homogeneous(-1, xs, EXACT) == 0
+    assert schur3(Partition3(2), xs, EXACT) == 7
+    assert schur3(Partition3(0), xs, EXACT) == 1
+    # and the Jacobi-Trudi route at a repeated point: h_2(1, 1, 2) = 1 + 1 + 4 + 1 + 2 + 2
+    assert schur3(Partition3(2), (1, 1, 2), EXACT) == 11
 
 
 def test_schur_hook_anchor():
     """s_{2,1,0} at (1,1,1) counts standard-ish tableaux: dimension 8."""
     lam = Partition3(2, 1, 0)
     ones = [Fraction(1)] * 3
-    assert schur3_jacobi_trudi(lam, ones, EXACT) == 8
+    assert schur3(lam, ones, EXACT) == 8
     assert schur3_tableau(lam, ones, EXACT) == 8
 
 
@@ -75,12 +77,13 @@ def test_schur_routes_agree_random():
     for _ in range(40):
         lam = Partition3(rng.randint(2, 5), rng.randint(1, 2), rng.randint(0, 1))
         xs = _rand_fracs(rng, 3)
-        a = schur3_jacobi_trudi(lam, xs, EXACT)
+        a = schur3(lam, xs, EXACT)
         b = schur3_tableau(lam, xs, EXACT)
         assert a == b
 
 
 def test_bialternant_agrees_at_distinct_points():
+    """At pairwise distinct points `schur3` is the bialternant ratio."""
     rng = random.Random(77)
     for _ in range(40):
         xs = _rand_fracs(rng, 3)
@@ -88,7 +91,7 @@ def test_bialternant_agrees_at_distinct_points():
             continue
         a, b = sorted((rng.randint(1, 6), rng.randint(0, 3)), reverse=True)
         lam = Partition3(a, b, 0)
-        assert schur3_bialternant(lam, xs, EXACT) == schur3_jacobi_trudi(lam, xs, EXACT)
+        assert schur3(lam, xs, EXACT) == _schur_oracle(lam.parts, xs)
 
 
 def test_schur3_dispatch_handles_coincident_points():
@@ -96,17 +99,17 @@ def test_schur3_dispatch_handles_coincident_points():
     dispatcher must still return the right value there."""
     xs = [Fraction(2), Fraction(2), Fraction(3)]
     lam = Partition3(3, 1, 0)
-    assert schur3(lam, xs, EXACT) == schur3_jacobi_trudi(lam, xs, EXACT)
+    assert schur3(lam, xs, EXACT) == _schur_oracle(lam.parts, xs)
     xs = [Fraction(1, 2)] * 3
-    assert schur3(lam, xs, EXACT) == schur3_jacobi_trudi(lam, xs, EXACT)
+    assert schur3(lam, xs, EXACT) == _schur_oracle(lam.parts, xs)
 
 
 def test_schur_gl2_two_row():
-    g = [Fraction(1), Fraction(2)]
-    # s_f(g1, g2) = h_f for two variables
-    for f in range(5):
-        assert schur_gl2(f, g[0], g[1], EXACT) == complete_homogeneous(f, g, EXACT)
-    assert schur_gl2(2, g[0], g[1], EXACT) == 7
+    """s_(f)(g1, g2) = h_f(g1, g2), at distinct and at equal g."""
+    for g in ([Fraction(1), Fraction(2)], [Fraction(3, 2)] * 2):
+        for f in range(5):
+            assert schur3(Partition3(f), (*g, 0), EXACT) == _h_oracle(f, g)
+    assert schur3(Partition3(2), (1, 2, 0), EXACT) == 7
 
 
 def test_schur_two_row_factorization():
@@ -115,8 +118,8 @@ def test_schur_two_row_factorization():
     for _ in range(30):
         x, y = _rand_fracs(rng, 2)
         r, s = rng.randint(0, 4), rng.randint(0, 3)
-        got = schur_two_row(r + s, s, x, y, EXACT)
-        want = (x * y) ** s * complete_homogeneous(r, [x, y], EXACT)
+        got = schur3(Partition3(r + s, s), (x, y, 0), EXACT)
+        want = (x * y) ** s * _h_oracle(r, [x, y])
         assert got == want
 
 
@@ -134,6 +137,17 @@ def test_cauchy_check_float():
     alphas = [complex(rng.uniform(-0.5, 0.5)) for _ in range(3)]
     gammas = [complex(rng.uniform(-0.5, 0.5)) for _ in range(2)]
     residuals = cauchy_check(alphas, gammas, kmax=8, mode=FLOAT)
+    assert max(abs(r) for r in residuals) < 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1, 1 + 1e-9], ids=["equal", "near"])
+def test_cauchy_check_float_near_the_gamma_diagonal(ratio):
+    """At g1 = g2, and within 1e-6 of it, the two-row Schur values take h_f
+    in place of the ratio (g1^(f+1) - g2^(f+1)) / (g1 - g2), which would
+    divide by zero or cancel to noise."""
+    alphas = [complex(0.3), complex(-0.2, 0.1), complex(0.45)]
+    g2 = complex(0.4, -0.1)
+    residuals = cauchy_check(alphas, [g2 * ratio, g2], kmax=10, mode=FLOAT)
     assert max(abs(r) for r in residuals) < 1e-12
 
 
@@ -203,18 +217,16 @@ def _exact(got, want):
 def test_exact_values_match_a_fraction_oracle(alphas, gammas, lam, k):
     xs = [Fraction(x) for x in alphas]
     gs = [Fraction(g) for g in gammas]
-    _exact(complete_homogeneous(k, alphas, EXACT), _h_oracle(k, xs))
-    _exact(complete_homogeneous(k, gammas, EXACT), _h_oracle(k, gs))
     _exact(elementary_symmetric(k, alphas, EXACT), _e_oracle(k, xs))
+    # the bialternant route where xs are pairwise distinct, else Jacobi-Trudi
     want = _schur_oracle(lam.parts, xs)
     _exact(schur3(lam, alphas, EXACT), want)
-    _exact(schur3_jacobi_trudi(lam, alphas, EXACT), want)
     _exact(schur3_tableau(lam, alphas, EXACT), want)
-    if len(set(xs)) == 3:
-        _exact(schur3_bialternant(lam, alphas, EXACT), want)
-    _exact(schur_gl2(k, *gammas, EXACT), _h_oracle(k, gs))
+    if k >= 0:
+        _exact(schur3(Partition3(k), alphas, EXACT), _h_oracle(k, xs))
+        _exact(schur3(Partition3(k), (*gammas, 0), EXACT), _h_oracle(k, gs))
     a, b = lam.l1, lam.l2
-    _exact(schur_two_row(a, b, *gammas, EXACT), _schur_oracle((a, b), gs))
+    _exact(schur3(Partition3(a, b), (*gammas, 0), EXACT), _schur_oracle((a, b), gs))
     residuals = cauchy_check(alphas, gammas, 4, EXACT)
     assert len(residuals) == 5
     for r in residuals:
@@ -222,14 +234,14 @@ def test_exact_values_match_a_fraction_oracle(alphas, gammas, lam, k):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: complete_homogeneous(2, [1, 0.5], EXACT),
+    lambda: elementary_symmetric(2, [1, 0.5], EXACT),
     lambda: elementary_symmetric(1, [Fraction(1, 2), 2.0], EXACT),
     lambda: schur3(Partition3(2, 1), (1, 2, 3.0), EXACT),
     lambda: schur3_tableau(Partition3(2, 1), (1.0, 2, 3), EXACT),
-    lambda: schur3_jacobi_trudi(Partition3(2, 1), (1, 2.5, 3), EXACT),
-    lambda: schur3_bialternant(Partition3(2, 1), (1, 2, 0.5), EXACT),
-    lambda: schur_gl2(2, 1, 0.5, EXACT),
-    lambda: schur_two_row(2, 1, 0.5, 1, EXACT),
+    lambda: schur3(Partition3(2, 1), (1, 2.5, 2.5), EXACT),
+    lambda: schur3(Partition3(2, 1), (1, 2, 0.5), EXACT),
+    lambda: schur3_tableau(Partition3(2), (1, 0.5, 0), EXACT),
+    lambda: cauchy_check((1, 2, 3), (0.5, 0.5), 3, EXACT),
     lambda: cauchy_check((1, 2, 3), (1, 0.5), 3, EXACT),
     lambda: cauchy_check((1, 2, 0.5), (1, 2), 3, EXACT),
 ])
