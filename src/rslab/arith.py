@@ -51,7 +51,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=2**17)  # room for every n up to RunConfig's n_max bound of 10^5
+# the streams sieve and factorize no index: a default `verify --suite all`
+# leaves 51 entries, `verify --suite doublesum --n-max 100000` 316
+@lru_cache(maxsize=2**17)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as a sorted tuple of (p, e) pairs."""
     if n < 1:
@@ -150,7 +152,6 @@ def frac_gcd(*xs: Fraction | int) -> Fraction:
     return g
 
 
-@lru_cache(maxsize=None)
 def primitive_root(q: int) -> int:
     """Smallest primitive root modulo q, for q in {2, 4, p^e, 2p^e} (odd p)."""
     if q in (1, 2):

@@ -314,10 +314,13 @@ def window_moduli(chi: DirichletCharacter) -> list[int]:
     return [d for d in divisors(lcm(c, radical(chi.group.q))) if d % c == 0]
 
 
-def in_window(chi: DirichletCharacter, q2: int) -> bool:
-    """Whether q2 is in the window of chi, by the two divisibilities."""
+def check_window(chi: DirichletCharacter, q2: int) -> None:
+    """Raise ValueError unless q2 is in the window of chi, by the two
+    divisibilities (so 1 <= q2 <= q, as lcm(cond(chi), rad(q)) divides q)."""
     c = chi.conductor()
-    return q2 >= 1 and q2 % c == 0 and lcm(c, radical(chi.group.q)) % q2 == 0
+    top = lcm(c, radical(chi.group.q))
+    if not (q2 >= 1 and q2 % c == 0 and top % q2 == 0):
+        raise ValueError(f"q2={q2} outside the window: need {c} | q2 and q2 | {top}")
 
 
 def nonvanishing_window_check(chi: DirichletCharacter, q2: int):
@@ -326,12 +329,7 @@ def nonvanishing_window_check(chi: DirichletCharacter, q2: int):
     q2 must sit in the window of chi (see window_moduli).
     Returns (ok, failures) where failures lists the r with a vanishing sum.
     """
-    if q2 < 1 or q2 > chi.group.q:
-        raise ValueError("bad window modulus")
-    if not in_window(chi, q2):
-        c = chi.conductor()
-        top = lcm(c, radical(chi.group.q))
-        raise ValueError(f"q2={q2} outside the window: need {c} | q2 and q2 | {top}")
+    check_window(chi, q2)
     failures = vanishing_sums(chi, q2, [r for r in range(1, q2 + 1) if gcd(r, q2) == 1])
     return (not failures, failures)
 

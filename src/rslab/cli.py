@@ -3,7 +3,9 @@
 Subcommands: verify, coeffs, gauss, twist, reduce, funceq.  Each takes only
 the options it reads.  Exit codes: 0 on success, 2 when a verification
 check fails, 3 on bad input or configuration, or when the output cannot be
-written.  `verify` takes its seed and size bounds from its flags alone.
+written.  Commands refuse by raising ValueError; only `main` prints the
+`error:` line and returns 3.  `verify` takes its seed and size bounds from
+its flags alone.
 """
 
 from __future__ import annotations
@@ -49,16 +51,15 @@ EXPONENT_MAX = 4300
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 3 on usage errors, as the exit-code contract asks,
-    and takes option names only in full."""
+    """argparse whose usage errors raise ValueError, which `main` turns into
+    exit 3, and which takes option names only in full."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        sys.exit(3)
+        raise ValueError(message)
 
     def _get_values(self, action, arg_strings):
         # '--' given as an option's value is no value (argparse 3.11 drops it)
@@ -71,18 +72,13 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-def _die(message: str) -> "None":
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(3)
-
-
 def _read_text(path: str) -> str:
-    """The file's UTF-8 text; exit 3 if it cannot be read or is not UTF-8."""
+    """The file's UTF-8 text; ValueError if it cannot be read or is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        _die(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _run_config(args) -> registry.RunConfig:
@@ -177,10 +173,10 @@ def cmd_coeffs(args) -> int:
     alphas = parse_fraction_list(args.alphas, 3, "--alphas")
     gammas = parse_fraction_list(args.gammas, 2, "--gammas")
     if any(g == 0 for g in gammas):
-        _die("--gammas must be nonzero")
+        raise ValueError("--gammas must be nonzero")
     n_max = args.N
     if n_max < 1 or n_max > COEFFS_N_MAX:
-        _die(f"--N must be in [1, {COEFFS_N_MAX}]")
+        raise ValueError(f"--N must be in [1, {COEFFS_N_MAX}]")
     data = CoeffData.constant(alphas, gammas, n_max, EXACT)
     rows = coefficient_rows(n_max, data)
     lines = ["n,lambda,c,pair,residual"]
@@ -212,11 +208,11 @@ def _gauss_records(q: int) -> list:
 
 def _twist_coeffs(args) -> array:
     """The twisted coefficients of n = 1..N as (re, im) pairs in one array;
-    exits 3 before anything is written if one overflows a float."""
+    raises ValueError before anything is written if one overflows a float."""
     (beta,) = parse_fraction_list(args.beta, 1, "--beta")
     n_max = args.N
     if n_max < 1 or n_max > TWIST_N_MAX:
-        _die("--N out of range")
+        raise ValueError("--N out of range")
     params = langlands.parse_rep_file(_read_text(args.pi_file), n_max)
     tables = {}  # p -> a(p^k) for p^k <= N, p ascending
     for p in sorted(params):
@@ -240,14 +236,14 @@ def _twist_coeffs(args) -> array:
         a.extend((a_n.real, a_n.imag))
         coeff = a_n * twists.unit_average(n * beta, q_mod, args.parity)
         if not cmath.isfinite(coeff):
-            _die(f"coefficient a({n}) overflows a float")
+            raise ValueError(f"coefficient a({n}) overflows a float")
         coeffs.extend((coeff.real, coeff.imag))
     return coeffs
 
 
 def _check_q(q: int, bound: int) -> int:
     if q < 1 or q > bound:
-        _die(f"--q must be in [1, {bound}]")
+        raise ValueError(f"--q must be in [1, {bound}]")
     return q
 
 
@@ -273,9 +269,9 @@ def cmd_reduce(args) -> int:
     M = parse_matrix2(args.matrix)
     ctx_args = parse_fraction_list(args.ctx, 3, "--ctx")
     if any(x.denominator != 1 for x in ctx_args):
-        _die(f"--ctx needs three integers, got {args.ctx!r}")
+        raise ValueError(f"--ctx needs three integers, got {args.ctx!r}")
     if any(abs(x) > REDUCE_CTX_MAX for x in ctx_args):
-        _die(f"--ctx entries must be at most 10^12 in absolute value, got {args.ctx!r}")
+        raise ValueError(f"--ctx entries must be at most 10^12 in absolute value, got {args.ctx!r}")
     out = matid.coset_reduce(M, CosetContext(*(int(x) for x in ctx_args)))
     record = {
         "gamma1": str(out.gamma1),
@@ -293,24 +289,24 @@ def cmd_funceq(args) -> int:
     q = _check_q(args.q, FUNCEQ_Q_MAX)
     group = char_group(q)
     if not 0 <= args.chi_index < len(group):
-        _die(f"--chi-index must be in [0, {len(group) - 1}] for q={q}")
+        raise ValueError(f"--chi-index must be in [0, {len(group) - 1}] for q={q}")
     chi = group.character_at(args.chi_index)
     if not chi.is_primitive() or chi.is_trivial():
-        _die("the reflection formula needs a primitive nontrivial character")
+        raise ValueError("the reflection formula needs a primitive nontrivial character")
     try:
         points = [complex(tok) for tok in args.points.split(",") if tok.strip()]
     except ValueError:
-        _die(f"--points: could not parse {args.points!r}")
+        raise ValueError(f"--points: could not parse {args.points!r}") from None
     if not points:
-        _die("--points is empty")
+        raise ValueError("--points is empty")
     if q * len(points) > FUNCEQ_Q_MAX:
-        _die(f"--q times the number of --points must be <= {FUNCEQ_Q_MAX}, got {q * len(points)}")
+        raise ValueError(f"--q times the number of --points must be <= {FUNCEQ_Q_MAX}, got {q * len(points)}")
     residuals = []
     for s in points:
         try:
             residuals.append(fe.fe_residual_dirichlet(chi, s))
         except ValueError as exc:
-            _die(f"--points: {exc}")
+            raise ValueError(f"--points: {exc}") from None
     for s, res in zip(points, residuals):
         print(
             json.dumps(
@@ -399,12 +395,14 @@ def main(argv=None) -> int:
             return args.func(args)
         finally:
             sys.stdout.flush()
-    except ValueError as exc:  # bad input, or a result too long to print
-        _die(str(exc))
+    except ValueError as exc:  # bad input or usage, or a result too long to print
+        message = str(exc)
     except OSError as exc:  # stdout closed early (a pipe) or full
         # the interpreter flushes stdout again at exit; let that go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _die(f"cannot write output: {exc}")
+        message = f"cannot write output: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

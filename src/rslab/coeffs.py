@@ -6,7 +6,8 @@ inverse local factors.  The headline check is the convolution identity
 
     sum over m1^2 m2 = n of  lam(m1, m2) * mu(m2) * omega(m1)  =  lam_pair(n)
 
-with lam_pair the coefficient of the expanded 6-factor product.
+with lam_pair the coefficient of the expanded 6-factor product.  An index
+below 1 raises ValueError, in `arith.factorize`.
 """
 
 from __future__ import annotations
@@ -110,8 +111,6 @@ class CoeffData:
 def lambda_double(m1: int, m2: int, data: CoeffData):
     """Double-indexed coefficient lam(m1, m2) = prod_p s_(k1+k2, k1, 0)(alpha_p)
     with k1 = v_p(m1), k2 = v_p(m2)."""
-    if m1 < 1 or m2 < 1:
-        raise ValueError("indices must be positive")
     acc = one(data.mode)
     exps: dict[int, list[int]] = {}
     for p, e in factorize(m1):
@@ -125,8 +124,6 @@ def lambda_double(m1: int, m2: int, data: CoeffData):
 
 def _expansion_stream(n: int, data: CoeffData, factor: str):
     """n-th coefficient of the product over p of 1 / (the inverse `factor` at p)."""
-    if n < 1:
-        raise ValueError("index must be positive")
     return multiplicative(n, lambda p, k: data._local(p).expansion(factor, k), data.mode)
 
 
@@ -147,8 +144,6 @@ def lambda_rs(n: int, data: CoeffData):
 
 def central_char(n: int, data: CoeffData):
     """omega(n) = prod_p central(p)^{v_p(n)} (0^k = 0 for k >= 1)."""
-    if n < 1:
-        raise ValueError("index must be positive")
     return multiplicative(n, lambda p, k: data._local(p).central ** k, data.mode)
 
 

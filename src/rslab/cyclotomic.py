@@ -18,6 +18,7 @@ from math import gcd, isqrt, lcm, pi, prod
 import cmath
 
 from .arith import factorize
+from .scalars import rational
 
 #: |value| above this multiple of the coefficient mass certifies nonzero
 _PREFILTER_REL = 1e-9
@@ -107,9 +108,7 @@ class CycloElement:
         self.n = n
         clean: dict[int, int | Fraction] = {}
         for k, c in (coeffs or {}).items():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficient {c!r} is not an int or Fraction")
-            if c:
+            if rational(c):  # c itself, or TypeError if not an int or a Fraction
                 k %= n
                 clean[k] = clean.get(k, 0) + c
         self.coeffs = {k: c for k, c in clean.items() if c}

@@ -19,14 +19,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .arith import frac_gcd, is_prime, xgcd
-
-
-def _rational(x):
-    """x itself if it is an int or a Fraction; anything else, a float
-    included, raises TypeError rather than being converted."""
-    if isinstance(x, (int, Fraction)):
-        return x
-    raise TypeError(f"a matrix entry or scalar must be an int or a Fraction, got {type(x).__name__} {x!r}")
+from .scalars import rational
 
 
 class Mat:
@@ -38,7 +31,7 @@ class Mat:
 
     def __init__(self, rows):
         # ints and Fractions both carry numerator and denominator
-        rs = [[_rational(x) for x in row] for row in rows]
+        rs = [[rational(x) for x in row] for row in rows]
         if not rs or any(len(r) != len(rs[0]) for r in rs):
             raise ValueError("matrix rows must be nonempty and of equal length")
         # the lcm of lowest-terms denominators is already coprime to the numerators
@@ -89,7 +82,7 @@ class Mat:
             cols = tuple(zip(*other.num))
             num = [[sum(map(mul, r, c)) for c in cols] for r in self.num]
             return Mat._make(num, self.den * other.den)
-        x = _rational(other)
+        x = rational(other)
         return Mat._make([[x.numerator * a for a in r] for r in self.num],
                          x.denominator * self.den)
 
@@ -224,7 +217,7 @@ def coset_in_support(gamma1: Fraction, gamma2: Fraction, ctx: CosetContext) -> b
     """Whether the reduced coset can contribute: gamma1 in p*Z and
     gamma2 in p^{-2}*Z (so at worst a p^2 denominator, integral elsewhere).
     Each must be an int or a Fraction; a float raises TypeError."""
-    g1, g2 = Fraction(_rational(gamma1)), Fraction(_rational(gamma2))
+    g1, g2 = Fraction(rational(gamma1)), Fraction(rational(gamma2))
     if g1 == 0 or g2 == 0:
         raise ValueError("parameters must be nonzero")
     p = ctx.p
@@ -237,7 +230,7 @@ def verify_lower_unipotent_split(uval, wval) -> tuple[bool, tuple[Mat, Mat, Mat]
     Holds for any nonzero rationals u, w (ints or Fractions; a float raises
     TypeError); the last factor has determinant 1.
     Returns the verification flag and the three factors."""
-    u, w = Fraction(_rational(uval)), Fraction(_rational(wval))
+    u, w = Fraction(rational(uval)), Fraction(rational(wval))
     if u == 0 or w == 0:
         raise ValueError("u and w must be nonzero")
     left = upper_unipotent2(w / u)

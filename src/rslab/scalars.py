@@ -29,19 +29,25 @@ def check_mode(mode: str) -> str:
     return mode
 
 
+def rational(x):
+    """x itself if it is an int or a Fraction; anything else, a float
+    included, raises TypeError rather than being converted.  The one test of
+    what an exact value may be."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__} {x!r}")
+
+
 def coerce(x, mode: str):
     """Bring x into the given mode, rejecting cross-mode values.
 
-    Exact mode accepts int/Fraction; float mode accepts int/float/complex
-    and converts Fraction explicitly.  Floats never sneak into exact mode.
+    Exact mode accepts int/Fraction (a Fraction is returned as is); float
+    mode accepts int/float/complex and converts Fraction explicitly.  Floats
+    never sneak into exact mode.
     """
     check_mode(mode)
     if mode == EXACT:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} {x!r} into exact mode")
+        return x if isinstance(x, Fraction) else Fraction(rational(x))
     if isinstance(x, (int, float, complex, Fraction)):
         return complex(x)
     raise TypeError(f"cannot coerce {type(x).__name__} {x!r} into float mode")
@@ -51,16 +57,13 @@ def split(xs, mode: str):
     """The values a kernel computes on, and their common denominator D.
 
     Exact mode: integer numerators over D, the lcm of the denominators, so
-    x_i = n_i / D (a float raises TypeError, as in `coerce`).  Float mode:
+    x_i = n_i / D (a float raises TypeError, as in `rational`).  Float mode:
     complex values, and D is None.
     """
     check_mode(mode)
     if mode != EXACT:
         return [coerce(x, mode) for x in xs], None
-    xs = list(xs)
-    for x in xs:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"cannot coerce {type(x).__name__} {x!r} into exact mode")
+    xs = [rational(x) for x in xs]
     d = lcm(*(x.denominator for x in xs))
     return [x.numerator * (d // x.denominator) for x in xs], d
 

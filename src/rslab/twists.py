@@ -12,8 +12,8 @@ import cmath
 from fractions import Fraction
 from math import gcd, isqrt, lcm, pi, prod
 
-from .arith import factorize, radical, valuation
-from .characters import DirichletCharacter, gauss_beta, gauss_classical, in_window
+from .arith import factorize, valuation
+from .characters import DirichletCharacter, check_window, exponent_maps, gauss_beta, gauss_classical
 from .coeffs import CoeffData, lambda_std, lambda_tau
 from .cyclotomic import CycloElement
 from .scalars import EXACT, FLOAT
@@ -60,30 +60,25 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
     chibar = chi.conjugate()
     out = []
     if data.mode == EXACT:
-        # conj(chi)(-r) = e(kz/big) on the units r, and as n r > 0 the term
-        # lam * unit_average(n r / q) is lam/2 e(n r / q) + (-1)^a lam/2 e(-n r / q)
-        # (just lam e(n r / q) for q <= 2): fold both into one exponent map per n.
-        # Both sides are taken times s = 2 den(lam) (den(lam) for q <= 2), so
-        # every weight is the int +-num(lam)
-        big = lcm(q, chi.group.exponent)
-        lift, step = big // chi.group.exponent, big // q
-        angles = [(r, chibar.angle(-r)) for r in range(1, q + 1)]
-        terms = [(r, k * lift) for r, k in angles if k is not None]
-        tau = gauss_beta(chi, Fraction(1, q), EXACT)
+        # as n r > 0, the term lam * unit_average(n r / q) is
+        # lam/2 e(n r / q) + (-1)^a lam/2 e(-n r / q) (just lam e(n r / q) for
+        # q <= 2), and sum_r conj(chi)(-r) e(+-n r / q) = tau_q(conj(chi), -+n / q):
+        # one exponent map per sign, folded with the weights num(lam) and
+        # (-1)^a num(lam).  Both sides are taken times s = 2 den(lam)
+        # (den(lam) for q <= 2), so every weight is an int
+        ns = list(ns)
         halves = 1 if q <= 2 else 2
+        maps = exponent_maps(chibar, q, [r for n in ns for r in (-n, n)[:halves]])
+        tau = gauss_beta(chi, Fraction(1, q), EXACT)
         for n in ns:
             lam = lambda_std(n, data)
             s = halves * lam.denominator
             plus = lam.numerator
-            minus = -plus if a else plus
             weights: dict[int, int] = {}
-            for r, kz in terms:
-                shift = n * r * step
-                key = (kz + shift) % big
-                weights[key] = weights.get(key, 0) + plus
-                if q > 2:
-                    key = (kz - shift) % big
-                    weights[key] = weights.get(key, 0) + minus
+            for w in (plus, -plus if a else plus)[:halves]:
+                big, counts = next(maps)
+                for k, c in counts.items():
+                    weights[k] = weights.get(k, 0) + w * c
             acc = CycloElement.from_exponents(big, weights)
             zn = chi.value(n)
             lhs = CycloElement.zero() if zn is None else zn * (q * halves * plus)
@@ -114,9 +109,7 @@ def forced_q1(q: int, q2: int) -> int:
 
 def _validate_window(chi: DirichletCharacter, q1: int, q2: int) -> None:
     q = chi.group.q
-    if not in_window(chi, q2):
-        cond = chi.conductor()
-        raise ValueError(f"q2={q2} violates {cond} | q2 | {lcm(cond, radical(q))}")
+    check_window(chi, q2)
     forced = forced_q1(q, q2)
     if q1 < 1 or q1 % forced != 0 or q % q1 != 0:
         raise ValueError(f"q1={q1} violates {forced} | q1 | {q}")

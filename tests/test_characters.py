@@ -3,13 +3,14 @@
 import cmath
 import itertools
 import random
+import re
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd, lcm, sqrt
 
 import pytest
 
 from rslab import characters, twists
-from rslab.arith import divisors, euler_phi
+from rslab.arith import divisors, euler_phi, radical
 from rslab.characters import (
     addtomult_check,
     char_group,
@@ -308,24 +309,23 @@ def test_window_rejects_out_of_range():
 def test_window_membership_matches_window_moduli(monkeypatch):
     """nonvanishing_window_check and twisted_prefactor's validation
     accept exactly the q2 of window_moduli, for every chi mod q <= 40 and
-    1 <= q2 <= q, and name the window otherwise."""
+    -1 <= q2 <= q + 1, and refuse every other q2 with the one window
+    message, a non-positive q2 and one above q included."""
     monkeypatch.setattr(characters, "vanishing_sums", lambda chi, m, rs: [])
     for q in range(1, 41):
         for chi in char_group(q).characters():
             window = window_moduli(chi)
-            for q2 in range(1, q + 1):
+            c = chi.conductor()
+            for q2 in range(-1, q + 2):
                 if q2 in window:
                     assert nonvanishing_window_check(chi, q2) == (True, [])
                     twists._validate_window(chi, q, q2)  # q1 = q is always admissible
-                else:
-                    with pytest.raises(ValueError, match=f"q2={q2} outside the window"):
-                        nonvanishing_window_check(chi, q2)
-                    with pytest.raises(ValueError, match=f"q2={q2} violates"):
-                        twists._validate_window(chi, q, q2)
-            for q2 in (0, q + 1):
-                with pytest.raises(ValueError, match="bad window modulus"):
+                    continue
+                message = re.escape(f"q2={q2} outside the window: "
+                                    f"need {c} | q2 and q2 | {lcm(c, radical(q))}")
+                with pytest.raises(ValueError, match=message):
                     nonvanishing_window_check(chi, q2)
-                with pytest.raises(ValueError, match=f"q2={q2} violates"):
+                with pytest.raises(ValueError, match=message):
                     twists._validate_window(chi, q, q2)
 
 

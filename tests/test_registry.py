@@ -1,12 +1,15 @@
 """The check registry: determinism, coverage, fault injection, and each
 check shown able to fail."""
 
+import json
 from math import nan
 
 import pytest
 
 from rslab import characters, coeffs, cyclotomic, funceq, matid, symfunc, twists
+from rslab.arith import largest_prime_powers
 from rslab.characters import char_group
+from rslab.cli import main
 from rslab.matid import Mat
 from rslab.registry import (
     CHECKS,
@@ -109,6 +112,47 @@ def test_gauss_window_fault_is_caught_only_by_the_exact_descent(monkeypatch):
     assert characters.vanishing_sums(trivial, 16, [1]) == [1]
     monkeypatch.setattr(cyclotomic, "_vanishes", lambda n, weights, primes: False)
     assert characters.vanishing_sums(trivial, 16, [1]) == []
+
+
+def test_gl31_decomp_guards_the_shared_exponent_map_kernel(monkeypatch):
+    """The exact gl31 route folds `exponent_maps` of conj(chi); each map one
+    count short fails gl31-decomp (at q = 3, n = 1), while the other checks
+    of its suite, which reach the kernel through `characters`, still pass."""
+    kernel = characters.exponent_maps
+
+    def short_by_one(chi, m, rs):
+        for big, weights in kernel(chi, m, rs):
+            weights = dict(weights)
+            weights[next(iter(weights))] -= 1
+            yield big, weights
+
+    monkeypatch.setattr(twists, "exponent_maps", short_by_one)
+    _fails_alone("gl31-decomp")
+
+
+def test_doublesum_random_guards_the_shared_sieve(monkeypatch, capsys):
+    """The coefficient streams share one `largest_prime_powers` table, so a
+    wrong exponent there cancels out of standardcoeff, which compares two
+    such streams.  doublesum-random compares the double sum c(n), whose m1
+    part comes from `factorize(m1)` and not from the table, with the pairing
+    stream, and is the sieve's guard: with exp[m] in place of exp[m] + 1
+    (every p^k read as p^1) `verify --suite doublesum` exits 2 and
+    doublesum-random fails on a comparison."""
+
+    def wrong_exponents(n):
+        top, rest, exp = largest_prime_powers(n)
+        for k in range(2, n + 1):
+            m = k // top[k]
+            if top[m] == top[k]:
+                exp[k] = exp[m]
+        return top, rest, exp
+
+    monkeypatch.setattr(coeffs, "largest_prime_powers", wrong_exponents)
+    assert main(["verify", "--suite", "doublesum", "--json"]) == 2
+    records = {r["check"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    guard = records["doublesum-random"]
+    assert not guard["ok"] and not guard["detail"].startswith("error:"), guard
+    assert records["standardcoeff"]["ok"], records["standardcoeff"]
 
 
 @pytest.mark.parametrize("check_id", ["cauchy-gradewise", "cauchy-two-row", "standardcoeff"])

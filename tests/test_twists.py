@@ -107,7 +107,7 @@ def test_twisted_prefactor_window_validation():
     data = _exact_data()
     chi = next(c for c in char_group(12).characters() if c.conductor() == 12)
     # q2 = 6 misses the conductor divisibility requirement
-    with pytest.raises(ValueError, match="q2=6 violates"):
+    with pytest.raises(ValueError, match=r"q2=6 outside the window: need 12 \| q2 and q2 \| 12"):
         twisted_prefactor(chi, 12, 6, 1, 1, data)
     # q2 = 12 works, and then q1 must be a multiple of 1 dividing 12; the
     # prefactor is the Gauss sum of a primitive character, so nonzero
