@@ -11,17 +11,22 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a byte sieve."""
-    if n < 2:
-        return []
+def prime_sieve(n: int) -> bytearray:
+    """The byte sieve to n >= 1: sieve[k] is 1 if k is prime, else 0."""
     sieve = bytearray(b"\x01") * (n + 1)
     sieve[:2] = b"\x00\x00"
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             start = p * p
             sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
+    return sieve
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n, listed from `prime_sieve`."""
+    if n < 2:
+        return []
+    return [i for i, v in enumerate(prime_sieve(n)) if v]
 
 
 def largest_prime_powers(n: int) -> tuple[array, array, array]:

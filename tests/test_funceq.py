@@ -176,8 +176,18 @@ def test_fe_residual_dirichlet_small_moduli():
 
 def test_fe_residual_rejects_imprimitive():
     chi0 = char_group(4).trivial()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^chi mod 4 is not primitive: its conductor is 1$"):
         fe_residual_dirichlet(chi0, 0.5)
+
+
+def test_one_nontrivial_rule():
+    """The trivial character mod 1 is primitive: both functions refuse it
+    with one wording."""
+    chi = char_group(1).trivial()
+    for call in (lambda: fe_residual_dirichlet(chi, 0.5),
+                 lambda: synthetic_fe_check(chi, (0.5, -0.3, 0.1), 0.2, [0.5])):
+        with pytest.raises(ValueError, match=r"^use a nontrivial character \(zeta has a pole\)$"):
+            call()
 
 
 def test_synthetic_fe_product():

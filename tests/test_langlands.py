@@ -142,6 +142,9 @@ def test_parse_rep_file_rejects_bad_degree():
     ("2 0 1 1 1 1\n5 0 1 1 1 1\n", 5, r"missing local data at primes \[3\]"),
     ("2 0 1 1 1 1\n# again\n2 1 1 1 1 1\n", 2, "line 3: duplicate prime 2"),
     ("4 0 1 1 1 1\n", 1, "4 is not prime"),
+    ("2 0 1 1 1 1\n-3 0 1 1 1 1\n", 2, "line 2: -3 is not prime"),
+    # each p at its own line, in file order: 9 is refused before line 3 is read
+    ("2 0 1 1 1 1\n9 0 1 1 1 1\n3 0 1 1 1 1\n", 3, "line 2: 9 is not prime"),
     ("2 -1 1 1 1 1\n", 2, "conductor exponent must be >= 0"),
     ("2 0 1 1 0 1\n", 2, "an unramified component needs all parameters nonzero"),
     ("2 0 -1 1 1 1\n", 2, "an unramified component has root number 1"),

@@ -6,7 +6,7 @@ from math import nan
 
 import pytest
 
-from rslab import characters, coeffs, cyclotomic, funceq, matid, symfunc, twists
+from rslab import characters, coeffs, cyclotomic, funceq, matid, registry, symfunc, twists
 from rslab.arith import largest_prime_powers
 from rslab.characters import char_group
 from rslab.cli import main
@@ -207,6 +207,38 @@ def test_schur_tableau_fails_on_a_missing_partition(monkeypatch):
     res = run_check(check, RunConfig())
     assert not res.ok
     assert res.detail == "determinant and tableau routes agree at 52 points"
+
+
+@pytest.mark.parametrize("check_id, detail", [
+    ("gauss-factor", "on 18 characters"),
+    ("addtomult-prim", "on 156 pairs"),
+    ("fe-root-modulus", "over 18 unitary draws"),
+])
+def test_counts_decide_on_fewer_characters(monkeypatch, check_id, detail):
+    """Without the first primitive character of each modulus every residual
+    still passes; each check fails on its count fixed by construction (22,
+    192 and 24), with its usual detail."""
+    primitive_chars = registry._primitive_chars
+    monkeypatch.setattr(registry, "_primitive_chars", lambda q: primitive_chars(q)[1:])
+    check = next(c for c in CHECKS if c.check_id == check_id)
+    res = run_check(check, RunConfig())
+    assert not res.ok, res.detail
+    assert not res.detail.startswith("error:") and res.detail.endswith(detail), res.detail
+
+
+@pytest.mark.parametrize("check_id, detail", [
+    ("cauchy-gradewise", "40 graded residuals vanish over 5 parameter sets"),
+    ("cauchy-two-row", "two-row regrouping matches on 32 graded pieces"),
+])
+def test_counts_decide_on_fewer_degrees(monkeypatch, check_id, detail):
+    """With the top degree of every graded identity dropped, the residuals
+    left still vanish; the checks fail on their counts, 45 and 36."""
+    cauchy_check = symfunc.cauchy_check
+    monkeypatch.setattr(symfunc, "cauchy_check", lambda *args: cauchy_check(*args)[:-1])
+    check = next(c for c in CHECKS if c.check_id == check_id)
+    res = run_check(check, RunConfig())
+    assert not res.ok, res.detail
+    assert res.detail.startswith(detail), res.detail
 
 
 def test_run_config_validation():
