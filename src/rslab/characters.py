@@ -79,7 +79,7 @@ class CharGroup:
         """list(self.characters())[index], without listing them: the
         exponents are the mixed-radix digits of index, the last the fastest."""
         if not 0 <= index < len(self):
-            raise IndexError(f"character index {index} out of range for q={self.q}")
+            raise ValueError(f"character index {index} must be in [0, {len(self) - 1}] for q={self.q}")
         exps = []
         for n in reversed(self.orders):
             index, e = divmod(index, n)

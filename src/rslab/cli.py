@@ -11,20 +11,16 @@ its flags alone.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
 import sys
-from array import array
 from fractions import Fraction
 
 from . import funceq as fe
 from . import langlands, matid, registry, twists
-from .arith import largest_prime_powers
 from .characters import char_group, gauss_beta
 from .coeffs import CoeffData, coefficient_rows
-from .euler import inverse_series
 from .matid import CosetContext, Mat
 from .scalars import EXACT, FLOAT
 
@@ -39,8 +35,8 @@ FUNCEQ_Q_MAX = 4 * 10**5
 # one is written)
 COEFFS_N_MAX = 4 * 10**5
 # `twist --N` bound, the largest prime a rep file may list: with a file of all
-# 78,498 primes below 10^6, N = 10 takes 0.5 s and 19 MB on 2 vCPUs, 10^5
-# 1.9-3.4 s and 28 MB, 3*10^5 6.3-7.0 s and 45 MB, 10^6 17-24 s and 92 MB
+# 78,498 primes below 10^6, N = 10 takes 0.5-0.7 s and 21 MB on 2 vCPUs, 10^5
+# 1.8-2.2 s and 25 MB, 3*10^5 4.6-5.7 s and 45 MB, 10^6 16-18 s and 92 MB
 TWIST_N_MAX = langlands.REP_P_MAX
 # CosetContext tests p and p_prime for primality by trial division: 0.08 s
 # at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs
@@ -211,45 +207,12 @@ def _gauss_records(q: int) -> list:
     return records
 
 
-def _twist_coeffs(args) -> array:
-    """The twisted coefficients of n = 1..N as (re, im) pairs in one array;
-    raises ValueError before anything is written if one overflows a float."""
-    (beta,) = parse_fraction_list(args.beta, 1, "--beta")
-    n_max = _in_range("--N", args.N, TWIST_N_MAX)
-    params = langlands.parse_rep_file(_read_text(args.pi_file), n_max)
-    tables = {}  # p -> a(p^k) for p^k <= N, p ascending
-    for p in sorted(params):
-        kmax, pk = 0, p
-        while pk <= n_max:
-            kmax, pk = kmax + 1, pk * p
-        tables[p] = inverse_series(params[p], kmax, FLOAT)
-    # a(n) = a(n / p^k) a(p^k) for the largest prime p of n, k = ord_p(n): the
-    # products `euler.multiplicative` takes, in its (ascending) order, so the
-    # same floats, with no n factorized (the cache would keep one entry per n)
-    top, rest, exp = largest_prime_powers(n_max)
-    q_mod = beta.denominator
-    a = array("d", (0.0, 0.0))  # a(n) at 2n, 2n + 1
-    coeffs = array("d")
-    for n in range(1, n_max + 1):
-        if n == 1:
-            a_n = complex(1)
-        else:
-            m = rest[n]
-            a_n = complex(a[2 * m], a[2 * m + 1]) * tables[top[n]][exp[n]]
-        a.extend((a_n.real, a_n.imag))
-        coeff = a_n * twists.unit_average(n * beta, q_mod, args.parity)
-        if not cmath.isfinite(coeff):
-            raise ValueError(f"coefficient a({n}) overflows a float")
-        coeffs.extend((coeff.real, coeff.imag))
-    return coeffs
-
-
 def cmd_gauss(args) -> int:
     sys.stdout.write(_json_lines(_gauss_records(_in_range("--q", args.q, GAUSS_Q_MAX))))
     return 0
 
 
-def _twist_lines(coeffs: array):
+def _twist_lines(coeffs):
     """The JSON lines of the twisted coefficients, 4096 to a chunk."""
     for lo in range(0, len(coeffs), 8192):
         part = coeffs[lo : lo + 8192]
@@ -258,7 +221,10 @@ def _twist_lines(coeffs: array):
 
 
 def cmd_twist(args) -> int:
-    sys.stdout.writelines(_twist_lines(_twist_coeffs(args)))
+    (beta,) = parse_fraction_list(args.beta, 1, "--beta")
+    n_max = _in_range("--N", args.N, TWIST_N_MAX)
+    params = langlands.parse_rep_file(_read_text(args.pi_file), n_max)
+    sys.stdout.writelines(_twist_lines(twists.additive_twist(params, beta, args.parity, n_max)))
     return 0
 
 
@@ -284,10 +250,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_funceq(args) -> int:
     q = _in_range("--q", args.q, FUNCEQ_Q_MAX)
-    group = char_group(q)
-    if not 0 <= args.chi_index < len(group):
-        raise ValueError(f"--chi-index must be in [0, {len(group) - 1}] for q={q}")
-    chi = group.character_at(args.chi_index)
+    chi = char_group(q).character_at(args.chi_index)
     try:
         points = [complex(tok) for tok in args.points.split(",") if tok.strip()]
     except ValueError:

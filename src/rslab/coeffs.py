@@ -17,7 +17,7 @@ from math import gcd, isqrt, lcm
 from typing import Mapping
 
 from .arith import factorize, largest_prime_powers, primes_up_to
-from .euler import inverse_series, multiplicative
+from .euler import inverse_series, multiplicative, sieve_stream
 from .scalars import EXACT, check_mode, coerce, one, zero
 from .symfunc import Partition3, schur3
 
@@ -192,7 +192,7 @@ def _whole(x):
 
 class CoeffStreams:
     """Every n <= n_max at once, beside the single-index functions: on exact
-    data, each multiplicative stream by one largest-prime-factor sieve, and c
+    data, each multiplicative stream by `euler.sieve_stream`, and c
     by the global double sum.  Alphas are scaled by D_alpha, gammas by
     D_gamma (lcms over the primes <= n_max), so a value of degree i, j in them
     carries (D_alpha^i D_gamma^j)^Omega(n) (see scale) and is an int if whole."""
@@ -203,7 +203,7 @@ class CoeffStreams:
         self.n_max, self.tables = n_max, {p: data._local(p) for p in primes_up_to(n_max)}
         self.d_alpha = lcm(*(a.denominator for t in self.tables.values() for a in t.alphas))
         self.d_gamma = lcm(*(g.denominator for t in self.tables.values() for g in t.gammas))
-        self.top, self.rest, self.exp = largest_prime_powers(n_max)
+        self.powers = largest_prime_powers(n_max)
 
     def stream(self, value, keys: Mapping | None = None) -> list:
         """a(0) = 0, a(1), ..., a(n_max) of the multiplicative a with a(p^k) =
@@ -214,10 +214,7 @@ class CoeffStreams:
                 seen[key] = [_whole(value(key, k)) for k in range(self.n_max.bit_length())
                              if p**k <= self.n_max]
             local[p] = seen[key]
-        a = [0, 1] + [0] * (self.n_max - 1)
-        for n, p, m, k in zip(range(2, len(a)), self.top[2:], self.rest[2:], self.exp[2:]):
-            a[n] = a[m] * local[p][k]
-        return a
+        return [0, *sieve_stream(local, self.powers, 1)]
 
     def expansion(self, factor: str) -> list:
         """The scaled coefficients of the "pi", "tau" or "pair" expansion."""

@@ -15,6 +15,7 @@ X^k coefficient is the int one over D**k.
 from __future__ import annotations
 
 import cmath
+from itertools import islice
 
 from .arith import factorize
 from .scalars import EXACT, coerce, join, one, split, zero
@@ -152,3 +153,23 @@ def multiplicative(n: int, local, mode: str):
     for p, k in factorize(n):
         acc *= local(p, k)
     return acc
+
+
+def sieve_stream(local, powers, a1):
+    """a(1), ..., a(n) of the multiplicative a with a(p^k) = local[p][k], from
+    powers = `arith.largest_prime_powers(n)`, n >= 1, and a(1) = a1 (1 for
+    ints, one(FLOAT) for floats): a(m) = a(m / p^k) a(p^k) for the largest
+    prime p of m, k = ord_p(m), the products `multiplicative` takes, in its
+    order.  Only a(m) for m <= n / 3 is kept: for m / p^k > 1, p >= 3 exceeds
+    every prime of m / p^k, so m / p^k <= m / 3."""
+    top, rest, exp = powers
+    keep = (len(top) - 1) // 3
+    kept = [None, a1]
+    yield a1
+    cols = zip(islice(top, 2, None), islice(rest, 2, None), islice(exp, 2, None))
+    for p, m, k in islice(cols, max(keep - 1, 0)):
+        a = kept[m] * local[p][k]
+        kept.append(a)
+        yield a
+    for p, m, k in cols:
+        yield kept[m] * local[p][k]

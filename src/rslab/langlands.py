@@ -129,12 +129,11 @@ def parse_rep_file(text: str, n_max: int) -> dict:
         if sieve[p] == 2:
             raise ValueError(f"line {lineno}: duplicate prime {p}")
         if m < 0:
-            raise ValueError("conductor exponent must be >= 0")
-        if m == 0:
-            if any(x == 0 for x in local):
-                raise ValueError("an unramified component needs all parameters nonzero")
-            if root != 1:
-                raise ValueError("an unramified component has root number 1")
+            raise ValueError(f"line {lineno}: conductor exponent must be >= 0")
+        if m == 0 and any(x == 0 for x in local):
+            raise ValueError(f"line {lineno}: an unramified component needs all parameters nonzero")
+        if m == 0 and root != 1:
+            raise ValueError(f"line {lineno}: an unramified component has root number 1")
         sieve[p] = 2
         if p <= n_max:
             params[p] = local

@@ -71,6 +71,11 @@ def _rand_fracs(rng: random.Random, k: int, nonzero: bool = False) -> tuple:
     return tuple(out)
 
 
+def _rand_pairs(rng: random.Random, k: int) -> list:
+    """k random (alphas, gammas): three fractions, then two nonzero ones."""
+    return [(_rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True)) for _ in range(k)]
+
+
 def _rand_units(rng: random.Random, k: int) -> tuple:
     return tuple(cmath.exp(2j * pi * rng.random()) for _ in range(k))
 
@@ -86,9 +91,8 @@ def _worst(residuals) -> float:
 
 
 def _run_cauchy(cfg: RunConfig, rng: random.Random):
-    sets = [((1, 2, 3), (1, 2)), ((Fraction(1, 2), -1, 3), (Fraction(2, 3), -2))]
-    for _ in range(3):
-        sets.append((_rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True)))
+    sets = [((1, 2, 3), (1, 2)), ((Fraction(1, 2), -1, 3), (Fraction(2, 3), -2)),
+            *_rand_pairs(rng, 3)]
     count = 0
     for alphas, gammas in sets:
         res = symfunc.cauchy_check(alphas, gammas, 8, EXACT)
@@ -107,9 +111,7 @@ def _run_cauchy(cfg: RunConfig, rng: random.Random):
 
 
 def _run_two_row(cfg: RunConfig, rng: random.Random):
-    sets = [((1, 2, 3), (1, 2))]
-    for _ in range(3):
-        sets.append((_rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True)))
+    sets = [((1, 2, 3), (1, 2)), *_rand_pairs(rng, 3)]
     count = 0
     for alphas, gammas in sets:
         res = symfunc.cauchy_check(alphas, gammas, 8, EXACT)
@@ -158,9 +160,7 @@ def _run_doublesum_anchor(cfg: RunConfig, rng: random.Random):
 
 def _run_doublesum_random(cfg: RunConfig, rng: random.Random):
     n_max = cfg.n_max
-    sets = [((1, 2, 3), (1, 2))]
-    for _ in range(3):
-        sets.append((_rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True)))
+    sets = [((1, 2, 3), (1, 2)), *_rand_pairs(rng, 3)]
     for alphas, gammas in sets:
         data = CoeffData.constant(alphas, gammas, n_max, EXACT)
         if cfg.inject_fault == "doublesum-random":
@@ -176,7 +176,7 @@ def _run_doublesum_random(cfg: RunConfig, rng: random.Random):
 
 def _run_standardcoeff(cfg: RunConfig, rng: random.Random):
     n_max = cfg.n_max
-    sets = [((1, 2, 3), (1, 2)), (_rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True))]
+    sets = [((1, 2, 3), (1, 2)), *_rand_pairs(rng, 1)]
     for alphas, gammas in sets:
         data = CoeffData.constant(alphas, gammas, n_max, EXACT)
         s = coeffs.CoeffStreams(data, n_max)
@@ -187,9 +187,7 @@ def _run_standardcoeff(cfg: RunConfig, rng: random.Random):
 
 
 def _run_twist_compat(cfg: RunConfig, rng: random.Random):
-    data = CoeffData.constant(
-        _rand_fracs(rng, 3), _rand_fracs(rng, 2, nonzero=True), 100, EXACT
-    )
+    data = CoeffData.constant(*_rand_pairs(rng, 1)[0], 100, EXACT)
     units = {p: Fraction(rng.choice([1, -1])) for p in data.local}
     residuals = coeffs.twist_compatibility_check(100, data, units)
     bad = [n for n, r in enumerate(residuals, 1) if r != 0]

@@ -9,14 +9,16 @@ the plain multiplicative one, which is the decomposition checked here.
 from __future__ import annotations
 
 import cmath
+from array import array
 from fractions import Fraction
 from math import gcd, isqrt, lcm, pi, prod
 
-from .arith import factorize, valuation
+from .arith import factorize, largest_prime_powers, valuation
 from .characters import DirichletCharacter, check_window, exponent_maps, gauss_beta, gauss_classical
 from .coeffs import CoeffData, lambda_std, lambda_tau
 from .cyclotomic import CycloElement
-from .scalars import EXACT, FLOAT
+from .euler import inverse_series, sieve_stream
+from .scalars import EXACT, FLOAT, one
 
 
 def unit_average(x, q: int, parity: int) -> complex:
@@ -43,6 +45,26 @@ def unit_average(x, q: int, parity: int) -> complex:
     if q <= 2:
         return one_term(xf, sign)
     return (one_term(xf, sign) + one_term(-xf, -sign if x else 1.0)) / 2
+
+
+def additive_twist(params, beta: Fraction, parity: int, n_max: int) -> array:
+    """a(n) unit_average(n beta, den beta, parity), n = 1..n_max, as (re, im)
+    pairs in one array; a is the float stream whose local factor at p has the
+    parameters params[p] (`langlands.parse_rep_file`).  ValueError, before
+    anything is returned, if a coefficient overflows a float."""
+    tables = {}  # p -> a(p^k) for p^k <= n_max
+    for p, roots in params.items():
+        kmax, pk = 0, p
+        while pk <= n_max:
+            kmax, pk = kmax + 1, pk * p
+        tables[p] = inverse_series(roots, kmax, FLOAT)
+    coeffs = array("d")
+    for n, a_n in enumerate(sieve_stream(tables, largest_prime_powers(n_max), one(FLOAT)), 1):
+        coeff = a_n * unit_average(n * beta, beta.denominator, parity)
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"coefficient a({n}) overflows a float")
+        coeffs.extend((coeff.real, coeff.imag))
+    return coeffs
 
 
 def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -> list[float]:

@@ -40,8 +40,9 @@ def test_character_at_matches_enumeration():
     for q in range(1, 65):
         grp = char_group(q)
         assert [grp.character_at(i) for i in range(len(grp))] == list(grp.characters()), q
-        with pytest.raises(IndexError):
-            grp.character_at(len(grp))
+        for index in (-1, len(grp)):
+            with pytest.raises(ValueError, match=rf"must be in \[0, {len(grp) - 1}\] for q={q}$"):
+                grp.character_at(index)
 
 
 def test_character_values_multiplicative():

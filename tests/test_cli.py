@@ -692,6 +692,13 @@ def test_funceq_nan_residual_fails(monkeypatch):
     assert json.loads(out)["residual"] is None
 
 
+@pytest.mark.parametrize("index", ["4", "-1"])
+def test_funceq_chi_index_out_of_range_exits_3(index):
+    """`CharGroup.character_at` owns the index range, with its one message."""
+    code, out, err = run_cli("funceq", "--q", "5", f"--chi-index={index}")
+    assert (code, out, err) == (3, "", f"error: character index {index} must be in [0, 3] for q=5\n")
+
+
 def test_funceq_rejects_imprimitive():
     """`characters.require_primitive` refuses the trivial character mod 4
     (index 0) and index 1 mod 12, which factors through mod 3, with its one

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rslab.arith import primes_up_to
+from rslab.arith import largest_prime_powers, primes_up_to
 from rslab.euler import (
     EulerFactorPoly,
     NotDivisibleError,
@@ -19,6 +19,7 @@ from rslab.euler import (
     multiplicative,
     poly_divide_exact,
     poly_mul,
+    sieve_stream,
 )
 from rslab.cli import main
 from rslab.scalars import EXACT, FLOAT
@@ -160,6 +161,17 @@ def test_multiplicative_reads_each_prime_power_once():
     assert multiplicative(1, local, EXACT) == 1 and seen == []
     assert multiplicative(360, local, EXACT) == 30  # 2^3 3^2 5: six prime factors
     assert seen == [(2, 3), (3, 2), (5, 1)]
+
+
+@pytest.mark.parametrize("n_max", range(1, 41))
+def test_sieve_stream_equals_multiplicative(n_max):
+    """The sieve gives every a(n), n <= n_max, exactly as `multiplicative`
+    does, also at the n <= 5 where it keeps no a(m) beyond a(1)."""
+    rng = random.Random(n_max)
+    local = {p: [Fraction(1)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
+             for p in primes_up_to(n_max)}
+    got = list(sieve_stream(local, largest_prime_powers(n_max), 1))
+    assert got == [multiplicative(n, lambda p, k: local[p][k], EXACT) for n in range(1, n_max + 1)]
 
 
 def _series(tmp_path, params: dict, n_max: int) -> list:

@@ -155,3 +155,16 @@ def test_parse_rep_file_rejects_bad_degree():
 def test_parse_rep_file_rejects_inconsistent_data(text, n_max, message):
     with pytest.raises(ValueError, match=message):
         parse_rep_file(text, n_max)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("2 -1 1 1 1 1", "conductor exponent must be >= 0"),
+    ("2 0 1 1 0 1", "an unramified component needs all parameters nonzero"),
+    ("2 0 -1 1 1 1", "an unramified component has root number 1"),
+])
+def test_parse_rep_file_names_the_line_of_each_refusal(line, message):
+    """The m and root refusals name their line, as every other refusal does:
+    the bad line first, and after a valid line 1."""
+    for text, lineno in ((f"{line}\n", 1), (f"3 0 1 1 1 1\n{line}\n", 2)):
+        with pytest.raises(ValueError, match=f"^line {lineno}: {message}$"):
+            parse_rep_file(text, 3)

@@ -6,7 +6,7 @@ from math import nan
 
 import pytest
 
-from rslab import characters, coeffs, cyclotomic, funceq, matid, registry, symfunc, twists
+from rslab import characters, coeffs, cyclotomic, euler, funceq, matid, registry, symfunc, twists
 from rslab.arith import largest_prime_powers
 from rslab.characters import char_group
 from rslab.cli import main
@@ -148,6 +148,23 @@ def test_doublesum_random_guards_the_shared_sieve(monkeypatch, capsys):
         return top, rest, exp
 
     monkeypatch.setattr(coeffs, "largest_prime_powers", wrong_exponents)
+    assert main(["verify", "--suite", "doublesum", "--json"]) == 2
+    records = {r["check"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    guard = records["doublesum-random"]
+    assert not guard["ok"] and not guard["detail"].startswith("error:"), guard
+    assert records["standardcoeff"]["ok"], records["standardcoeff"]
+
+
+def test_doublesum_random_guards_the_stream_kernel(monkeypatch, capsys):
+    """A kernel that reads a(p^(k-1)) for a(p^k) corrupts every stream
+    `CoeffStreams` builds, the same way on both sides of standardcoeff; the
+    m1 part of c(n) comes from `factorize(m1)`, so doublesum-random fails on
+    a comparison."""
+
+    def shifted(local, powers, a1):
+        return euler.sieve_stream({p: [None, *t] for p, t in local.items()}, powers, a1)
+
+    monkeypatch.setattr(coeffs, "sieve_stream", shifted)
     assert main(["verify", "--suite", "doublesum", "--json"]) == 2
     records = {r["check"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
     guard = records["doublesum-random"]

@@ -3,15 +3,19 @@ twisted-series prefactor, and the root-number bookkeeping."""
 
 import cmath
 import random
+from array import array
 from fractions import Fraction
 from math import gcd, isclose
 
 import pytest
 
+from rslab.arith import primes_up_to
 from rslab.characters import char_group
 from rslab.coeffs import CoeffData
-from rslab.scalars import EXACT, FLOAT
+from rslab.euler import inverse_series, multiplicative
+from rslab.scalars import EXACT, FLOAT, parse_scalar
 from rslab.twists import (
+    additive_twist,
     conductor_exponent_check,
     fe_root_number,
     forced_q1,
@@ -66,6 +70,22 @@ def test_unit_average_sign_zero_convention():
     # sign(0) := +1, so x = 0 gives 1 for any parity at q <= 2
     assert unit_average(Fraction(0), 2, 0) == 1
     assert unit_average(Fraction(0), 2, 1) == 1
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6, 7, 900])
+def test_additive_twist_is_the_multiplicative_product_bit_for_bit(n_max):
+    """Each twisted coefficient is multiplicative(n) * unit_average(n beta)
+    to the bit, signed zeros included (`tobytes` tells -0.0 from 0.0)."""
+    rng = random.Random(n_max)
+    scalars = ["-2,-0.0", "0.5,-0.0", "-0.0,-0.75", "1", "-1.5,0.25", "2e-3,-7"]
+    params = {p: tuple(parse_scalar(rng.choice(scalars)) for _ in range(3))
+              for p in primes_up_to(n_max)}
+    tables = {p: inverse_series(params[p], 10, FLOAT) for p in params}
+    for beta, parity in ((Fraction(2, 7), 1), (Fraction(-1, 3), 0), (Fraction(0), 0)):
+        want = [multiplicative(n, lambda p, k: tables[p][k], FLOAT)
+                * unit_average(n * beta, beta.denominator, parity) for n in range(1, n_max + 1)]
+        got = additive_twist(params, beta, parity, n_max)
+        assert got.tobytes() == array("d", [x for c in want for x in (c.real, c.imag)]).tobytes()
 
 
 def test_gl31_decomposition_float():
