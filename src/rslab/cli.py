@@ -22,7 +22,7 @@ from . import langlands, matid, registry, twists
 from .characters import char_group, gauss_beta
 from .coeffs import CoeffData, coefficient_rows
 from .matid import CosetContext, Mat
-from .scalars import EXACT, FLOAT
+from .scalars import FLOAT
 
 # --q bounds where the command takes about a minute on 2 vCPUs; a prime q
 # costs most: `gauss --q 223` takes 59 s (phi(q)^2 sums of q terms), and
@@ -35,8 +35,8 @@ FUNCEQ_Q_MAX = 4 * 10**5
 # one is written)
 COEFFS_N_MAX = 4 * 10**5
 # `twist --N` bound, the largest prime a rep file may list: with a file of all
-# 78,498 primes below 10^6, N = 10 takes 0.5-0.7 s and 21 MB on 2 vCPUs, 10^5
-# 1.8-2.2 s and 25 MB, 3*10^5 4.6-5.7 s and 45 MB, 10^6 16-18 s and 92 MB
+# 78,498 primes below 10^6, N = 10 takes 0.3-0.4 s and 21 MB on 2 vCPUs, 10^5
+# 1.0-1.3 s and 25 MB, 3*10^5 2.9-3.1 s and 44 MB, 10^6 8.9-9.5 s and 94 MB
 TWIST_N_MAX = langlands.REP_P_MAX
 # CosetContext tests p and p_prime for primality by trial division: 0.08 s
 # at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs
@@ -178,7 +178,7 @@ def cmd_coeffs(args) -> int:
     if any(g == 0 for g in gammas):
         raise ValueError("--gammas must be nonzero")
     n_max = _in_range("--N", args.N, COEFFS_N_MAX)
-    data = CoeffData.constant(alphas, gammas, n_max, EXACT)
+    data = CoeffData.constant(alphas, gammas, n_max)
     rows = coefficient_rows(n_max, data)
     lines = ["n,lambda,c,pair,residual"]
     lines += [f"{n},{ls},{c},{lp},{res}" for n, ls, c, lp, res in rows]

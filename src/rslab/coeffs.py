@@ -6,8 +6,10 @@ inverse local factors.  The headline check is the convolution identity
 
     sum over m1^2 m2 = n of  lam(m1, m2) * mu(m2) * omega(m1)  =  lam_pair(n)
 
-with lam_pair the coefficient of the expanded 6-factor product.  An index
-below 1 raises ValueError, in `arith.factorize`.
+with lam_pair the coefficient of the expanded 6-factor product.  Every
+value is exact: a parameter is an int or a Fraction, and anything else
+raises TypeError where it is coerced.  An index below 1 raises ValueError,
+in `arith.factorize`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Mapping
 
 from .arith import factorize, largest_prime_powers, primes_up_to
 from .euler import inverse_series, multiplicative, sieve_stream
-from .scalars import EXACT, check_mode, coerce, one, zero
+from .scalars import EXACT, coerce
 from .symfunc import Partition3, schur3
 
 
@@ -29,10 +31,10 @@ class _LocalTables:
     s_(k1+k2, k1, 0)(alphas) (schur3).
     Neither table is filled from the other."""
 
-    __slots__ = ("alphas", "gammas", "central", "mode", "series", "schur")
+    __slots__ = ("alphas", "gammas", "central", "series", "schur")
 
-    def __init__(self, alphas: tuple, gammas: tuple, central, mode: str):
-        self.alphas, self.gammas, self.central, self.mode = alphas, gammas, central, mode
+    def __init__(self, alphas: tuple, gammas: tuple, central):
+        self.alphas, self.gammas, self.central = alphas, gammas, central
         self.series: dict[str, list] = {}
         self.schur: dict[tuple[int, int], object] = {}
 
@@ -43,26 +45,26 @@ class _LocalTables:
         if table is None or len(table) <= k:
             roots = {"pi": self.alphas, "tau": self.gammas,
                      "pair": [a * g for a in self.alphas for g in self.gammas]}[factor]
-            table = self.series[factor] = inverse_series(roots, max(k, 16), self.mode)
+            table = self.series[factor] = inverse_series(roots, max(k, 16), EXACT)
         return table[k]
 
     def schur_value(self, k1: int, k2: int):
         value = self.schur.get((k1, k2))
         if value is None:
-            value = self.schur[k1, k2] = schur3(Partition3(k1 + k2, k1, 0), self.alphas, self.mode)
+            value = self.schur[k1, k2] = schur3(Partition3(k1 + k2, k1, 0), self.alphas)
         return value
 
 
-def modulus_convention_central(gammas, mode: str = EXACT):
+def modulus_convention_central(gammas):
     """Central value at p: g1 * g2 when both parameters are nonzero, else 0.
 
     The zero at ramified primes is a convention callers may override by
     supplying their own central value in a CoeffData's local map.
     """
-    g1 = coerce(gammas[0], mode)
-    g2 = coerce(gammas[1], mode)
+    g1 = coerce(gammas[0], EXACT)
+    g2 = coerce(gammas[1], EXACT)
     if g1 == 0 or g2 == 0:
-        return zero(mode)
+        return Fraction(0)
     return g1 * g2
 
 
@@ -73,25 +75,24 @@ class CoeffData:
     ramified p -- modulus_convention_central gives the conventional choice).
     """
 
-    __slots__ = ("local", "mode", "_tables")
+    __slots__ = ("local", "_tables")
 
-    def __init__(self, local: Mapping[int, tuple], mode: str = EXACT):
-        check_mode(mode)
+    def __init__(self, local: Mapping[int, tuple]):
         for p, (alphas, gammas, _) in local.items():
             if len(alphas) != 3 or len(gammas) != 2:
                 raise ValueError(f"need 3 degree-3 and 2 degree-2 parameters at p={p}")
-        self.local, self.mode = local, mode
+        self.local = local
         #: p -> the local tables at p, and the coerced parameter set -> the same
         #: tables, so that primes with equal parameters share one
         self._tables: dict = {}
 
     @classmethod
-    def constant(cls, alphas, gammas, n_max: int, mode: str = EXACT) -> "CoeffData":
+    def constant(cls, alphas, gammas, n_max: int) -> "CoeffData":
         """Same parameters at every prime up to n_max, central value g1*g2."""
-        alphas = tuple(coerce(a, mode) for a in alphas)
-        gammas = tuple(coerce(g, mode) for g in gammas)
-        triple = (alphas, gammas, modulus_convention_central(gammas, mode))
-        return cls({p: triple for p in primes_up_to(n_max)}, mode)
+        alphas = tuple(coerce(a, EXACT) for a in alphas)
+        gammas = tuple(coerce(g, EXACT) for g in gammas)
+        triple = (alphas, gammas, modulus_convention_central(gammas))
+        return cls({p: triple for p in primes_up_to(n_max)})
 
     def _local(self, p: int) -> _LocalTables:
         """The tables at p; the parameters are coerced once, on first use."""
@@ -101,17 +102,17 @@ class CoeffData:
                 alphas, gammas, central = self.local[p]
             except KeyError:
                 raise ValueError(f"no local data at p={p}") from None
-            key = (tuple(coerce(a, self.mode) for a in alphas),
-                   tuple(coerce(g, self.mode) for g in gammas),
-                   coerce(central, self.mode))
-            local = self._tables[p] = self._tables.setdefault(key, _LocalTables(*key, self.mode))
+            key = (tuple(coerce(a, EXACT) for a in alphas),
+                   tuple(coerce(g, EXACT) for g in gammas),
+                   coerce(central, EXACT))
+            local = self._tables[p] = self._tables.setdefault(key, _LocalTables(*key))
         return local
 
 
 def lambda_double(m1: int, m2: int, data: CoeffData):
     """Double-indexed coefficient lam(m1, m2) = prod_p s_(k1+k2, k1, 0)(alpha_p)
     with k1 = v_p(m1), k2 = v_p(m2)."""
-    acc = one(data.mode)
+    acc = Fraction(1)
     exps: dict[int, list[int]] = {}
     for p, e in factorize(m1):
         exps[p] = [e, 0]
@@ -124,7 +125,7 @@ def lambda_double(m1: int, m2: int, data: CoeffData):
 
 def _expansion_stream(n: int, data: CoeffData, factor: str):
     """n-th coefficient of the product over p of 1 / (the inverse `factor` at p)."""
-    return multiplicative(n, lambda p, k: data._local(p).expansion(factor, k), data.mode)
+    return multiplicative(n, lambda p, k: data._local(p).expansion(factor, k), EXACT)
 
 
 def lambda_std(n: int, data: CoeffData):
@@ -144,7 +145,7 @@ def lambda_rs(n: int, data: CoeffData):
 
 def central_char(n: int, data: CoeffData):
     """omega(n) = prod_p central(p)^{v_p(n)} (0^k = 0 for k >= 1)."""
-    return multiplicative(n, lambda p, k: data._local(p).central ** k, data.mode)
+    return multiplicative(n, lambda p, k: data._local(p).central ** k, EXACT)
 
 
 def standardcoeff_check(n: int, data: CoeffData):
@@ -156,7 +157,7 @@ def c_pi_tau(n: int, data: CoeffData):
     """The convolved coefficient sum_{m1^2 m2 = n} lam(m1, m2) mu(m2) omega(m1)."""
     if n < 1:
         raise ValueError("index must be positive")
-    acc = zero(data.mode)
+    acc = Fraction(0)
     m1 = 1
     while m1 * m1 <= n:
         if n % (m1 * m1) == 0:
@@ -178,12 +179,12 @@ def twist_tau(data: CoeffData, units: Mapping[int, object] | int | Fraction) -> 
         units = {p: units for p in data.local}
     local = {}
     for p, (alphas, gammas, central) in data.local.items():
-        u = coerce(units[p], data.mode)
+        u = coerce(units[p], EXACT)
         if u == 0:
             raise ValueError(f"twist value at p={p} must be a unit")
-        local[p] = (alphas, tuple(coerce(g, data.mode) * u for g in gammas),
-                    coerce(central, data.mode) * u * u)
-    return CoeffData(local, data.mode)
+        local[p] = (alphas, tuple(coerce(g, EXACT) * u for g in gammas),
+                    coerce(central, EXACT) * u * u)
+    return CoeffData(local)
 
 
 def _whole(x):
@@ -191,15 +192,13 @@ def _whole(x):
 
 
 class CoeffStreams:
-    """Every n <= n_max at once, beside the single-index functions: on exact
-    data, each multiplicative stream by `euler.sieve_stream`, and c
-    by the global double sum.  Alphas are scaled by D_alpha, gammas by
+    """Every n <= n_max at once, beside the single-index functions: each
+    multiplicative stream by `euler.sieve_stream`, and c by the global
+    double sum.  Alphas are scaled by D_alpha, gammas by
     D_gamma (lcms over the primes <= n_max), so a value of degree i, j in them
     carries (D_alpha^i D_gamma^j)^Omega(n) (see scale) and is an int if whole."""
 
     def __init__(self, data: CoeffData, n_max: int):
-        if data.mode != EXACT:
-            raise ValueError("the stream engine needs exact data")
         self.n_max, self.tables = n_max, {p: data._local(p) for p in primes_up_to(n_max)}
         self.d_alpha = lcm(*(a.denominator for t in self.tables.values() for a in t.alphas))
         self.d_gamma = lcm(*(g.denominator for t in self.tables.values() for g in t.gammas))

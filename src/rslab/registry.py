@@ -15,6 +15,7 @@ from math import gcd, isnan, nan, pi
 from typing import NamedTuple
 
 from . import characters, coeffs, funceq, langlands, matid, symfunc, twists
+from .arith import primes_up_to
 from .characters import char_group
 from .coeffs import CoeffData
 from .euler import EulerFactorPoly, poly_mul
@@ -129,8 +130,8 @@ def _run_schur_tableau(cfg: RunConfig, rng: random.Random):
             if lam.l1 > 4:
                 continue
             for xs in points:
-                a = symfunc.schur3(lam, xs, EXACT)
-                b = symfunc.schur3_tableau(lam, xs, EXACT)
+                a = symfunc.schur3(lam, xs)
+                b = symfunc.schur3_tableau(lam, xs)
                 if a != b:
                     return False, f"s_{lam.parts} disagrees at {xs}: {a} vs {b}"
                 checked += 1
@@ -142,15 +143,15 @@ def _run_schur_tableau(cfg: RunConfig, rng: random.Random):
 
 
 def _run_doublesum_anchor(cfg: RunConfig, rng: random.Random):
-    data = CoeffData.constant((1, 2, 3), (1, 2), 9, EXACT)
+    data = CoeffData.constant((1, 2, 3), (1, 2), 9)
     anchors = [
         (coeffs.lambda_double(2, 1, data), 11),
         (coeffs.lambda_double(1, 4, data), 25),
         (coeffs.lambda_tau(4, data), 7),
         (coeffs.c_pi_tau(2, data), 18),
         (coeffs.c_pi_tau(4, data), 197),
-        (symfunc.schur3(Partition3(2, 1, 0), (1, 1, 1), EXACT), 8),
-        (symfunc.elementary_symmetric(2, (1, 2, 3), EXACT), 11),
+        (symfunc.schur3(Partition3(2, 1, 0), (1, 1, 1)), 8),
+        (symfunc.elementary_symmetric(2, (1, 2, 3)), 11),
     ]
     for got, want in anchors:
         if got != want:
@@ -162,11 +163,11 @@ def _run_doublesum_random(cfg: RunConfig, rng: random.Random):
     n_max = cfg.n_max
     sets = [((1, 2, 3), (1, 2)), *_rand_pairs(rng, 3)]
     for alphas, gammas in sets:
-        data = CoeffData.constant(alphas, gammas, n_max, EXACT)
+        data = CoeffData.constant(alphas, gammas, n_max)
         if cfg.inject_fault == "doublesum-random":
             # deliberately corrupt one local parameter so the harness must trip
             data = CoeffData({p: (a, (g1, g2 + (1 if p == 2 else 0)), c)
-                              for p, (a, (g1, g2), c) in data.local.items()}, EXACT)
+                              for p, (a, (g1, g2), c) in data.local.items()})
         s = coeffs.CoeffStreams(data, n_max)
         bad = [n for n, (c, pair) in enumerate(zip(s.c(), s.expansion("pair"))) if c != pair]
         if bad:
@@ -178,7 +179,7 @@ def _run_standardcoeff(cfg: RunConfig, rng: random.Random):
     n_max = cfg.n_max
     sets = [((1, 2, 3), (1, 2)), *_rand_pairs(rng, 1)]
     for alphas, gammas in sets:
-        data = CoeffData.constant(alphas, gammas, n_max, EXACT)
+        data = CoeffData.constant(alphas, gammas, n_max)
         s = coeffs.CoeffStreams(data, n_max)
         bad = [n for n, (lam, std) in enumerate(zip(s.schur(), s.expansion("pi"))) if lam != std]
         if bad:
@@ -187,7 +188,7 @@ def _run_standardcoeff(cfg: RunConfig, rng: random.Random):
 
 
 def _run_twist_compat(cfg: RunConfig, rng: random.Random):
-    data = CoeffData.constant(*_rand_pairs(rng, 1)[0], 100, EXACT)
+    data = CoeffData.constant(*_rand_pairs(rng, 1)[0], 100)
     units = {p: Fraction(rng.choice([1, -1])) for p in data.local}
     residuals = coeffs.twist_compatibility_check(100, data, units)
     bad = [n for n, r in enumerate(residuals, 1) if r != 0]
@@ -323,21 +324,20 @@ def _run_addtomult(cfg: RunConfig, rng: random.Random):
 
 
 def _run_gl31_decomposition(cfg: RunConfig, rng: random.Random):
-    data = CoeffData.constant((1, 2, 3), (1, 2), 30, EXACT)
+    data = CoeffData.constant((1, 2, 3), (1, 2), 30)
     for q in (3, 4, 5):
         for chi in _primitive_chars(q):
             for n, r in enumerate(twists.gl31_decomposition_residuals(chi, data, range(1, 16)), 1):
                 if r != 0:
                     return False, f"exact decomposition fails at q={q}, n={n} (residual {r})"
-    fdata = CoeffData.constant(_rand_units(rng, 3), _rand_units(rng, 2), 12, FLOAT)
-    worst = _worst(r for chi in _primitive_chars(8)
-                   for r in twists.gl31_decomposition_residuals(chi, fdata, range(1, 13)))
+    params = dict.fromkeys(primes_up_to(12), _rand_units(rng, 3))
+    worst = _worst(r for _, res in twists.gl31_twist_residuals(8, params, 12) for r in res)
     ok = worst < 1e-10
     return ok, f"exact at q<=5; float residual <= {worst:.2e} at q=8"
 
 
 def _run_twisted_series(cfg: RunConfig, rng: random.Random):
-    data = CoeffData.constant((1, 2, 3), (1, 2), 20, EXACT)
+    data = CoeffData.constant((1, 2, 3), (1, 2), 20)
     # level 1: the prefactor is exactly 1, so the series is the pairing
     # stream itself (lam_pair(1) = 1)
     one = twists.twisted_prefactor(char_group(1).trivial(), 1, 1, 1, 1, data)

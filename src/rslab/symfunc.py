@@ -5,12 +5,15 @@ separate: a determinant route (bialternant ratio, with a Jacobi-Trudi
 determinant fallback at coincident points) and a combinatorial route that
 enumerates semistandard tableaux.  Tests compare them pointwise.
 
-In exact mode every public function splits its inputs once into integer
-numerators over one common denominator D (`_split`), runs on Python ints,
+The Schur values (`schur3`, `schur3_tableau`, `elementary_symmetric`) are
+exact: each splits its inputs once into integer numerators over one common
+denominator D (`_split`; a float raises TypeError), runs on Python ints,
 and returns one `Fraction` over D**degree (`_join`); that is exact because
-each polynomial here is homogeneous.  The six-factor expansion that
-`cauchy_check` compares against does not go through this module's split:
-`euler` splits the six products a_i g_j on its own.
+each polynomial here is homogeneous.  `cauchy_check` alone takes a mode,
+because its float half is a check route; in exact mode it splits the same
+way.  The six-factor expansion that `cauchy_check` compares against does
+not go through this module's split: `euler` splits the six products
+a_i g_j on its own.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ def _split_pair(alphas, gammas, mode: str):
     return a, g, None if da is None else da * dg
 
 
-def _split3(alphas, mode: str):
-    a, d = _split(alphas, mode)
+def _split3(alphas):
+    a, d = _split(alphas, EXACT)
     if len(a) != 3:
         raise ValueError("expected exactly three variables")
     return a, d
@@ -96,9 +99,9 @@ def _h(k: int, xs):
     return table[k]
 
 
-def elementary_symmetric(k: int, xs, mode: str = EXACT):
+def elementary_symmetric(k: int, xs):
     """e_k(xs): sum of all squarefree degree-k monomials."""
-    xs, d = _split(xs, mode)
+    xs, d = _split(xs, EXACT)
     if k < 0 or k > len(xs):
         return _join(0, d, 0)
     table = [1] + [0] * k
@@ -138,24 +141,23 @@ def _schur3(lam: Partition3, a, exact: bool):
     return _bialternant(lam, a) if distinct else _jacobi_trudi(lam, a)
 
 
-def schur3(lam: Partition3, alphas, mode: str = EXACT):
+def schur3(lam: Partition3, alphas):
     """Schur polynomial s_lam(a1, a2, a3).
 
-    Uses the alternant ratio when the variables are safely distinct and the
-    Jacobi-Trudi determinant otherwise (always, in float mode, when two
-    variables are within 1e-6 of each other relative to their size).
+    Uses the alternant ratio when the variables are pairwise distinct and
+    the Jacobi-Trudi determinant otherwise.
     """
-    a, d = _split3(alphas, mode)
-    return _join(_schur3(lam, a, d is not None), d, sum(lam.parts))
+    a, d = _split3(alphas)
+    return _join(_schur3(lam, a, True), d, sum(lam.parts))
 
 
-def schur3_tableau(lam: Partition3, alphas, mode: str = EXACT):
+def schur3_tableau(lam: Partition3, alphas):
     """s_lam by direct enumeration of semistandard tableaux with entries 1..3.
 
     Independent of the determinant routes; exponential in the shape, so the
     first row is capped at TABLEAU_ROW_LIMIT.
     """
-    a, d = _split3(alphas, mode)
+    a, d = _split3(alphas)
     if lam.l1 > TABLEAU_ROW_LIMIT:
         raise ValueError(f"first row {lam.l1} exceeds the enumeration cap {TABLEAU_ROW_LIMIT}")
     shape = [li for li in lam.parts if li > 0]

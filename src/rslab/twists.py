@@ -3,7 +3,11 @@
 The unit average folds e(x) against an archimedean character over the
 units congruent to 1 mod q (just {1} or {+-1} over Q); matching its parity
 to a Dirichlet character makes the symmetrized additive twist reproduce
-the plain multiplicative one, which is the decomposition checked here.
+the plain multiplicative one, which is the decomposition checked here:
+on floats from the additive twists of `additive_twist`, the engine of
+`rslab twist` (`gl31_twist_residuals`), and exactly on exact `CoeffData`
+(`gl31_decomposition_residuals`).  x in the unit average is exact (an int
+or a Fraction), so that e(x) sees x mod 1 at any size of x.
 """
 
 from __future__ import annotations
@@ -14,15 +18,17 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, pi, prod
 
 from .arith import factorize, largest_prime_powers, valuation
-from .characters import DirichletCharacter, check_window, exponent_maps, gauss_beta, gauss_classical
+from .characters import (DirichletCharacter, char_group, check_window, exponent_maps, gauss_beta,
+                         gauss_classical)
 from .coeffs import CoeffData, lambda_std, lambda_tau
 from .cyclotomic import CycloElement
 from .euler import inverse_series, sieve_stream
-from .scalars import EXACT, FLOAT, one
+from .scalars import EXACT, FLOAT, one, rational
 
 
 def unit_average(x, q: int, parity: int) -> complex:
-    """Average of e(ux) sign(ux)^parity over units u = 1 mod q.
+    """Average of e(ux) sign(ux)^parity over units u = 1 mod q, x an int or
+    a Fraction (`scalars.rational`).
 
     For q <= 2 every unit is congruent to 1 and the average is the single
     term e(x) sign(x)^parity; for q > 2 it is the mean of the two terms
@@ -32,19 +38,25 @@ def unit_average(x, q: int, parity: int) -> complex:
         raise ValueError("parity must be 0 or 1")
     if q < 1:
         raise ValueError("q must be positive")
-    # e(x) sees x mod 1 only: x is shifted by a multiple of 2^20 into
-    # [-2^19, 2^19], exactly for an int or Fraction, before it becomes a
-    # float, so the angle is off by at most 2^-34 at any size of x (a huge
-    # integer gives exactly e(0) = 1); a smaller x is used as it is
-    xf = float(x - 2**20 * round(x / 2**20))
-    sign = 1.0 if x >= 0 else -1.0
+    x = rational(x)
+    t, d = x.numerator, x.denominator
+    # e(x) sees x mod 1 only: x = t/d is shifted by k 2^20, k the integer
+    # nearest x / 2^20 (a tie to the even one, as `round` does), into
+    # [-2^19, 2^19], exactly on ints, before it becomes a float, so the angle
+    # is off by at most 2^-34 at any size of x (a huge integer gives exactly
+    # e(0) = 1); int / int rounds once, as float(Fraction) does
+    k, rem = divmod(2 * t + (d << 20), d << 21)
+    if rem == 0 and k & 1:
+        k -= 1
+    xf = (t - k * (d << 20)) / d
+    sign = 1.0 if t >= 0 else -1.0
 
     def one_term(y: float, s: float) -> complex:
         return cmath.exp(2j * pi * y) * s**parity
 
     if q <= 2:
         return one_term(xf, sign)
-    return (one_term(xf, sign) + one_term(-xf, -sign if x else 1.0)) / 2
+    return (one_term(xf, sign) + one_term(-xf, -sign if t else 1.0)) / 2
 
 
 def additive_twist(params, beta: Fraction, parity: int, n_max: int) -> array:
@@ -72,51 +84,76 @@ def gl31_decomposition_residuals(chi: DirichletCharacter, data: CoeffData, ns) -
     one per n in ns,
 
     where a_r is the additive twist at beta = r/q with parity matched to chi.
-    Exact data gives an exact verdict (0.0 or the size of the defect).  Float
-    residuals are normalized by the scale q * |lam(n)| of the two sides, so
-    the tolerance means the same thing at every n.  tau(chi) and the values
-    of conj(chi) are computed once for all n.
+    The data are exact, and so is the verdict: 0.0 or the size of the defect,
+    normalized by the scale q * |lam(n)| of the two sides.  tau(chi) and the
+    values of conj(chi) are computed once for all n; `gl31_twist_residuals`
+    is the float route.
     """
     q = chi.group.q
     a = chi.parity
     chibar = chi.conjugate()
     out = []
-    if data.mode == EXACT:
-        # as n r > 0, the term lam * unit_average(n r / q) is
-        # lam/2 e(n r / q) + (-1)^a lam/2 e(-n r / q) (just lam e(n r / q) for
-        # q <= 2), and sum_r conj(chi)(-r) e(+-n r / q) = tau_q(conj(chi), -+n / q):
-        # one exponent map per sign, folded with the weights num(lam) and
-        # (-1)^a num(lam).  Both sides are taken times s = 2 den(lam)
-        # (den(lam) for q <= 2), so every weight is an int
-        ns = list(ns)
-        halves = 1 if q <= 2 else 2
-        maps = exponent_maps(chibar, q, [r for n in ns for r in (-n, n)[:halves]])
-        tau = gauss_beta(chi, Fraction(1, q), EXACT)
-        for n in ns:
-            lam = lambda_std(n, data)
-            s = halves * lam.denominator
-            plus = lam.numerator
-            weights: dict[int, int] = {}
-            for w in (plus, -plus if a else plus)[:halves]:
-                big, counts = next(maps)
-                for k, c in counts.items():
-                    weights[k] = weights.get(k, 0) + w * c
-            acc = CycloElement.from_exponents(big, weights)
-            zn = chi.value(n)
-            lhs = CycloElement.zero() if zn is None else zn * (q * halves * plus)
-            diff = lhs - tau * acc
-            scale = max(1.0, q * abs(complex(lam)))
-            out.append(0.0 if diff.is_zero() else abs((diff * Fraction(1, s)).to_complex()) / scale)
-        return out
-    terms = [(r, chibar.value_complex(-r)) for r in range(1, q + 1) if gcd(r, q) == 1]
-    tau = gauss_classical(chi, FLOAT)
+    # as n r > 0, the term lam * unit_average(n r / q) is
+    # lam/2 e(n r / q) + (-1)^a lam/2 e(-n r / q) (just lam e(n r / q) for
+    # q <= 2), and sum_r conj(chi)(-r) e(+-n r / q) = tau_q(conj(chi), -+n / q):
+    # one exponent map per sign, folded with the weights num(lam) and
+    # (-1)^a num(lam).  Both sides are taken times s = 2 den(lam)
+    # (den(lam) for q <= 2), so every weight is an int
+    ns = list(ns)
+    halves = 1 if q <= 2 else 2
+    maps = exponent_maps(chibar, q, [r for n in ns for r in (-n, n)[:halves]])
+    tau = gauss_beta(chi, Fraction(1, q), EXACT)
     for n in ns:
         lam = lambda_std(n, data)
-        acc = 0j
-        for r, zc in terms:
-            acc += zc * lam * unit_average(n * r / q, q, a)
+        s = halves * lam.denominator
+        plus = lam.numerator
+        weights: dict[int, int] = {}
+        for w in (plus, -plus if a else plus)[:halves]:
+            big, counts = next(maps)
+            for k, c in counts.items():
+                weights[k] = weights.get(k, 0) + w * c
+        acc = CycloElement.from_exponents(big, weights)
+        zn = chi.value(n)
+        lhs = CycloElement.zero() if zn is None else zn * (q * halves * plus)
+        diff = lhs - tau * acc
         scale = max(1.0, q * abs(complex(lam)))
-        out.append(abs(q * lam * chi.value_complex(n) - tau * acc) / scale)
+        out.append(0.0 if diff.is_zero() else abs((diff * Fraction(1, s)).to_complex()) / scale)
+    return out
+
+
+def gl31_twist_residuals(q: int, params, n_max: int) -> list[tuple[DirichletCharacter, list[float]]]:
+    """The same identity on floats, for every primitive chi mod q and
+    n = 1..n_max: (chi, its residuals), each normalized by q * |lam(n)|.
+
+    lam and every a_r come from `additive_twist` on params (p -> roots, as
+    there): lam at beta = 0, and a_r at beta = r/q for each r prime to q,
+    once per parity that a primitive character mod q has.  tau(chi) is the
+    float Gauss sum.
+    """
+    def columns(beta: Fraction, parity: int) -> list[complex]:
+        twist = additive_twist(params, beta, parity, n_max)
+        return [complex(re, im) for re, im in zip(twist[::2], twist[1::2])]
+
+    lam = columns(Fraction(0), 0)
+    rs = [r for r in range(1, q + 1) if gcd(r, q) == 1]
+    by_parity: dict[int, list[tuple]] = {}  # parity -> per n, a_r(n) for r in rs
+    out = []
+    for chi in char_group(q).characters():
+        if not chi.is_primitive():
+            continue
+        if chi.parity not in by_parity:
+            by_parity[chi.parity] = list(zip(*(columns(Fraction(r, q), chi.parity) for r in rs)))
+        chibar = chi.conjugate()
+        zs = [chibar.value_complex(-r) for r in rs]
+        tau = gauss_classical(chi, FLOAT)
+        res = []
+        for n, (ln, a_n) in enumerate(zip(lam, by_parity[chi.parity]), 1):
+            acc = 0j
+            for z, a_r in zip(zs, a_n):
+                acc += z * a_r
+            scale = max(1.0, q * abs(ln))
+            res.append(abs(q * ln * chi.value_complex(n) - tau * acc) / scale)
+        out.append((chi, res))
     return out
 
 
@@ -164,8 +201,6 @@ def twisted_prefactor(chi: DirichletCharacter, q1: int, q2: int, r: int,
         raise ValueError("zeta must be supported on primes dividing the level")
     if zeta != 1 and cond != q:
         raise ValueError("zeta != 1 requires conductor equal to the level")
-    if data.mode != EXACT:
-        raise ValueError("the prefactor is exact; data must be exact")
     root = isqrt(q * q * zeta)
     if root * root != q * q * zeta:
         raise ValueError("q^2 * zeta must be a perfect square")

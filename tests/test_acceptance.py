@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from math import gcd, lcm, sqrt
 
-from rslab.arith import divisors, radical
+from rslab.arith import divisors, primes_up_to, radical
 from rslab.characters import (
     addtomult_residuals,
     char_group,
@@ -49,7 +49,7 @@ from rslab.symfunc import (
     schur3,
     schur3_tableau,
 )
-from rslab.twists import fe_root_number, gl31_decomposition_residuals
+from rslab.twists import fe_root_number, gl31_decomposition_residuals, gl31_twist_residuals
 
 
 def _rand_param_set(rng):
@@ -72,7 +72,7 @@ def test_double_sum_equals_pairing_to_5000():
     while len(sets) < 20:
         sets.append(_rand_param_set(rng))
     for idx, (alphas, gammas) in enumerate(sets):
-        data = CoeffData.constant(alphas, gammas, 5000, EXACT)
+        data = CoeffData.constant(alphas, gammas, 5000)
         if idx == 0:
             assert c_pi_tau(4, data) == 197  # the worked p = 2 anchor
         for n in range(1, 5001):
@@ -128,7 +128,7 @@ def test_schur_bialternant_equals_tableaux_grid():
                             for _ in range(3)
                         ]
                     # the bialternant route at distinct points, else Jacobi-Trudi
-                    assert schur3_tableau(lam, xs, EXACT) == schur3(lam, xs, EXACT), (lam, xs)
+                    assert schur3_tableau(lam, xs) == schur3(lam, xs), (lam, xs)
 
 
 def test_block_pairing_division_grid():
@@ -196,7 +196,7 @@ def test_standard_coefficient_collapse_to_2000():
     rng = random.Random(2000)
     for _ in range(10):
         alphas, gammas = _rand_param_set(rng)
-        data = CoeffData.constant(alphas, gammas, 2000, EXACT)
+        data = CoeffData.constant(alphas, gammas, 2000)
         for n in range(1, 2001):
             assert standardcoeff_check(n, data) == 0, (alphas, n)
 
@@ -281,20 +281,17 @@ def test_matrix_factorization_identities():
 
 def test_gl31_decomposition_to_1000():
     """Coefficientwise character-to-additive decomposition: relative
-    residual < 1e-10 for every primitive chi with q <= 20 and n <= 1000;
-    identically zero along the exact route."""
-    rng = random.Random(31)
-    g1 = cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
-    data = CoeffData.constant(_unitary_triple(rng), (g1, 1 / g1), 1000, FLOAT)
+    residual < 1e-10 for every primitive chi with q <= 20 and n <= 1000,
+    on the additive twists `twist` prints; identically zero along the exact
+    route."""
+    params = dict.fromkeys(primes_up_to(1000), _unitary_triple(random.Random(31)))
     for q in range(1, 21):
-        for chi in char_group(q).characters():
-            if not chi.is_primitive():
-                continue
-            for n, res in enumerate(gl31_decomposition_residuals(chi, data, range(1, 1001)), 1):
+        for _, residuals in gl31_twist_residuals(q, params, 1000):
+            for n, res in enumerate(residuals, 1):
                 assert res < 1e-10, (q, n)
 
     exact_data = CoeffData.constant(
-        (Fraction(1), Fraction(2), Fraction(3)), (Fraction(1), Fraction(2)), 60, EXACT
+        (Fraction(1), Fraction(2), Fraction(3)), (Fraction(1), Fraction(2)), 60
     )
     for q in (3, 4, 5, 8):
         for chi in char_group(q).characters():

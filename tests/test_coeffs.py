@@ -26,7 +26,6 @@ from rslab.coeffs import (
     twist_compatibility_check,
     twist_tau,
 )
-from rslab.scalars import EXACT, FLOAT
 
 
 def _anchor_data(p_max=120):
@@ -34,7 +33,7 @@ def _anchor_data(p_max=120):
     perfect for exact bookkeeping."""
     alphas = (Fraction(1), Fraction(2), Fraction(3))
     gammas = (Fraction(1), Fraction(2))
-    return CoeffData.constant(alphas, gammas, p_max, EXACT)
+    return CoeffData.constant(alphas, gammas, p_max)
 
 
 def test_lambda_double_anchors():
@@ -83,7 +82,7 @@ def test_double_sum_identity_random_params():
         gammas = tuple(
             Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(2)
         )
-        data = CoeffData.constant(alphas, gammas, 60, EXACT)
+        data = CoeffData.constant(alphas, gammas, 60)
         for n in range(1, 61):
             assert double_sum_check(n, data) == 0, n
 
@@ -176,7 +175,7 @@ def _varying_data(p_max=200):
     special = {2: (a2, g2), 3: (a3, g3), 5: (a2, g2), 7: (a2, g2), 11: (a2, g3), 13: (a3, g2)}
     params = {p: special.get(p, rest) for p in primes_up_to(p_max)}
     local = {p: (a, g, modulus_convention_central(g)) for p, (a, g) in params.items()}
-    return params, CoeffData(local, EXACT)
+    return params, CoeffData(local)
 
 
 def test_prime_missing_from_local_raises():
@@ -214,7 +213,7 @@ def _zero_gamma_data():
     local = dict(data.local)
     alphas, (_, g2), _ = local[7]
     local[7] = (alphas, (Fraction(0), g2), modulus_convention_central((0, g2)))
-    return CoeffData(local, EXACT)
+    return CoeffData(local)
 
 
 def _twisted_data():
@@ -229,7 +228,7 @@ def _central_off_the_lattice():
     local = dict(_anchor_data(200).local)
     alphas, gammas, _ = local[3]
     local[3] = (alphas, gammas, Fraction(1, 7))
-    return CoeffData(local, EXACT)
+    return CoeffData(local)
 
 
 @pytest.mark.parametrize("make", [lambda: _varying_data()[1], _zero_gamma_data, _twisted_data,
@@ -265,8 +264,22 @@ def test_stream_denominators_span_every_prime():
         assert (streams.d_alpha, streams.d_gamma) == want, n_max
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.5j])
+def test_constant_refuses_float_or_complex_parameters(bad):
+    """The data are exact: `CoeffData.constant` coerces every parameter at
+    once, and a float or complex one raises TypeError."""
+    for alphas, gammas in (((1, 2, bad), (1, 2)), ((1, 2, 3), (bad, 2))):
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            CoeffData.constant(alphas, gammas, 10)
+
+
 def test_streams_refuse_float_data_and_missing_primes():
-    with pytest.raises(ValueError, match="exact"):
-        CoeffStreams(CoeffData.constant((1, 2, 3), (1, 2), 10, FLOAT), 10)
+    """A float or complex parameter, a central value included, raises
+    TypeError at the first prime the streams read; a prime missing from the
+    local map, ValueError."""
+    for bad in (0.5, 0.5j):
+        for local in ({2: ((1, 2, bad), (1, 2), 2)}, {2: ((1, 2, 3), (1, 2), bad)}):
+            with pytest.raises(TypeError, match="expected an int or a Fraction"):
+                CoeffStreams(CoeffData(local), 2)
     with pytest.raises(ValueError, match="no local data at p=11"):
         CoeffStreams(CoeffData.constant((1, 2, 3), (1, 2), 10), 11)

@@ -130,6 +130,34 @@ def test_gl31_decomp_guards_the_shared_exponent_map_kernel(monkeypatch):
     _fails_alone("gl31-decomp")
 
 
+@pytest.mark.parametrize("mutant", [
+    lambda twist, params, beta, parity, n_max: twist(params, beta, 0, n_max),
+    lambda twist, params, beta, parity, n_max: twist(params, 2 * beta, parity, n_max),
+], ids=["parity-forced-to-0", "phase-doubled"])
+def test_gl31_decomp_guards_the_twist_engine(monkeypatch, capsys, mutant):
+    """gl31-decomp's float half reads its additive twists from
+    `additive_twist`, the engine of `rslab twist`: with the parity forced to
+    0 (the odd character mod 8 fails), or the phase e(n beta) read at
+    2 n beta, the decomposition fails and `verify --suite addtomult` exits
+    2, while the other checks of the suite, which never call the engine,
+    still pass."""
+    twist = twists.additive_twist
+    monkeypatch.setattr(twists, "additive_twist", lambda *args: mutant(twist, *args))
+    assert main(["verify", "--suite", "addtomult", "--json"]) == 2
+    capsys.readouterr()
+    _fails_alone("gl31-decomp")
+
+
+def test_nan_unit_average_fails_gl31_decomp(monkeypatch):
+    """A NaN from `unit_average` stops at `additive_twist`'s refusal of a
+    coefficient that is not finite: gl31-decomp fails with that error."""
+    monkeypatch.setattr(twists, "unit_average", lambda x, q, parity: complex("nan"))
+    check = next(c for c in CHECKS if c.check_id == "gl31-decomp")
+    res = run_check(check, RunConfig(n_max=60, p_max=20))
+    assert not res.ok
+    assert res.detail == "error: ValueError: coefficient a(1) overflows a float", res.detail
+
+
 def test_doublesum_random_guards_the_shared_sieve(monkeypatch, capsys):
     """The coefficient streams share one `largest_prime_powers` table, so a
     wrong exponent there cancels out of standardcoeff, which compares two
@@ -286,7 +314,7 @@ NAN_SOURCES = [
     ("gauss-factor", characters, "gauss_factorization_residual", lambda chi: nan),
     ("gauss-root", characters, "dirichlet_root_number", lambda chi: complex("nan")),
     ("addtomult-prim", characters, "addtomult_residuals", lambda chi, ns, mode: [nan] * len(ns)),
-    ("gl31-decomp", twists, "unit_average", lambda x, q, parity: complex("nan")),
+    ("gl31-decomp", twists, "gauss_classical", lambda chi, mode: complex("nan")),
     ("cauchy-gradewise", symfunc, "cauchy_check", _float_only(symfunc.cauchy_check)),
     ("hurwitz-anchors", funceq, "hurwitz_zeta_star", lambda s, a: nan),
     ("dirichlet-fe", funceq, "fe_residual_dirichlet", lambda chi, s: nan),

@@ -37,29 +37,29 @@ def _rand_fracs(rng, k, lo=-9, hi=9, den=5):
 
 def test_elementary_symmetric_anchor():
     xs = [Fraction(1), Fraction(2), Fraction(3)]
-    assert elementary_symmetric(0, xs, EXACT) == 1
-    assert elementary_symmetric(1, xs, EXACT) == 6
-    assert elementary_symmetric(2, xs, EXACT) == 11
-    assert elementary_symmetric(3, xs, EXACT) == 6
-    assert elementary_symmetric(4, xs, EXACT) == 0
+    assert elementary_symmetric(0, xs) == 1
+    assert elementary_symmetric(1, xs) == 6
+    assert elementary_symmetric(2, xs) == 11
+    assert elementary_symmetric(3, xs) == 6
+    assert elementary_symmetric(4, xs) == 0
 
 
 def test_complete_homogeneous_anchor():
     """h_k = s_(k); at (1, 2, 0) the bialternant route gives h_k(1, 2)."""
     xs = [Fraction(1), Fraction(2), Fraction(0)]
     # h_2(x, y) = x^2 + xy + y^2
-    assert schur3(Partition3(2), xs, EXACT) == 7
-    assert schur3(Partition3(0), xs, EXACT) == 1
+    assert schur3(Partition3(2), xs) == 7
+    assert schur3(Partition3(0), xs) == 1
     # and the Jacobi-Trudi route at a repeated point: h_2(1, 1, 2) = 1 + 1 + 4 + 1 + 2 + 2
-    assert schur3(Partition3(2), (1, 1, 2), EXACT) == 11
+    assert schur3(Partition3(2), (1, 1, 2)) == 11
 
 
 def test_schur_hook_anchor():
     """s_{2,1,0} at (1,1,1) counts standard-ish tableaux: dimension 8."""
     lam = Partition3(2, 1, 0)
     ones = [Fraction(1)] * 3
-    assert schur3(lam, ones, EXACT) == 8
-    assert schur3_tableau(lam, ones, EXACT) == 8
+    assert schur3(lam, ones) == 8
+    assert schur3_tableau(lam, ones) == 8
 
 
 def test_partitions3_of():
@@ -77,8 +77,8 @@ def test_schur_routes_agree_random():
     for _ in range(40):
         lam = Partition3(rng.randint(2, 5), rng.randint(1, 2), rng.randint(0, 1))
         xs = _rand_fracs(rng, 3)
-        a = schur3(lam, xs, EXACT)
-        b = schur3_tableau(lam, xs, EXACT)
+        a = schur3(lam, xs)
+        b = schur3_tableau(lam, xs)
         assert a == b
 
 
@@ -91,7 +91,7 @@ def test_bialternant_agrees_at_distinct_points():
             continue
         a, b = sorted((rng.randint(1, 6), rng.randint(0, 3)), reverse=True)
         lam = Partition3(a, b, 0)
-        assert schur3(lam, xs, EXACT) == _schur_oracle(lam.parts, xs)
+        assert schur3(lam, xs) == _schur_oracle(lam.parts, xs)
 
 
 def test_schur3_dispatch_handles_coincident_points():
@@ -99,17 +99,17 @@ def test_schur3_dispatch_handles_coincident_points():
     dispatcher must still return the right value there."""
     xs = [Fraction(2), Fraction(2), Fraction(3)]
     lam = Partition3(3, 1, 0)
-    assert schur3(lam, xs, EXACT) == _schur_oracle(lam.parts, xs)
+    assert schur3(lam, xs) == _schur_oracle(lam.parts, xs)
     xs = [Fraction(1, 2)] * 3
-    assert schur3(lam, xs, EXACT) == _schur_oracle(lam.parts, xs)
+    assert schur3(lam, xs) == _schur_oracle(lam.parts, xs)
 
 
 def test_schur_gl2_two_row():
     """s_(f)(g1, g2) = h_f(g1, g2), at distinct and at equal g."""
     for g in ([Fraction(1), Fraction(2)], [Fraction(3, 2)] * 2):
         for f in range(5):
-            assert schur3(Partition3(f), (*g, 0), EXACT) == _h_oracle(f, g)
-    assert schur3(Partition3(2), (1, 2, 0), EXACT) == 7
+            assert schur3(Partition3(f), (*g, 0)) == _h_oracle(f, g)
+    assert schur3(Partition3(2), (1, 2, 0)) == 7
 
 
 def test_schur_two_row_factorization():
@@ -118,7 +118,7 @@ def test_schur_two_row_factorization():
     for _ in range(30):
         x, y = _rand_fracs(rng, 2)
         r, s = rng.randint(0, 4), rng.randint(0, 3)
-        got = schur3(Partition3(r + s, s), (x, y, 0), EXACT)
+        got = schur3(Partition3(r + s, s), (x, y, 0))
         want = (x * y) ** s * _h_oracle(r, [x, y])
         assert got == want
 
@@ -217,16 +217,16 @@ def _exact(got, want):
 def test_exact_values_match_a_fraction_oracle(alphas, gammas, lam, k):
     xs = [Fraction(x) for x in alphas]
     gs = [Fraction(g) for g in gammas]
-    _exact(elementary_symmetric(k, alphas, EXACT), _e_oracle(k, xs))
+    _exact(elementary_symmetric(k, alphas), _e_oracle(k, xs))
     # the bialternant route where xs are pairwise distinct, else Jacobi-Trudi
     want = _schur_oracle(lam.parts, xs)
-    _exact(schur3(lam, alphas, EXACT), want)
-    _exact(schur3_tableau(lam, alphas, EXACT), want)
+    _exact(schur3(lam, alphas), want)
+    _exact(schur3_tableau(lam, alphas), want)
     if k >= 0:
-        _exact(schur3(Partition3(k), alphas, EXACT), _h_oracle(k, xs))
-        _exact(schur3(Partition3(k), (*gammas, 0), EXACT), _h_oracle(k, gs))
+        _exact(schur3(Partition3(k), alphas), _h_oracle(k, xs))
+        _exact(schur3(Partition3(k), (*gammas, 0)), _h_oracle(k, gs))
     a, b = lam.l1, lam.l2
-    _exact(schur3(Partition3(a, b), (*gammas, 0), EXACT), _schur_oracle((a, b), gs))
+    _exact(schur3(Partition3(a, b), (*gammas, 0)), _schur_oracle((a, b), gs))
     residuals = cauchy_check(alphas, gammas, 4, EXACT)
     assert len(residuals) == 5
     for r in residuals:
@@ -234,13 +234,13 @@ def test_exact_values_match_a_fraction_oracle(alphas, gammas, lam, k):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: elementary_symmetric(2, [1, 0.5], EXACT),
-    lambda: elementary_symmetric(1, [Fraction(1, 2), 2.0], EXACT),
-    lambda: schur3(Partition3(2, 1), (1, 2, 3.0), EXACT),
-    lambda: schur3_tableau(Partition3(2, 1), (1.0, 2, 3), EXACT),
-    lambda: schur3(Partition3(2, 1), (1, 2.5, 2.5), EXACT),
-    lambda: schur3(Partition3(2, 1), (1, 2, 0.5), EXACT),
-    lambda: schur3_tableau(Partition3(2), (1, 0.5, 0), EXACT),
+    lambda: elementary_symmetric(2, [1, 0.5]),
+    lambda: elementary_symmetric(1, [Fraction(1, 2), 2.0]),
+    lambda: schur3(Partition3(2, 1), (1, 2, 3.0)),
+    lambda: schur3_tableau(Partition3(2, 1), (1.0, 2, 3)),
+    lambda: schur3(Partition3(2, 1), (1, 2.5, 2.5)),
+    lambda: schur3(Partition3(2, 1), (1, 2, 0.5)),
+    lambda: schur3_tableau(Partition3(2), (1, 0.5, 0)),
     lambda: cauchy_check((1, 2, 3), (0.5, 0.5), 3, EXACT),
     lambda: cauchy_check((1, 2, 3), (1, 0.5), 3, EXACT),
     lambda: cauchy_check((1, 2, 0.5), (1, 2), 3, EXACT),

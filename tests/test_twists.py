@@ -5,7 +5,7 @@ import cmath
 import random
 from array import array
 from fractions import Fraction
-from math import gcd, isclose
+from math import gcd, isclose, pi
 
 import pytest
 
@@ -13,28 +13,23 @@ from rslab.arith import primes_up_to
 from rslab.characters import char_group
 from rslab.coeffs import CoeffData
 from rslab.euler import inverse_series, multiplicative
-from rslab.scalars import EXACT, FLOAT, parse_scalar
+from rslab.scalars import FLOAT, parse_scalar
 from rslab.twists import (
     additive_twist,
     conductor_exponent_check,
     fe_root_number,
     forced_q1,
     gl31_decomposition_residuals,
+    gl31_twist_residuals,
     twisted_prefactor,
     unit_average,
 )
 
 
-def _unitary_data(rng, p_max=40, mode=FLOAT):
-    alphas = []
-    for _ in range(3):
-        t = rng.uniform(0, 2 * cmath.pi)
-        alphas.append(cmath.exp(1j * t))
-    # determinant-one normalization
-    alphas[2] = 1 / (alphas[0] * alphas[1])
-    gammas = [cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))]
-    gammas.append(1 / gammas[0])
-    return CoeffData.constant(tuple(alphas), tuple(gammas), p_max, mode)
+def _unitary_params(rng, p_max=40):
+    """One determinant-one unitary triple at every prime up to p_max."""
+    alphas = [cmath.exp(1j * rng.uniform(0, 2 * cmath.pi)) for _ in range(2)]
+    return dict.fromkeys(primes_up_to(p_max), (*alphas, 1 / (alphas[0] * alphas[1])))
 
 
 def test_unit_average_q_small():
@@ -72,6 +67,57 @@ def test_unit_average_sign_zero_convention():
     assert unit_average(Fraction(0), 2, 1) == 1
 
 
+def _unit_average_by_fractions(x, q, parity):
+    """unit_average with x shifted by 2^20 round(x / 2^20) as Fractions: the
+    reference for its int shift."""
+    xf = float(x - 2**20 * round(Fraction(x) / 2**20))
+    sign = 1.0 if x >= 0 else -1.0
+
+    def one_term(y, s):
+        return cmath.exp(2j * pi * y) * s**parity
+
+    if q <= 2:
+        return one_term(xf, sign)
+    return (one_term(xf, sign) + one_term(-xf, -sign if x else 1.0)) / 2
+
+
+def _shift_cases():
+    """n beta past 2^19, where the shift k is 1 or more (twist --beta 3/4
+    from n = 699,051 on), exact ties x / 2^20 = j + 1/2, and large x."""
+    for n in range(699_000, 699_100):
+        yield n * Fraction(3, 4)
+    for n in (*range(2**21 - 40, 2**21 + 40), *range(3 * 2**21 - 40, 3 * 2**21 + 40)):
+        yield n * Fraction(1, 4)
+    for beta in (2**19, 3 * 2**18, -(2**19), Fraction(2**19, 3)):
+        for n in range(-13, 14):
+            yield n * beta
+    rng = random.Random(20)
+    for _ in range(300):
+        yield Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**6))
+
+
+def test_unit_average_int_shift_is_the_fraction_shift_bit_for_bit():
+    cases = list(_shift_cases())
+    # both sides of k = 0, and ties to an even and to an odd j
+    assert {round(Fraction(x) / 2**20) for x in cases} >= {-2, -1, 0, 1, 2}
+    halves = [Fraction(x) / 2**20 - Fraction(1, 2) for x in cases]
+    ties = {j for j in halves if j.denominator == 1}
+    assert {j % 2 for j in ties} == {0, 1}
+    for x in cases:
+        for q in (1, 2, 5, 12):
+            for parity in (0, 1):
+                got = unit_average(x, q, parity)
+                want = _unit_average_by_fractions(x, q, parity)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (
+                    x, q, parity)
+
+
+def test_unit_average_refuses_a_float():
+    for x in (0.25, 0.25j):
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            unit_average(x, 5, 0)
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6, 7, 900])
 def test_additive_twist_is_the_multiplicative_product_bit_for_bit(n_max):
     """Each twisted coefficient is multiplicative(n) * unit_average(n beta)
@@ -89,21 +135,23 @@ def test_additive_twist_is_the_multiplicative_product_bit_for_bit(n_max):
 
 
 def test_gl31_decomposition_float():
-    """q * lam(n) chi(n) = tau(chi) * sum_r conj(chi)(-r) lam(n) u(nr/q):
-    residual below 1e-10 for primitive characters of small modulus."""
-    rng = random.Random(1001)
-    data = _unitary_data(rng, p_max=40)
-    for q in (3, 4, 5, 7):
-        for chi in char_group(q).characters():
-            if not chi.is_primitive():
-                continue
-            assert max(gl31_decomposition_residuals(chi, data, range(1, 40))) < 1e-10
+    """q * lam(n) chi(n) = tau(chi) * sum_r conj(chi)(-r) a_r(n), a_r the
+    additive twists: residual below 1e-10 for every primitive character of
+    small modulus, both parities and q <= 2 among them."""
+    params = _unitary_params(random.Random(1001))
+    for q, count in ((1, 1), (3, 1), (4, 1), (5, 3), (7, 5), (8, 2)):
+        residuals = gl31_twist_residuals(q, params, 39)
+        assert [chi for chi, _ in residuals] == [c for c in char_group(q).characters()
+                                                  if c.is_primitive()]
+        assert len(residuals) == count
+        for chi, res in residuals:
+            assert len(res) == 39 and max(res) < 1e-10, chi
 
 
 def test_gl31_decomposition_exact():
     alphas = (Fraction(1), Fraction(2), Fraction(3))
     gammas = (Fraction(1), Fraction(2))
-    data = CoeffData.constant(alphas, gammas, 30, EXACT)
+    data = CoeffData.constant(alphas, gammas, 30)
     chi = next(c for c in char_group(3).characters() if not c.is_trivial())
     assert gl31_decomposition_residuals(chi, data, range(1, 25)) == [0.0] * 24
     # level 1 (the single-term q <= 2 route) and both parities mod 5
@@ -114,7 +162,7 @@ def test_gl31_decomposition_exact():
 
 
 def _exact_data():
-    return CoeffData.constant((1, 2, 3), (1, 2), 20, EXACT)
+    return CoeffData.constant((1, 2, 3), (1, 2), 20)
 
 
 def test_twisted_prefactor_trivial_level():
@@ -168,9 +216,11 @@ def test_twisted_prefactor_zeta_rules():
         twisted_prefactor(chi, 3, 3, 1, 3, data)
     # zeta = 9: sqrt(81) / lcm(27, 3) * tau * mu(9), mu(9) = h_2(1, 2) = 7
     assert twisted_prefactor(chi, 3, 3, 1, 9, data) == tau * Fraction(7, 3)
-    # the prefactor is exact only
-    with pytest.raises(ValueError, match="must be exact"):
-        twisted_prefactor(chi, 3, 3, 1, 1, CoeffData.constant((1, 2, 3), (1, 2), 20, FLOAT))
+    # the prefactor is exact only: mu(9) reads the parameters at 3
+    for bad in (0.5, 0.5j):
+        data = CoeffData({3: ((1, 2, 3), (1, bad), 2)})
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            twisted_prefactor(chi, 3, 3, 1, 9, data)
 
 
 def test_fe_root_number_unitary():
