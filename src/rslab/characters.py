@@ -93,13 +93,8 @@ class CharGroup:
         for comp in self.components:
             rest = self.q // comp.pe
             for g in comp.gens:
-                # x = g mod pe, x = 1 mod rest
-                if rest == 1:
-                    out.append(g % self.q)
-                else:
-                    inv = pow(comp.pe, -1, rest)
-                    x = g + comp.pe * ((1 - g) * inv % rest)
-                    out.append(x % self.q)
+                # x = g mod pe, x = 1 mod rest (rest = 1 too: pe^-1 mod 1 is 0)
+                out.append((g + comp.pe * ((1 - g) * pow(comp.pe, -1, rest) % rest)) % self.q)
         return out
 
     def value_table(self) -> tuple[list, list]:

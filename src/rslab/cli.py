@@ -35,8 +35,8 @@ FUNCEQ_Q_MAX = 4 * 10**5
 # one is written)
 COEFFS_N_MAX = 4 * 10**5
 # `twist --N` bound, the largest prime a rep file may list: with a file of all
-# 78,498 primes below 10^6, N = 10 takes 0.3-0.4 s and 21 MB on 2 vCPUs, 10^5
-# 1.0-1.3 s and 25 MB, 3*10^5 2.9-3.1 s and 44 MB, 10^6 8.9-9.5 s and 94 MB
+# 78,498 primes below 10^6, N = 10 takes 0.4 s and 21 MB on 2 vCPUs, 10^5
+# 1.1-1.2 s and 25 MB, 3*10^5 2.5-2.6 s and 45 MB, 10^6 7.4-10.3 s and 93 MB
 TWIST_N_MAX = langlands.REP_P_MAX
 # CosetContext tests p and p_prime for primality by trial division: 0.08 s
 # at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs

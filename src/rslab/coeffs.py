@@ -19,7 +19,7 @@ from math import gcd, isqrt, lcm
 from typing import Mapping
 
 from .arith import factorize, largest_prime_powers, primes_up_to
-from .euler import inverse_series, multiplicative, sieve_stream
+from .euler import inverse_series, multiplicative, prime_power_tables, sieve_stream
 from .scalars import EXACT, coerce
 from .symfunc import Partition3, schur3
 
@@ -207,12 +207,8 @@ class CoeffStreams:
     def stream(self, value, keys: Mapping | None = None) -> list:
         """a(0) = 0, a(1), ..., a(n_max) of the multiplicative a with a(p^k) =
         value(keys[p], k), keys the local tables by default."""
-        local, seen = {}, {}
-        for p, key in (keys or self.tables).items():  # ascending: the first p has the most powers
-            if key not in seen:
-                seen[key] = [_whole(value(key, k)) for k in range(self.n_max.bit_length())
-                             if p**k <= self.n_max]
-            local[p] = seen[key]
+        local = prime_power_tables(keys or self.tables, self.n_max,
+                                   lambda key, k: [_whole(value(key, j)) for j in range(k + 1)])
         return [0, *sieve_stream(local, self.powers, 1)]
 
     def expansion(self, factor: str) -> list:

@@ -155,6 +155,22 @@ def multiplicative(n: int, local, mode: str):
     return acc
 
 
+def prime_power_tables(entries, n_max: int, table) -> dict:
+    """{p: table(entries[p], k)}, k the largest exponent with p^k <= n_max.
+    Primes whose entry is one object (identity, not equality: -0.0 == 0.0)
+    share one table, built at the smallest of them, which has the most powers."""
+    tables, shared = {}, {}
+    for p in sorted(entries):
+        local = shared.get(id(entries[p]))
+        if local is None:
+            k, pk = 0, p
+            while pk <= n_max:
+                k, pk = k + 1, pk * p
+            local = shared[id(entries[p])] = table(entries[p], k)
+        tables[p] = local
+    return tables
+
+
 def sieve_stream(local, powers, a1):
     """a(1), ..., a(n) of the multiplicative a with a(p^k) = local[p][k], from
     powers = `arith.largest_prime_powers(n)`, n >= 1, and a(1) = a1 (1 for

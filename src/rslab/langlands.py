@@ -109,31 +109,29 @@ def parse_rep_file(text: str, n_max: int) -> dict:
     lines = (line for physical in re.finditer(r"[^\n]*\n?", text)
              for line in physical[0].splitlines())
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
             continue
-        toks = line.split()
-        if len(toks) != 6:
-            raise ValueError(
-                f"line {lineno}: expected 'p m root' plus 3 parameters, got {len(toks)} fields"
-            )
-        p, m = int(toks[0]), int(toks[1])
-        root = parse_scalar(toks[2])
-        local = tuple(parse_scalar(t) for t in toks[3:])
-        if p > REP_P_MAX:
-            raise ValueError(
-                f"line {lineno}: p = {p} is above {REP_P_MAX}, the largest a rep file may list"
-            )
-        if p < 2 or not sieve[p]:
-            raise ValueError(f"line {lineno}: {p} is not prime")
-        if sieve[p] == 2:
-            raise ValueError(f"line {lineno}: duplicate prime {p}")
-        if m < 0:
-            raise ValueError(f"line {lineno}: conductor exponent must be >= 0")
-        if m == 0 and any(x == 0 for x in local):
-            raise ValueError(f"line {lineno}: an unramified component needs all parameters nonzero")
-        if m == 0 and root != 1:
-            raise ValueError(f"line {lineno}: an unramified component has root number 1")
+        try:
+            if len(toks) != 6:
+                raise ValueError(f"expected 'p m root' plus 3 parameters, got {len(toks)} fields")
+            p, m = int(toks[0]), int(toks[1])
+            root = parse_scalar(toks[2])
+            local = tuple(parse_scalar(t) for t in toks[3:])
+            if p > REP_P_MAX:
+                raise ValueError(f"p = {p} is above {REP_P_MAX}, the largest a rep file may list")
+            if p < 2 or not sieve[p]:
+                raise ValueError(f"{p} is not prime")
+            if sieve[p] == 2:
+                raise ValueError(f"duplicate prime {p}")
+            if m < 0:
+                raise ValueError("conductor exponent must be >= 0")
+            if m == 0 and any(x == 0 for x in local):
+                raise ValueError("an unramified component needs all parameters nonzero")
+            if m == 0 and root != 1:
+                raise ValueError("an unramified component has root number 1")
+        except ValueError as exc:  # the one place a refusal gets its line
+            raise ValueError(f"line {lineno}: {exc}") from None
         sieve[p] = 2
         if p <= n_max:
             params[p] = local

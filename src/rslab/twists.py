@@ -6,8 +6,8 @@ to a Dirichlet character makes the symmetrized additive twist reproduce
 the plain multiplicative one, which is the decomposition checked here:
 on floats from the additive twists of `additive_twist`, the engine of
 `rslab twist` (`gl31_twist_residuals`), and exactly on exact `CoeffData`
-(`gl31_decomposition_residuals`).  x in the unit average is exact (an int
-or a Fraction), so that e(x) sees x mod 1 at any size of x.
+(`gl31_decomposition_residuals`).  x = t/q in the unit average is exact,
+t an int over the modulus q, so that e(x) sees x mod 1 at any size of x.
 """
 
 from __future__ import annotations
@@ -16,63 +16,58 @@ import cmath
 from array import array
 from fractions import Fraction
 from math import gcd, isqrt, lcm, pi, prod
+from operator import index
 
 from .arith import factorize, largest_prime_powers, valuation
 from .characters import (DirichletCharacter, char_group, check_window, exponent_maps, gauss_beta,
                          gauss_classical)
 from .coeffs import CoeffData, lambda_std, lambda_tau
 from .cyclotomic import CycloElement
-from .euler import inverse_series, sieve_stream
-from .scalars import EXACT, FLOAT, one, rational
+from .euler import inverse_series, prime_power_tables, sieve_stream
+from .scalars import EXACT, FLOAT, one
 
 
-def unit_average(x, q: int, parity: int) -> complex:
-    """Average of e(ux) sign(ux)^parity over units u = 1 mod q, x an int or
-    a Fraction (`scalars.rational`).
+def unit_average(t: int, q: int, parity: int) -> complex:
+    """Average of e(u t/q) sign(u t)^parity over units u = 1 mod q, t an int
+    (anything else raises TypeError, by `operator.index`).
 
     For q <= 2 every unit is congruent to 1 and the average is the single
-    term e(x) sign(x)^parity; for q > 2 it is the mean of the two terms
-    at +-x.  sign(0) counts as +1.
+    term e(t/q) sign(t)^parity; for q > 2 it is the mean of the two terms
+    at +-t/q.  sign(0) counts as +1.
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     if q < 1:
         raise ValueError("q must be positive")
-    x = rational(x)
-    t, d = x.numerator, x.denominator
-    # e(x) sees x mod 1 only: x = t/d is shifted by k 2^20, k the integer
+    t = index(t)
+    # e(x) sees x mod 1 only: x = t/q is shifted by k 2^20, k the integer
     # nearest x / 2^20 (a tie to the even one, as `round` does), into
     # [-2^19, 2^19], exactly on ints, before it becomes a float, so the angle
     # is off by at most 2^-34 at any size of x (a huge integer gives exactly
-    # e(0) = 1); int / int rounds once, as float(Fraction) does
-    k, rem = divmod(2 * t + (d << 20), d << 21)
+    # e(0) = 1); int / int rounds once, as float(Fraction) does.  A factor
+    # common to t and q changes neither k, nor the tie, nor the rounding
+    k, rem = divmod(2 * t + (q << 20), q << 21)
     if rem == 0 and k & 1:
         k -= 1
-    xf = (t - k * (d << 20)) / d
+    xf = (t - k * (q << 20)) / q
     sign = 1.0 if t >= 0 else -1.0
-
-    def one_term(y: float, s: float) -> complex:
-        return cmath.exp(2j * pi * y) * s**parity
-
+    term = cmath.exp(2j * pi * xf) * sign**parity
     if q <= 2:
-        return one_term(xf, sign)
-    return (one_term(xf, sign) + one_term(-xf, -sign if t else 1.0)) / 2
+        return term
+    return (term + cmath.exp(2j * pi * -xf) * (-sign if t else 1.0)**parity) / 2
 
 
 def additive_twist(params, beta: Fraction, parity: int, n_max: int) -> array:
-    """a(n) unit_average(n beta, den beta, parity), n = 1..n_max, as (re, im)
-    pairs in one array; a is the float stream whose local factor at p has the
-    parameters params[p] (`langlands.parse_rep_file`).  ValueError, before
+    """a(n) unit_average(n num(beta), den(beta), parity), n = 1..n_max, as
+    (re, im) pairs in one array; a is the float stream whose local factor at
+    p has the parameters params[p] (`langlands.parse_rep_file`), one table
+    per parameter object (`euler.prime_power_tables`).  ValueError, before
     anything is returned, if a coefficient overflows a float."""
-    tables = {}  # p -> a(p^k) for p^k <= n_max
-    for p, roots in params.items():
-        kmax, pk = 0, p
-        while pk <= n_max:
-            kmax, pk = kmax + 1, pk * p
-        tables[p] = inverse_series(roots, kmax, FLOAT)
+    tables = prime_power_tables(params, n_max, lambda roots, k: inverse_series(roots, k, FLOAT))
+    num, den = beta.numerator, beta.denominator
     coeffs = array("d")
     for n, a_n in enumerate(sieve_stream(tables, largest_prime_powers(n_max), one(FLOAT)), 1):
-        coeff = a_n * unit_average(n * beta, beta.denominator, parity)
+        coeff = a_n * unit_average(n * num, den, parity)
         if not cmath.isfinite(coeff):
             raise ValueError(f"coefficient a({n}) overflows a float")
         coeffs.extend((coeff.real, coeff.imag))

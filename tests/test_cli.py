@@ -465,7 +465,7 @@ def test_twist_prints_the_multiplicative_product_bit_for_bit(tmp_path):
         assert code == 0, err
         want = [
             multiplicative(n, lambda p, k: tables[p][k], FLOAT)
-            * unit_average(n * beta, beta.denominator, parity)
+            * unit_average(n * beta.numerator, beta.denominator, parity)
             for n in range(1, 901)
         ]
         assert out == "".join(

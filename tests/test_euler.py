@@ -19,6 +19,7 @@ from rslab.euler import (
     multiplicative,
     poly_divide_exact,
     poly_mul,
+    prime_power_tables,
     sieve_stream,
 )
 from rslab.cli import main
@@ -172,6 +173,30 @@ def test_sieve_stream_equals_multiplicative(n_max):
              for p in primes_up_to(n_max)}
     got = list(sieve_stream(local, largest_prime_powers(n_max), 1))
     assert got == [multiplicative(n, lambda p, k: local[p][k], EXACT) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 8, 9, 26, 27, 28, 1000, 1024])
+def test_prime_power_tables_cap_each_prime_at_its_largest_power(n_max):
+    """With one object per prime, the table at p runs to the largest k with
+    p^k <= n_max, p^k = n_max included."""
+    entries = {p: [p] for p in (*primes_up_to(n_max), 1009)}
+    got = prime_power_tables(entries, n_max, lambda entry, k: [entry[0] ** j for j in range(k + 1)])
+    for p, table in got.items():
+        assert table[-1] <= n_max < table[-1] * p
+
+
+def test_prime_power_tables_share_one_object_at_its_smallest_prime():
+    """Primes listing one object share one table, built once at the smallest
+    of them, in any order; an equal but distinct object gets its own."""
+    one, same, other = [0.0], [0.0], [-0.0]
+    assert one == same == other
+    for order in ((7, 3, 2, 5, 11), (2, 3, 5, 7, 11), (11, 7, 5, 3, 2)):
+        entries = {p: {2: one, 3: same, 5: one, 7: same, 11: other}[p] for p in order}
+        calls = []
+        got = prime_power_tables(entries, 27, lambda entry, k: calls.append((entry, k)) or [k])
+        assert [(e is one, e is same, k) for e, k in calls] == [(True, False, 4), (False, True, 3),
+                                                                (False, False, 1)]
+        assert got[5] is got[2] and got[7] is got[3] and got[2] is not got[3]
 
 
 def _series(tmp_path, params: dict, n_max: int) -> list:

@@ -161,10 +161,16 @@ def test_parse_rep_file_rejects_inconsistent_data(text, n_max, message):
     ("2 -1 1 1 1 1", "conductor exponent must be >= 0"),
     ("2 0 1 1 0 1", "an unramified component needs all parameters nonzero"),
     ("2 0 -1 1 1 1", "an unramified component has root number 1"),
+    # a token that does not parse: a p that is not an int, an unparsable
+    # scalar and a non-finite one
+    ("2.0 0 1 1 1 1", r"invalid literal for int\(\) with base 10: '2\.0'"),
+    ("2 0 x 1 1 1", "could not convert string to float: 'x'"),
+    ("2 0 1 1,2,3 1 1", "could not convert string to float: '2,3'"),
+    ("2 0 1 inf 1 1", "'inf' is not a finite number"),
 ])
 def test_parse_rep_file_names_the_line_of_each_refusal(line, message):
-    """The m and root refusals name their line, as every other refusal does:
-    the bad line first, and after a valid line 1."""
+    """The m, root and token refusals name their line, as every other
+    refusal does: the bad line first, and after a valid line 1."""
     for text, lineno in ((f"{line}\n", 1), (f"3 0 1 1 1 1\n{line}\n", 2)):
         with pytest.raises(ValueError, match=f"^line {lineno}: {message}$"):
             parse_rep_file(text, 3)

@@ -148,10 +148,29 @@ def test_gl31_decomp_guards_the_twist_engine(monkeypatch, capsys, mutant):
     _fails_alone("gl31-decomp")
 
 
+def test_gl31_decomp_guards_the_shared_table_cap(monkeypatch, capsys):
+    """gl31-decomp lists one parameter object at every prime <= 12, so
+    `additive_twist` builds one table for all of them; cut at the cap of the
+    last prime listed (11: k <= 1) in place of the first (2: k <= 3), a(4)
+    reads past its end, and `verify --suite addtomult` exits 2 with only
+    gl31-decomp failing."""
+    tables = twists.prime_power_tables
+
+    def cut_at_last(entries, n_max, table):
+        last = max(entries)
+        k = max(j for j in range(n_max.bit_length()) if last**j <= n_max)
+        return tables(entries, n_max, lambda entry, _: table(entry, k))
+
+    monkeypatch.setattr(twists, "prime_power_tables", cut_at_last)
+    assert main(["verify", "--suite", "addtomult", "--json"]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["check"] for r in records if not r["ok"]] == ["gl31-decomp"]
+
+
 def test_nan_unit_average_fails_gl31_decomp(monkeypatch):
     """A NaN from `unit_average` stops at `additive_twist`'s refusal of a
     coefficient that is not finite: gl31-decomp fails with that error."""
-    monkeypatch.setattr(twists, "unit_average", lambda x, q, parity: complex("nan"))
+    monkeypatch.setattr(twists, "unit_average", lambda t, q, parity: complex("nan"))
     check = next(c for c in CHECKS if c.check_id == "gl31-decomp")
     res = run_check(check, RunConfig(n_max=60, p_max=20))
     assert not res.ok

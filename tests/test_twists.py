@@ -33,44 +33,51 @@ def _unitary_params(rng, p_max=40):
 
 
 def test_unit_average_q_small():
-    """q <= 2: a single exponential; no averaging happens."""
-    assert isclose(unit_average(Fraction(1, 2), 1, 0).real, -1.0)
-    z = unit_average(Fraction(1, 3), 2, 0)
-    assert abs(z - cmath.exp(2j * cmath.pi / 3)) < 1e-12
+    """q <= 2: a single term e(t/q) sign(t)^parity; no averaging happens,
+    which at t = -1, parity 1 would give 0."""
+    assert isclose(unit_average(1, 2, 0).real, -1.0)
+    assert abs(unit_average(-1, 2, 1) - 1) < 1e-12
+    assert abs(unit_average(-3, 1, 1) + 1) < 1e-12
+    assert abs(unit_average(3, 1, 0) - 1) < 1e-12
 
 
 def test_unit_average_is_even_part_for_even_parity():
-    """q > 2, parity 0: the average of e(x) and e(-x) is cos(2 pi x)."""
+    """q > 2, parity 0: the average of e(x) and e(-x) is cos(2 pi x), x = t/q;
+    parity 1 gives i sin(2 pi x)."""
     rng = random.Random(33)
     for _ in range(25):
-        x = Fraction(rng.randint(1, 30), rng.randint(2, 12))
-        z = unit_average(x, 5, 0)
-        assert abs(z - cmath.cos(2 * cmath.pi * float(x))) < 1e-12
-        w = unit_average(x, 5, 1)
-        assert abs(w - 1j * cmath.sin(2 * cmath.pi * float(x))) < 1e-12
+        t, q = rng.randint(1, 60), rng.randint(3, 12)
+        z = unit_average(t, q, 0)
+        assert abs(z - cmath.cos(2 * cmath.pi * t / q)) < 1e-12
+        w = unit_average(t, q, 1)
+        assert abs(w - 1j * cmath.sin(2 * cmath.pi * t / q)) < 1e-12
 
 
 def test_unit_average_depends_on_x_mod_1_at_any_size():
-    """A huge x shifted by an integer gives the small x's value, with the
-    sign of the huge x; float(x) alone overflows or loses x mod 1 here."""
+    """A huge x = t/q shifted by an integer gives the small x's value, with
+    the sign of the huge x; float(t / q) alone overflows or loses x mod 1
+    here."""
     for big in (10**20, 10**400):
-        for x in (Fraction(1, 4), Fraction(2, 3), Fraction(7, 5)):
-            for q, parity in ((1, 0), (5, 0), (5, 1)):
-                small = unit_average(x, q, parity)
-                assert abs(unit_average(big + x, q, parity) - small) < 1e-9
-                assert abs(unit_average(-big - x, q, parity) - small.conjugate() * (-1) ** parity) < 1e-9
+        for t, q in ((1, 2), (1, 4), (2, 3), (7, 5)):
+            for parity in (0, 1):
+                small = unit_average(t, q, parity)
+                assert abs(unit_average(big * q + t, q, parity) - small) < 1e-9
+                assert abs(unit_average(-big * q - t, q, parity)
+                           - small.conjugate() * (-1) ** parity) < 1e-9
 
 
 def test_unit_average_sign_zero_convention():
-    # sign(0) := +1, so x = 0 gives 1 for any parity at q <= 2
-    assert unit_average(Fraction(0), 2, 0) == 1
-    assert unit_average(Fraction(0), 2, 1) == 1
+    # sign(0) := +1, so t = 0 gives 1 for any parity at q <= 2
+    for q in (1, 2):
+        assert unit_average(0, q, 0) == 1
+        assert unit_average(0, q, 1) == 1
 
 
-def _unit_average_by_fractions(x, q, parity):
-    """unit_average with x shifted by 2^20 round(x / 2^20) as Fractions: the
-    reference for its int shift."""
-    xf = float(x - 2**20 * round(Fraction(x) / 2**20))
+def _unit_average_by_fractions(t, q, parity):
+    """unit_average with x = t/q shifted by 2^20 round(x / 2^20) as
+    Fractions: the reference for its int shift."""
+    x = Fraction(t, q)
+    xf = float(x - 2**20 * round(x / 2**20))
     sign = 1.0 if x >= 0 else -1.0
 
     def one_term(y, s):
@@ -82,56 +89,102 @@ def _unit_average_by_fractions(x, q, parity):
 
 
 def _shift_cases():
-    """n beta past 2^19, where the shift k is 1 or more (twist --beta 3/4
-    from n = 699,051 on), exact ties x / 2^20 = j + 1/2, and large x."""
-    for n in range(699_000, 699_100):
-        yield n * Fraction(3, 4)
-    for n in (*range(2**21 - 40, 2**21 + 40), *range(3 * 2**21 - 40, 3 * 2**21 + 40)):
-        yield n * Fraction(1, 4)
-    for beta in (2**19, 3 * 2**18, -(2**19), Fraction(2**19, 3)):
-        for n in range(-13, 14):
-            yield n * beta
+    """(t, q): n beta past 2^19, where the shift k is 1 or more (twist --beta
+    3/4 from n = 699,051 on), exact ties x / 2^20 = j + 1/2, large x, and t =
+    n r over q = 12 with n sharing 2, 3, 4 or 6 with q, so x is not in lowest
+    terms, small and past 2^19, ties among them.  Each comes also times 2 and
+    6 over 2q and 6q, where q <= 2 becomes q > 2."""
+    base = [(3 * n, 4) for n in range(699_000, 699_100)]
+    base += [(n, 4) for n in (*range(2**21 - 40, 2**21 + 40), *range(3 * 2**21 - 40, 3 * 2**21 + 40))]
+    for t, q in ((2**19, 1), (3 * 2**18, 1), (-(2**19), 1), (2**19, 3)):
+        base += [(n * t, q) for n in range(-13, 14)]
     rng = random.Random(20)
-    for _ in range(300):
-        yield Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**6))
+    base += [(rng.randint(-10**30, 10**30), rng.randint(1, 10**6)) for _ in range(300)]
+    for r in (1, 5, 7, 11):
+        past = 12 * 2**19 // r
+        for n in (*range(1, 40), *range(past - 40, past + 40), *range(3 * past - 40, 3 * past + 40)):
+            if gcd(n, 12) > 1:
+                base.append((n * r, 12))
+    base += [(6 * 2**20 * j, 12) for j in range(-7, 8, 2)]  # x = 2^19 j
+    for t, q in base:
+        for m in (1, 2, 6):
+            yield m * t, m * q
 
 
 def test_unit_average_int_shift_is_the_fraction_shift_bit_for_bit():
     cases = list(_shift_cases())
+    xs = [Fraction(t, q) for t, q in cases]
     # both sides of k = 0, and ties to an even and to an odd j
-    assert {round(Fraction(x) / 2**20) for x in cases} >= {-2, -1, 0, 1, 2}
-    halves = [Fraction(x) / 2**20 - Fraction(1, 2) for x in cases]
+    assert {round(x / 2**20) for x in xs} >= {-2, -1, 0, 1, 2}
+    halves = [x / 2**20 - Fraction(1, 2) for x in xs]
     ties = {j for j in halves if j.denominator == 1}
     assert {j % 2 for j in ties} == {0, 1}
-    for x in cases:
-        for q in (1, 2, 5, 12):
-            for parity in (0, 1):
-                got = unit_average(x, q, parity)
-                want = _unit_average_by_fractions(x, q, parity)
-                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (
-                    x, q, parity)
+    # t/q past 2^19 and not in lowest terms over q = 12, ties among them
+    shared = [(t, x) for (t, q), x in zip(cases, xs) if q == 12 and gcd(t, q) > 1]
+    assert {gcd(t, 12) for t, _ in shared} == {2, 3, 4, 6, 12}
+    assert max(abs(x) for _, x in shared) > 2**19
+    assert any((x / 2**20 - Fraction(1, 2)).denominator == 1 for _, x in shared)
+    for t, q in cases:
+        for parity in (0, 1):
+            got = unit_average(t, q, parity)
+            want = _unit_average_by_fractions(t, q, parity)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (
+                t, q, parity)
 
 
 def test_unit_average_refuses_a_float():
-    for x in (0.25, 0.25j):
-        with pytest.raises(TypeError, match="expected an int or a Fraction"):
-            unit_average(x, 5, 0)
+    """t must be an int: a float, a complex or a Fraction, whole or not, is
+    refused."""
+    for t in (0.25, 0.25j, 2.0, Fraction(1, 4), Fraction(2)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            unit_average(t, 5, 0)
+
+
+_SIGNED_ZERO_SCALARS = ["-2,-0.0", "0.5,-0.0", "-0.0,-0.75", "1", "-1.5,0.25", "2e-3,-7"]
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6, 7, 900])
 def test_additive_twist_is_the_multiplicative_product_bit_for_bit(n_max):
-    """Each twisted coefficient is multiplicative(n) * unit_average(n beta)
-    to the bit, signed zeros included (`tobytes` tells -0.0 from 0.0)."""
+    """Each twisted coefficient is multiplicative(n) * unit_average(n num
+    beta, den beta) to the bit, signed zeros included (`tobytes` tells -0.0
+    from 0.0)."""
     rng = random.Random(n_max)
-    scalars = ["-2,-0.0", "0.5,-0.0", "-0.0,-0.75", "1", "-1.5,0.25", "2e-3,-7"]
-    params = {p: tuple(parse_scalar(rng.choice(scalars)) for _ in range(3))
+    params = {p: tuple(parse_scalar(rng.choice(_SIGNED_ZERO_SCALARS)) for _ in range(3))
               for p in primes_up_to(n_max)}
     tables = {p: inverse_series(params[p], 10, FLOAT) for p in params}
     for beta, parity in ((Fraction(2, 7), 1), (Fraction(-1, 3), 0), (Fraction(0), 0)):
         want = [multiplicative(n, lambda p, k: tables[p][k], FLOAT)
-                * unit_average(n * beta, beta.denominator, parity) for n in range(1, n_max + 1)]
+                * unit_average(n * beta.numerator, beta.denominator, parity)
+                for n in range(1, n_max + 1)]
         got = additive_twist(params, beta, parity, n_max)
         assert got.tobytes() == array("d", [x for c in want for x in (c.real, c.imag)]).tobytes()
+
+
+def test_additive_twist_shares_a_parameter_object_in_any_order():
+    """Primes that list one parameter object share one table, built at the
+    smallest of them (built at the first one listed, a descending order
+    would cut it at the cap of the largest): in ascending, descending or
+    shuffled order the stream is the one of distinct per-prime copies, to
+    the byte, signed zeros included.  So is a mix of two objects that are
+    equal under == but for the signs of their zeros."""
+    rng = random.Random(28)
+    n_max = 300
+    triple = tuple(parse_scalar(s) for s in _SIGNED_ZERO_SCALARS[:3])
+    flipped = tuple(parse_scalar(s.replace("-0.0", "0.0")) for s in _SIGNED_ZERO_SCALARS[:3])
+    assert flipped == triple
+    primes = primes_up_to(n_max)
+    shuffled = primes[:]
+    rng.shuffle(shuffled)
+    mixed = {p: (triple, flipped)[i % 2] for i, p in enumerate(shuffled)}
+    for beta, parity in ((Fraction(2, 7), 1), (Fraction(3, 4), 0), (Fraction(0), 0)):
+        copies = {p: tuple(complex(z.real, z.imag) for z in triple) for p in primes}
+        assert len({id(v) for v in copies.values()}) == len(primes)
+        want = additive_twist(copies, beta, parity, n_max).tobytes()
+        for order in (primes, primes[::-1], shuffled):
+            assert additive_twist(dict.fromkeys(order, triple), beta, parity, n_max).tobytes() == want
+        alone = {p: tuple(complex(z.real, z.imag) for z in mixed[p]) for p in primes}
+        assert (additive_twist(mixed, beta, parity, n_max).tobytes()
+                == additive_twist(alone, beta, parity, n_max).tobytes())
 
 
 def test_gl31_decomposition_float():
