@@ -224,7 +224,8 @@ def cmd_twist(args) -> int:
     (beta,) = parse_fraction_list(args.beta, 1, "--beta")
     n_max = _in_range("--N", args.N, TWIST_N_MAX)
     params = langlands.parse_rep_file(_read_text(args.pi_file), n_max)
-    sys.stdout.writelines(_twist_lines(twists.additive_twist(params, beta, args.parity, n_max)))
+    coeffs = twists.additive_twist(twists.float_stream(params, n_max), beta, args.parity)
+    sys.stdout.writelines(_twist_lines(coeffs))
     return 0
 
 

@@ -35,9 +35,9 @@ class RunConfig:
         # on 2 vCPUs, `verify --suite gauss` takes about 50 s at the p_max
         # bound, and `verify --suite doublesum` 1.5-2.0 s and 32 MB at n_max's
         if not 10 <= n_max <= 10**5:
-            raise ValueError("n_max must be in [10, 10^5]")
+            raise ValueError(f"n_max must be in [10, {10**5}], got {n_max}")
         if not 5 <= p_max <= 350:
-            raise ValueError("p_max must be in [5, 350]")
+            raise ValueError(f"p_max must be in [5, 350], got {p_max}")
         if inject_fault is not None and inject_fault not in FAULT_CAPABLE:
             raise ValueError(f"inject_fault must be one of: {', '.join(sorted(FAULT_CAPABLE))}")
         self.n_max, self.p_max, self.seed, self.inject_fault = n_max, p_max, seed, inject_fault

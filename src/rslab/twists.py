@@ -1,13 +1,13 @@
-"""Additive twists, unit averages, and the twisted-series prefactor.
+"""The float stream, its additive twists, unit averages, and the twisted-series prefactor.
 
 The unit average folds e(x) against an archimedean character over the
 units congruent to 1 mod q (just {1} or {+-1} over Q); matching its parity
 to a Dirichlet character makes the symmetrized additive twist reproduce
 the plain multiplicative one, which is the decomposition checked here:
 on floats from the additive twists of `additive_twist`, the engine of
-`rslab twist` (`gl31_twist_residuals`), and exactly on exact `CoeffData`
-(`gl31_decomposition_residuals`).  x = t/q in the unit average is exact,
-t an int over the modulus q, so that e(x) sees x mod 1 at any size of x.
+`rslab twist`, on one `float_stream` (`gl31_twist_residuals`), and exactly
+on exact `CoeffData` (`gl31_decomposition_residuals`).  x = t/q in the unit
+average is exact, t an int over q, so e(x) sees x mod 1 at any size of x.
 """
 
 from __future__ import annotations
@@ -57,16 +57,21 @@ def unit_average(t: int, q: int, parity: int) -> complex:
     return (term + cmath.exp(2j * pi * -xf) * (-sign if t else 1.0)**parity) / 2
 
 
-def additive_twist(params, beta: Fraction, parity: int, n_max: int) -> array:
-    """a(n) unit_average(n num(beta), den(beta), parity), n = 1..n_max, as
-    (re, im) pairs in one array; a is the float stream whose local factor at
-    p has the parameters params[p] (`langlands.parse_rep_file`), one table
-    per parameter object (`euler.prime_power_tables`).  ValueError, before
-    anything is returned, if a coefficient overflows a float."""
+def float_stream(params, n_max: int):
+    """The float stream a(1), ..., a(n_max), lazily, whose local factor at p
+    has the parameters params[p] (`langlands.parse_rep_file`), one table per
+    parameter object (`euler.prime_power_tables`)."""
     tables = prime_power_tables(params, n_max, lambda roots, k: inverse_series(roots, k, FLOAT))
+    return sieve_stream(tables, largest_prime_powers(n_max), one(FLOAT))
+
+
+def additive_twist(stream, beta: Fraction, parity: int) -> array:
+    """a(n) unit_average(n num(beta), den(beta), parity) for the a(n) of
+    stream, n = 1, 2, ..., as (re, im) pairs in one array.  ValueError,
+    before anything is returned, if a coefficient overflows a float."""
     num, den = beta.numerator, beta.denominator
     coeffs = array("d")
-    for n, a_n in enumerate(sieve_stream(tables, largest_prime_powers(n_max), one(FLOAT)), 1):
+    for n, a_n in enumerate(stream, 1):
         coeff = a_n * unit_average(n * num, den, parity)
         if not cmath.isfinite(coeff):
             raise ValueError(f"coefficient a({n}) overflows a float")
@@ -120,13 +125,14 @@ def gl31_twist_residuals(q: int, params, n_max: int) -> list[tuple[DirichletChar
     """The same identity on floats, for every primitive chi mod q and
     n = 1..n_max: (chi, its residuals), each normalized by q * |lam(n)|.
 
-    lam and every a_r come from `additive_twist` on params (p -> roots, as
-    there): lam at beta = 0, and a_r at beta = r/q for each r prime to q,
-    once per parity that a primitive character mod q has.  tau(chi) is the
-    float Gauss sum.
+    lam and every a_r come from `additive_twist` on the one `float_stream`
+    of params (p -> roots, as there): lam at beta = 0, and a_r at beta = r/q
+    for each r prime to q, once per parity that a primitive character mod q
+    has.  tau(chi) is the float Gauss sum.
     """
+    stream = list(float_stream(params, n_max))
     def columns(beta: Fraction, parity: int) -> list[complex]:
-        twist = additive_twist(params, beta, parity, n_max)
+        twist = additive_twist(stream, beta, parity)
         return [complex(re, im) for re, im in zip(twist[::2], twist[1::2])]
 
     lam = columns(Fraction(0), 0)

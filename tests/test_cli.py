@@ -160,6 +160,20 @@ def test_verify_rejects_p_max_above_bound():
     assert "p_max" in err
 
 
+@pytest.mark.parametrize("flag, value, bounds", [
+    ("--n-max", "9", "n_max must be in [10, 100000]"),
+    ("--n-max", "100001", "n_max must be in [10, 100000]"),
+    ("--p-max", "4", "p_max must be in [5, 350]"),
+    ("--p-max", "351", "p_max must be in [5, 350]"),
+])
+def test_verify_range_message_names_the_value(flag, value, bounds):
+    """Just past either end of its range, each knob of `verify` is refused
+    with its bounds as numbers and the value it got, as every other
+    subcommand's range refusal is."""
+    code, out, err = run_cli("verify", flag, value)
+    assert (code, out, err) == (3, "", f"error: {bounds}, got {value}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("gauss", "--q", "226"),
     ("gauss", "--q", "0"),

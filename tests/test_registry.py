@@ -131,8 +131,8 @@ def test_gl31_decomp_guards_the_shared_exponent_map_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("mutant", [
-    lambda twist, params, beta, parity, n_max: twist(params, beta, 0, n_max),
-    lambda twist, params, beta, parity, n_max: twist(params, 2 * beta, parity, n_max),
+    lambda twist, stream, beta, parity: twist(stream, beta, 0),
+    lambda twist, stream, beta, parity: twist(stream, 2 * beta, parity),
 ], ids=["parity-forced-to-0", "phase-doubled"])
 def test_gl31_decomp_guards_the_twist_engine(monkeypatch, capsys, mutant):
     """gl31-decomp's float half reads its additive twists from

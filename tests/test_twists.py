@@ -9,6 +9,7 @@ from math import gcd, isclose, pi
 
 import pytest
 
+from rslab import twists
 from rslab.arith import primes_up_to
 from rslab.characters import char_group
 from rslab.coeffs import CoeffData
@@ -18,6 +19,7 @@ from rslab.twists import (
     additive_twist,
     conductor_exponent_check,
     fe_root_number,
+    float_stream,
     forced_q1,
     gl31_decomposition_residuals,
     gl31_twist_residuals,
@@ -143,6 +145,11 @@ def test_unit_average_refuses_a_float():
 _SIGNED_ZERO_SCALARS = ["-2,-0.0", "0.5,-0.0", "-0.0,-0.75", "1", "-1.5,0.25", "2e-3,-7"]
 
 
+def _packed(stream) -> bytes:
+    """A complex stream as (re, im) pairs in an array("d"), as bytes."""
+    return array("d", [x for c in stream for x in (c.real, c.imag)]).tobytes()
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6, 7, 900])
 def test_additive_twist_is_the_multiplicative_product_bit_for_bit(n_max):
     """Each twisted coefficient is multiplicative(n) * unit_average(n num
@@ -156,11 +163,11 @@ def test_additive_twist_is_the_multiplicative_product_bit_for_bit(n_max):
         want = [multiplicative(n, lambda p, k: tables[p][k], FLOAT)
                 * unit_average(n * beta.numerator, beta.denominator, parity)
                 for n in range(1, n_max + 1)]
-        got = additive_twist(params, beta, parity, n_max)
-        assert got.tobytes() == array("d", [x for c in want for x in (c.real, c.imag)]).tobytes()
+        got = additive_twist(float_stream(params, n_max), beta, parity)
+        assert got.tobytes() == _packed(want)
 
 
-def test_additive_twist_shares_a_parameter_object_in_any_order():
+def test_float_stream_shares_a_parameter_object_in_any_order():
     """Primes that list one parameter object share one table, built at the
     smallest of them (built at the first one listed, a descending order
     would cut it at the cap of the largest): in ascending, descending or
@@ -176,15 +183,42 @@ def test_additive_twist_shares_a_parameter_object_in_any_order():
     shuffled = primes[:]
     rng.shuffle(shuffled)
     mixed = {p: (triple, flipped)[i % 2] for i, p in enumerate(shuffled)}
-    for beta, parity in ((Fraction(2, 7), 1), (Fraction(3, 4), 0), (Fraction(0), 0)):
-        copies = {p: tuple(complex(z.real, z.imag) for z in triple) for p in primes}
-        assert len({id(v) for v in copies.values()}) == len(primes)
-        want = additive_twist(copies, beta, parity, n_max).tobytes()
-        for order in (primes, primes[::-1], shuffled):
-            assert additive_twist(dict.fromkeys(order, triple), beta, parity, n_max).tobytes() == want
-        alone = {p: tuple(complex(z.real, z.imag) for z in mixed[p]) for p in primes}
-        assert (additive_twist(mixed, beta, parity, n_max).tobytes()
-                == additive_twist(alone, beta, parity, n_max).tobytes())
+    copies = {p: tuple(complex(z.real, z.imag) for z in triple) for p in primes}
+    assert len({id(v) for v in copies.values()}) == len(primes)
+    want = _packed(float_stream(copies, n_max))
+    for order in (primes, primes[::-1], shuffled):
+        assert _packed(float_stream(dict.fromkeys(order, triple), n_max)) == want
+    alone = {p: tuple(complex(z.real, z.imag) for z in mixed[p]) for p in primes}
+    assert _packed(float_stream(mixed, n_max)) == _packed(float_stream(alone, n_max))
+
+
+def test_additive_twist_reads_any_iterable_of_the_stream():
+    """The twist of the lazy stream and of its list are the same bytes."""
+    params = _unitary_params(random.Random(29), 200)
+    stream = list(float_stream(params, 200))
+    for beta, parity in ((Fraction(3, 7), 1), (Fraction(-5, 4), 0), (Fraction(0), 0)):
+        assert (additive_twist(float_stream(params, 200), beta, parity).tobytes()
+                == additive_twist(stream, beta, parity).tobytes())
+
+
+def test_gl31_twist_residuals_builds_one_stream(monkeypatch):
+    """One call builds the sieve table and the local tables once, however
+    many (r, parity) columns it twists: mod 8, 1 + 4 * 2 of them."""
+    calls = {"largest_prime_powers": 0, "prime_power_tables": 0}
+
+    def counted(name):
+        kernel = getattr(twists, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(twists, name, counted(name))
+    residuals = gl31_twist_residuals(8, _unitary_params(random.Random(8), 12), 12)
+    assert {chi.parity for chi, _ in residuals} == {0, 1}
+    assert calls == {"largest_prime_powers": 1, "prime_power_tables": 1}
 
 
 def test_gl31_decomposition_float():
