@@ -4,7 +4,8 @@ The unit group mod q is split into prime-power components with explicit
 generators, so a character is just a tuple of exponents (one per generator);
 one table per modulus of the units' discrete logs makes each value a lookup.
 Values come back as exact roots of unity (CycloElement), and Gauss sums
-can be formed either as floats or as exact cyclotomic elements.  Exact
+can be formed either as floats or as exact cyclotomic elements; every
+float tau(chi) mod q sums against one row of phases e(d/q).  Exact
 twisted sums tau_q(chi, r/m) come from one kernel (`exponent_maps`) that
 computes chi's angles once per (chi, m) and yields an exponent map per r.
 """
@@ -58,6 +59,7 @@ class CharGroup:
         #: the group exponent L = lcm(orders): every value is e(k/L)
         self.exponent = lcm(*self.orders)
         self._table = None
+        self._phases = None
         #: float tau(chi) by exponent tuple, filled by gauss_classical
         self._tau: dict[tuple[int, ...], complex] = {}
 
@@ -127,9 +129,22 @@ class CharGroup:
             self._table = (logs, complexes)
         return self._table
 
+    def phase_row(self) -> tuple[list[tuple[int, ...]], list[complex]]:
+        """(columns, phases) over the units d = 1..q ascending, built on
+        first use: columns[i] holds their scaled logs to generator i, so a
+        character's angles at them are sum_i e_i columns[i], and phases
+        holds e(d/q), each written as `gauss_beta` writes e(d * beta) at
+        beta = 1/q.  Every float tau(chi) sums against this one row."""
+        if self._phases is None:
+            q, logs = self.q, self.value_table()[0]
+            units = [d for d in range(1, q + 1) if logs[d % q] is not None]
+            self._phases = (list(zip(*(logs[d % q] for d in units))),
+                            [cmath.exp(2j * pi * (d / q)) for d in units])
+        return self._phases
+
 
 # a default `verify --suite all` leaves 40 groups (0.1 MB), `verify --suite
-# gauss --p-max 350` 349 (5.9 MB): RunConfig's p_max <= 350 bounds the cache
+# gauss --p-max 350` 349 (7.3 MB): RunConfig's p_max <= 350 bounds the cache
 @lru_cache(maxsize=None)
 def char_group(q: int) -> CharGroup:
     return CharGroup(q)
@@ -250,13 +265,23 @@ class DirichletCharacter:
 def gauss_classical(chi: DirichletCharacter, mode: str = EXACT):
     """tau(chi) = sum_{a mod q} chi(a) e(a/q), exact or float.
 
-    The float value is computed once per character and kept on its group."""
+    The float value is computed once per character and kept on its group:
+    chi's values dotted with the group's `phase_row`, in gauss_beta's order,
+    so it is bit for bit gauss_beta(chi, 1/q, FLOAT)."""
+    group = chi.group
     if mode != FLOAT:
-        return gauss_beta(chi, Fraction(1, chi.group.q), mode)
-    cache = chi.group._tau
-    tau = cache.get(chi.exps)
+        return gauss_beta(chi, Fraction(1, group.q), mode)
+    tau = group._tau.get(chi.exps)
     if tau is None:
-        tau = cache[chi.exps] = gauss_beta(chi, Fraction(1, chi.group.q), FLOAT)
+        columns, phases = group.phase_row()
+        big, complexes = group.exponent, group.value_table()[1]
+        angles = [0] * len(phases)
+        for e, column in zip(chi.exps, columns):
+            angles = [k + e * l for k, l in zip(angles, column)]
+        acc = 0j
+        for k, w in zip(angles, phases):
+            acc += complexes[k % big] * w
+        tau = group._tau[chi.exps] = acc
     return tau
 
 

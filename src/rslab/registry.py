@@ -32,7 +32,7 @@ class RunConfig:
 
     def __init__(self, n_max: int = 200, p_max: int = 40, seed: int = 1729,
                  inject_fault: str | None = None):
-        # on 2 vCPUs, `verify --suite gauss` takes about 50 s at the p_max
+        # on 2 vCPUs, `verify --suite gauss` takes about 1.2 s at the p_max
         # bound, and `verify --suite doublesum` 1.5-2.0 s and 32 MB at n_max's
         if not 10 <= n_max <= 10**5:
             raise ValueError(f"n_max must be in [10, {10**5}], got {n_max}")

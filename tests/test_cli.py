@@ -372,15 +372,19 @@ def test_dump_coeffs_matches_golden(name, extra):
     assert out.encode() == golden.read_bytes()
 
 
-@pytest.mark.parametrize("seed", ["1729", "7"])
-def test_verify_all_json_matches_golden(seed):
-    """`verify --suite all --json` is byte-identical to the committed records:
-    a change of speed or layout may not change a verdict, a count or a
-    printed residual."""
-    code, out, err = run_cli("verify", "--suite", "all", "--json", "--seed", seed)
+@pytest.mark.parametrize("args, name", [
+    pytest.param(("--suite", "all", "--seed", "1729"), "verify_seed1729.jsonl", id="1729"),
+    pytest.param(("--suite", "all", "--seed", "7"), "verify_seed7.jsonl", id="7"),
+    pytest.param(("--suite", "gauss", "--p-max", "350"), "verify_gauss_p350.jsonl", id="gauss-p350"),
+])
+def test_verify_all_json_matches_golden(args, name):
+    """`verify --json` is byte-identical to the committed records, for both
+    seeds of `--suite all` and for the gauss suite at p_max's bound (every
+    primitive tau(chi) with q <= 350): a change of speed or layout may not
+    change a verdict, a count or a printed residual."""
+    code, out, err = run_cli("verify", *args, "--json")
     assert code == 0, err
-    golden = Path(__file__).resolve().parent / "golden" / f"verify_seed{seed}.jsonl"
-    assert out.encode() == golden.read_bytes()
+    assert out.encode() == (Path(__file__).resolve().parent / "golden" / name).read_bytes()
 
 
 @pytest.mark.parametrize("parity", ["0", "1"])

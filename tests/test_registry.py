@@ -97,6 +97,47 @@ def test_clgp_random_fails_on_a_wrong_witness(monkeypatch):
     _fails_alone("clgp-random")
 
 
+@pytest.fixture
+def uncached_groups():
+    """Empty `char_group`'s cache before and after, so no group keeps a
+    phase row or a tau built by another test or by a mutant."""
+    char_group.cache_clear()
+    yield
+    char_group.cache_clear()
+
+
+def _mutate_phase_row(monkeypatch, mutant):
+    row = characters.CharGroup.phase_row
+
+    def mutated(group):
+        columns, phases = row(group)
+        return columns, mutant(phases)
+
+    monkeypatch.setattr(characters.CharGroup, "phase_row", mutated)
+
+
+def test_a_scaled_phase_fails_gauss_modulus(monkeypatch, capsys, uncached_groups):
+    """Every float tau(chi) sums against its group's one phase row: e(1/q)
+    scaled by 1.5 fails gauss-modulus, and `verify --suite gauss` exits 2."""
+    _mutate_phase_row(monkeypatch, lambda phases: [1.5 * phases[0], *phases[1:]])
+    assert main(["verify", "--suite", "gauss", "--json"]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert not next(r for r in records if r["check"] == "gauss-modulus")["ok"]
+
+
+def test_a_conjugated_phase_row_fails_the_modulus_3_anchor(monkeypatch, capsys, uncached_groups):
+    """With the row conjugated, tau(chi) becomes chi(-1) tau(chi): gauss-modulus
+    and gauss-factor cannot see it, but gauss-root's anchor tau = i sqrt(3)
+    at modulus 3 fails, and so does every check that uses tau's phase."""
+    _mutate_phase_row(monkeypatch, lambda phases: [w.conjugate() for w in phases])
+    assert main(["verify", "--suite", "all", "--json"]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    failed = {r["check"]: r["detail"] for r in records if not r["ok"]}
+    assert failed["gauss-root"].startswith("tau at modulus 3 is "), failed["gauss-root"]
+    assert sorted(failed) == ["addtomult-prim", "dirichlet-fe", "gauss-root", "gl31-decomp",
+                              "synthetic-fe"]
+
+
 def test_gauss_window_fails_on_a_reported_zero(monkeypatch):
     monkeypatch.setattr(characters, "vanishing_sums", lambda chi, m, rs: rs[:1])
     _fails_alone("gauss-window")
