@@ -5,9 +5,10 @@ generators, so a character is just a tuple of exponents (one per generator);
 one table per modulus of the units' discrete logs makes each value a lookup.
 Values come back as exact roots of unity (CycloElement), and Gauss sums
 can be formed either as floats or as exact cyclotomic elements; every
-float tau(chi) mod q sums against one row of phases e(d/q).  Exact
-twisted sums tau_q(chi, r/m) come from one kernel (`exponent_maps`) that
-computes chi's angles once per (chi, m) and yields an exponent map per r.
+float tau(chi) mod q sums against one row of phases e(d/q).  Each group
+lists its units and its primitive characters once, for every other module.
+Exact twisted sums tau_q(chi, r/m) come from one kernel (`exponent_maps`)
+that takes chi's angles once per (chi, m) and yields an exponent map per r.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ class CharGroup:
         self.exponent = lcm(*self.orders)
         self._table = None
         self._phases = None
+        self._primitive = None
         #: float tau(chi) by exponent tuple, filled by gauss_classical
         self._tau: dict[tuple[int, ...], complex] = {}
 
@@ -129,22 +131,32 @@ class CharGroup:
             self._table = (logs, complexes)
         return self._table
 
-    def phase_row(self) -> tuple[list[tuple[int, ...]], list[complex]]:
-        """(columns, phases) over the units d = 1..q ascending, built on
-        first use: columns[i] holds their scaled logs to generator i, so a
-        character's angles at them are sum_i e_i columns[i], and phases
+    def phase_row(self) -> tuple[list[int], list[tuple[int, ...]], list[complex]]:
+        """(units, columns, phases), built on first use: units lists the
+        d = 1..q prime to q ascending (q = 1 gives [1]), columns[i] holds
+        their scaled logs to generator i, so a character's angles at them
+        are sum_i e_i columns[i] (`DirichletCharacter.angles`), and phases
         holds e(d/q), each written as `gauss_beta` writes e(d * beta) at
         beta = 1/q.  Every float tau(chi) sums against this one row."""
         if self._phases is None:
             q, logs = self.q, self.value_table()[0]
             units = [d for d in range(1, q + 1) if logs[d % q] is not None]
-            self._phases = (list(zip(*(logs[d % q] for d in units))),
+            self._phases = (units, list(zip(*(logs[d % q] for d in units))),
                             [cmath.exp(2j * pi * (d / q)) for d in units])
         return self._phases
 
+    def primitive_characters(self) -> tuple["DirichletCharacter", ...]:
+        """The characters of conductor q, in `characters()` order; their
+        exponents are found once per group and kept as tuples, so the group
+        holds no character and no reference cycle."""
+        if self._primitive is None:
+            self._primitive = tuple(chi.exps for chi in self.characters() if chi.is_primitive())
+        return tuple(self.character(exps) for exps in self._primitive)
 
-# a default `verify --suite all` leaves 40 groups (0.1 MB), `verify --suite
-# gauss --p-max 350` 349 (7.3 MB): RunConfig's p_max <= 350 bounds the cache
+
+# a default `verify --suite all` leaves 40 groups (0.15 MB), `verify --suite
+# gauss --p-max 350` 349 (9.0 MB, freed by cache_clear() and gc.collect()):
+# RunConfig's p_max <= 350 bounds the cache
 @lru_cache(maxsize=None)
 def char_group(q: int) -> CharGroup:
     return CharGroup(q)
@@ -176,6 +188,16 @@ class DirichletCharacter:
             return None
         return sum(map(mul, self.exps, row)) % self.group.exponent
 
+    def angles(self) -> list[int]:
+        """The k with chi(d) = e(k/L), unreduced, at the group's units d in
+        `phase_row` order: one list pass per generator, where `angle` looks
+        up each residue's logs on its own."""
+        units, columns, _ = self.group.phase_row()
+        ks = [0] * len(units)
+        for e, column in zip(self.exps, columns):
+            ks = [k + e * l for k, l in zip(ks, column)]
+        return ks
+
     def value(self, a: int) -> CycloElement | None:
         """chi(a) as an exact root of unity; None when gcd(a, q) > 1."""
         k = self.angle(a)
@@ -189,26 +211,12 @@ class DirichletCharacter:
         return all(e == 0 for e in self.exps)
 
     @property
-    def order(self) -> int:
-        o = 1
-        for e, n in zip(self.exps, self.group.orders):
-            o = lcm(o, n // gcd(e, n))
-        return o
-
-    @property
     def parity(self) -> int:
         """0 for even (chi(-1) = 1), 1 for odd."""
         return 0 if self.angle(-1) == 0 else 1
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.group, tuple(-e for e in self.exps))
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if self.group.q != other.group.q:
-            raise ValueError("characters live on different moduli")
-        return DirichletCharacter(
-            self.group, tuple(a + b for a, b in zip(self.exps, other.exps))
-        )
 
     def conductor(self) -> int:
         """Smallest modulus the character factors through (computed from the
@@ -273,13 +281,10 @@ def gauss_classical(chi: DirichletCharacter, mode: str = EXACT):
         return gauss_beta(chi, Fraction(1, group.q), mode)
     tau = group._tau.get(chi.exps)
     if tau is None:
-        columns, phases = group.phase_row()
+        phases = group.phase_row()[2]
         big, complexes = group.exponent, group.value_table()[1]
-        angles = [0] * len(phases)
-        for e, column in zip(chi.exps, columns):
-            angles = [k + e * l for k, l in zip(angles, column)]
         acc = 0j
-        for k, w in zip(angles, phases):
+        for k, w in zip(chi.angles(), phases):
             acc += complexes[k % big] * w
         tau = group._tau[chi.exps] = acc
     return tau
@@ -306,14 +311,12 @@ def exponent_maps(chi: DirichletCharacter, m: int, rs):
     exponent, and the map {k mod big: count} with
     tau_q(chi, r/m) = sum_k count_k e(k/big).
 
-    chi's angles at the units d = 1..q, scaled to big, are computed once;
-    each r then costs one pass over them and no CycloElement."""
+    chi's angles at the units, scaled to big, are computed once; each r
+    then costs one pass over them and no CycloElement."""
     group = chi.group
-    q, big = group.q, lcm(m, group.exponent)
+    big = lcm(m, group.exponent)
     scale, step = big // group.exponent, big // m
-    logs = group.value_table()[0]
-    terms = [(sum(map(mul, chi.exps, row)) * scale, d * step)
-             for d in range(1, q + 1) if (row := logs[d % q]) is not None]
+    terms = [(k * scale, d * step) for k, d in zip(chi.angles(), group.phase_row()[0])]
     for r in rs:
         weights: dict[int, int] = {}
         for k, ds in terms:

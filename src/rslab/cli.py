@@ -190,9 +190,7 @@ def _gauss_records(q: int) -> list:
     group = char_group(q)
     records = []
     for idx, chi in enumerate(group.characters()):
-        for r in range(1, q + 1):
-            if q > 1 and Fraction(r, q).denominator != q:
-                continue
+        for r in group.phase_row()[0]:
             beta = Fraction(r, q)
             val = gauss_beta(chi, beta, FLOAT)
             records.append(
@@ -253,11 +251,9 @@ def cmd_funceq(args) -> int:
     q = _in_range("--q", args.q, FUNCEQ_Q_MAX)
     chi = char_group(q).character_at(args.chi_index)
     try:
-        points = [complex(tok) for tok in args.points.split(",") if tok.strip()]
+        points = [complex(tok) for tok in args.points.split(",")]
     except ValueError:
         raise ValueError(f"--points: could not parse {args.points!r}") from None
-    if not points:
-        raise ValueError("--points is empty")
     if q * len(points) > FUNCEQ_Q_MAX:
         raise ValueError(f"--q times the number of --points must be <= {FUNCEQ_Q_MAX}, got {q * len(points)}")
     residuals = [fe.fe_residual_dirichlet(chi, s) for s in points]

@@ -115,10 +115,8 @@ def dirichlet_L(s: complex, chi: DirichletCharacter) -> complex:
             val *= 1 - p ** -s
         return val
     acc = 0j
-    for a in range(1, q + 1):
-        z = chi.value_complex(a)
-        if z != 0:
-            acc += z * hurwitz_zeta_star(s, a / q)
+    for a in chi.group.phase_row()[0]:
+        acc += chi.value_complex(a) * hurwitz_zeta_star(s, a / q)
     return q ** -s * acc
 
 

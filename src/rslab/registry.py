@@ -32,7 +32,7 @@ class RunConfig:
 
     def __init__(self, n_max: int = 200, p_max: int = 40, seed: int = 1729,
                  inject_fault: str | None = None):
-        # on 2 vCPUs, `verify --suite gauss` takes about 1.2 s at the p_max
+        # on 2 vCPUs, `verify --suite gauss` takes about 1.1 s at the p_max
         # bound, and `verify --suite doublesum` 1.5-2.0 s and 32 MB at n_max's
         if not 10 <= n_max <= 10**5:
             raise ValueError(f"n_max must be in [10, {10**5}], got {n_max}")
@@ -255,14 +255,10 @@ def _run_aux_degenerate(cfg: RunConfig, rng: random.Random):
 # -- gauss --------------------------------------------------------------------
 
 
-def _primitive_chars(q: int):
-    return [chi for chi in char_group(q).characters() if chi.is_primitive()]
-
-
 def _run_gauss_modulus(cfg: RunConfig, rng: random.Random):
     errs = []
     for q in range(2, cfg.p_max + 1):
-        for chi in _primitive_chars(q):
+        for chi in char_group(q).primitive_characters():
             tau = characters.gauss_classical(chi, FLOAT)
             err = abs(abs(tau) ** 2 - q)
             if cfg.inject_fault == "gauss-modulus":
@@ -289,7 +285,7 @@ def _run_gauss_window(cfg: RunConfig, rng: random.Random):
 
 def _run_gauss_factorization(cfg: RunConfig, rng: random.Random):
     errs = [characters.gauss_factorization_residual(chi)
-            for q in (15, 21, 24, 35, 40) for chi in _primitive_chars(q)[:6]]
+            for q in (15, 21, 24, 35, 40) for chi in char_group(q).primitive_characters()[:6]]
     worst = _worst(errs)
     ok = worst < 1e-9 and len(errs) == 22  # 3 + 5 + 2 + 6 + 6 characters
     return ok, f"prime-power factorization residual <= {worst:.2e} on {len(errs)} characters"
@@ -297,7 +293,7 @@ def _run_gauss_factorization(cfg: RunConfig, rng: random.Random):
 
 def _run_gauss_root(cfg: RunConfig, rng: random.Random):
     errs = [abs(abs(characters.dirichlet_root_number(chi)) - 1)
-            for q in range(3, cfg.p_max + 1) for chi in _primitive_chars(q)]
+            for q in range(3, cfg.p_max + 1) for chi in char_group(q).primitive_characters()]
     chi3 = next(c for c in char_group(3).characters() if not c.is_trivial())
     tau3 = characters.gauss_classical(chi3, FLOAT)
     if not abs(tau3 - 1j * 3**0.5) <= 1e-12:
@@ -313,7 +309,7 @@ def _run_gauss_root(cfg: RunConfig, rng: random.Random):
 def _run_addtomult(cfg: RunConfig, rng: random.Random):
     errs = []
     for q in (3, 4, 5, 7, 8, 9, 11, 13, 16):
-        prims = _primitive_chars(q)
+        prims = list(char_group(q).primitive_characters())
         rng.shuffle(prims)
         for chi in prims[:2]:
             ns = rng.sample(range(1, 61), 10) + [q, 2 * q]
@@ -326,7 +322,7 @@ def _run_addtomult(cfg: RunConfig, rng: random.Random):
 def _run_gl31_decomposition(cfg: RunConfig, rng: random.Random):
     data = CoeffData.constant((1, 2, 3), (1, 2), 30)
     for q in (3, 4, 5):
-        for chi in _primitive_chars(q):
+        for chi in char_group(q).primitive_characters():
             for n, r in enumerate(twists.gl31_decomposition_residuals(chi, data, range(1, 16)), 1):
                 if r != 0:
                     return False, f"exact decomposition fails at q={q}, n={n} (residual {r})"
@@ -351,7 +347,7 @@ def _run_twisted_series(cfg: RunConfig, rng: random.Random):
             if not (t - tau).is_zero():
                 return False, f"prefactor != twisted sum at q2={q2} for {chi}"
     # nontrivial zeta on a level-4 primitive character, exact square case
-    chi4 = _primitive_chars(4)[0]
+    chi4 = char_group(4).primitive_characters()[0]
     t = twists.twisted_prefactor(chi4, 4, 4, 1, 16, data)
     manual = characters.gauss_beta(chi4, Fraction(1, 4), EXACT) * (
         Fraction(16, 64) * coeffs.lambda_tau(16, data)
@@ -526,21 +522,21 @@ def _run_hurwitz_anchors(cfg: RunConfig, rng: random.Random):
 
 
 def _run_dirichlet_fe(cfg: RunConfig, rng: random.Random):
-    chi4 = _primitive_chars(4)[0]
+    chi4 = char_group(4).primitive_characters()[0]
     err_l = abs(funceq.dirichlet_L(1, chi4) - pi / 4)
     err_cat = abs(funceq.dirichlet_L(2, chi4) - CATALAN)
     anchors = _worst((err_l, err_cat))
     if not anchors <= 1e-11:
         return False, f"L-value anchors off by {anchors:.2e}"
     worst = _worst(funceq.fe_residual_dirichlet(chi, s)
-                   for q in (3, 4, 5) for chi in _primitive_chars(q)[:2]
+                   for q in (3, 4, 5) for chi in char_group(q).primitive_characters()[:2]
                    for s in (0.5, 0.5 + 1j, 0.25 + 2j))
     ok = worst < 1e-8
     return ok, f"completed-function reflection residual <= {worst:.2e}"
 
 
 def _run_synthetic_fe(cfg: RunConfig, rng: random.Random):
-    chi = _primitive_chars(5)[0]
+    chi = char_group(5).primitive_characters()[0]
     report = funceq.synthetic_fe_check(
         chi, (0.5, -0.3, 0.1), 0.2, [0.5, 0.5 + 1j, 0.3 + 0.7j]
     )
@@ -556,11 +552,12 @@ def _run_synthetic_fe(cfg: RunConfig, rng: random.Random):
 def _run_fe_root_modulus(cfg: RunConfig, rng: random.Random):
     errs = []
     for q in (5, 7, 8):
-        for chi in _primitive_chars(q)[:3]:
+        group = char_group(q)
+        rs = group.phase_row()[0]
+        for chi in group.primitive_characters()[:3]:
             for _ in range(3):
                 units = _rand_units(rng, 5)
-                r = rng.choice([k for k in range(1, q) if gcd(k, q) == 1])
-                rp = rng.choice([k for k in range(1, q) if gcd(k, q) == 1])
+                r, rp = rng.choice(rs), rng.choice(rs)
                 eps = twists.fe_root_number(
                     units[0], units[1], units[2], units[3], units[4],
                     chi, Fraction(r, q), Fraction(rp, q),

@@ -136,12 +136,11 @@ def gl31_twist_residuals(q: int, params, n_max: int) -> list[tuple[DirichletChar
         return [complex(re, im) for re, im in zip(twist[::2], twist[1::2])]
 
     lam = columns(Fraction(0), 0)
-    rs = [r for r in range(1, q + 1) if gcd(r, q) == 1]
+    group = char_group(q)
+    rs = group.phase_row()[0]
     by_parity: dict[int, list[tuple]] = {}  # parity -> per n, a_r(n) for r in rs
     out = []
-    for chi in char_group(q).characters():
-        if not chi.is_primitive():
-            continue
+    for chi in group.primitive_characters():
         if chi.parity not in by_parity:
             by_parity[chi.parity] = list(zip(*(columns(Fraction(r, q), chi.parity) for r in rs)))
         chibar = chi.conjugate()

@@ -65,7 +65,9 @@ def test_value_table_against_brute_force_logs():
     generator residues, and chi(a) = e(sum e_i d_i / n_i); off the units the
     value is None.  angle(a) is t scaled to the group exponent, and the float
     value is e(t) with t in lowest terms: exactly +-1 and +-1j at orders 1, 2
-    and 4, cmath.exp otherwise, bit for bit (repr tells -0.0 from 0.0)."""
+    and 4, cmath.exp otherwise, bit for bit (repr tells -0.0 from 0.0).  The
+    phase row's units are the d <= q prime to q, and `angles()` at them
+    agrees with `angle(d)` mod L."""
     exact = {(0, 1): 1 + 0j, (1, 2): -1 + 0j, (1, 4): 1j, (3, 4): -1j}
     for q in range(1, 65):
         grp = char_group(q)
@@ -77,7 +79,10 @@ def test_value_table_against_brute_force_logs():
                 a = a * pow(g, d, q) % q
             logs[a] = ds
         assert len(logs) == euler_phi(q), q
+        units = grp.phase_row()[0]
+        assert units == [d for d in range(1, q + 1) if gcd(d, q) == 1], q
         for chi in grp.characters():
+            assert [k % grp.exponent for k in chi.angles()] == [chi.angle(d) for d in units], chi
             for a in range(-q, 2 * q + 1):
                 v = chi.value(a)
                 if gcd(a, q) > 1:
@@ -90,6 +95,23 @@ def test_value_table_against_brute_force_logs():
                 assert Fraction(chi.angle(a), grp.exponent) == t, (chi, a)
                 want = exact.get((k, n), cmath.exp(2j * cmath.pi * k / n))
                 assert repr(chi.value_complex(a)) == repr(want), (chi, a)
+
+
+def test_primitive_characters_found_once(monkeypatch):
+    """For q <= 100 the group's primitive characters are the characters of
+    conductor q, in `characters()` order; a second call computes no conductor."""
+    groups = [CharGroup(q) for q in range(1, 101)]
+    found = []
+    for grp in groups:
+        want = [chi for chi in grp.characters() if chi.conductor() == grp.q]
+        found.append(grp.primitive_characters())
+        assert list(found[-1]) == want, grp.q
+
+    def no_conductor(chi):
+        raise AssertionError(f"conductor of {chi} computed again")
+
+    monkeypatch.setattr(characters.DirichletCharacter, "conductor", no_conductor)
+    assert [grp.primitive_characters() for grp in groups] == found
 
 
 def test_trivial_character():
@@ -105,15 +127,15 @@ def test_trivial_character():
             assert v is None
 
 
-def test_order_and_conjugate():
-    for chi in char_group(7).characters():
-        k = chi.order
-        acc = chi
-        for _ in range(k - 1):
-            acc = acc * chi
-        assert acc.is_trivial()
-        prod = chi * chi.conjugate()
-        assert prod.is_trivial()
+def test_conjugate():
+    """chi(a) conj(chi)(a) = 1 at every unit, and conj(conj(chi)) = chi."""
+    for q in (7, 12, 16):
+        for chi in char_group(q).characters():
+            chibar = chi.conjugate()
+            for a in range(1, q):
+                if gcd(a, q) == 1:
+                    assert chi.value(a) * chibar.value(a) == 1, (chi, a)
+            assert chibar.conjugate() == chi
 
 
 def test_parity_definition():
@@ -274,7 +296,8 @@ def test_addtomult_exact_mod_97_in_one_pass():
     is an exact 0.0, from one exponent-map pass.  The character is odd, so
     e(-an/q) taken for e(an/q) (which an even character cannot tell apart)
     fails."""
-    chi = next(c for c in char_group(97).characters() if c.order == 96 and c.parity == 1)
+    chi = char_group(97).character((1,))  # the generator to e(1/96): order 96, odd
+    assert chi.parity == 1
     start = time.perf_counter()
     assert addtomult_residuals(chi, range(1, 98), EXACT) == [0.0] * 97
     assert time.perf_counter() - start < 5.0
@@ -397,9 +420,7 @@ def test_quadratic_root_numbers():
     """Even primitive quadratic characters have eps = +1; odd ones
     (like mod 3 and mod 4) have tau = i*sqrt(q), so eps = +1 there too
     with the i absorbed by the parity factor."""
-    chi5 = next(
-        c for c in char_group(5).characters() if c.order == 2 and c.is_primitive()
-    )
+    chi5 = char_group(5).character((2,))  # the generator to e(2/4) = -1
     assert abs(dirichlet_root_number(chi5) - 1) < 1e-10
     chi3 = next(c for c in char_group(3).characters() if not c.is_trivial())
     assert abs(dirichlet_root_number(chi3) - 1) < 1e-10

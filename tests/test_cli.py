@@ -702,6 +702,14 @@ def test_funceq_rejects_points_outside_validated_range(points):
     assert out == ""  # no record, so no NaN either
 
 
+@pytest.mark.parametrize("points", ["0.5,,1", "0.5,", ",0.5"])
+def test_funceq_refuses_an_empty_point(points):
+    """An empty entry in --points is refused as --alphas refuses one: exit 3,
+    one error line, no record."""
+    code, out, err = run_cli("funceq", "--q", "5", "--chi-index", "1", "--points", points)
+    assert (code, out, err) == (3, "", f"error: --points: could not parse {points!r}\n")
+
+
 def test_funceq_nan_residual_fails(monkeypatch):
     monkeypatch.setattr("rslab.funceq.fe_residual_dirichlet", lambda chi, s: float("nan"))
     code, out, _ = run_cli("funceq", "--q", "5", "--chi-index", "1", "--points", "0.5")

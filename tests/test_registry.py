@@ -6,7 +6,7 @@ from math import nan
 
 import pytest
 
-from rslab import characters, coeffs, cyclotomic, euler, funceq, matid, registry, symfunc, twists
+from rslab import characters, coeffs, cyclotomic, euler, funceq, matid, symfunc, twists
 from rslab.arith import largest_prime_powers
 from rslab.characters import char_group
 from rslab.cli import main
@@ -110,8 +110,8 @@ def _mutate_phase_row(monkeypatch, mutant):
     row = characters.CharGroup.phase_row
 
     def mutated(group):
-        columns, phases = row(group)
-        return columns, mutant(phases)
+        units, columns, phases = row(group)
+        return units, columns, mutant(phases)
 
     monkeypatch.setattr(characters.CharGroup, "phase_row", mutated)
 
@@ -122,7 +122,8 @@ def test_a_scaled_phase_fails_gauss_modulus(monkeypatch, capsys, uncached_groups
     _mutate_phase_row(monkeypatch, lambda phases: [1.5 * phases[0], *phases[1:]])
     assert main(["verify", "--suite", "gauss", "--json"]) == 2
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert not next(r for r in records if r["check"] == "gauss-modulus")["ok"]
+    record = next(r for r in records if r["check"] == "gauss-modulus")
+    assert not record["ok"] and not record["detail"].startswith("error:"), record
 
 
 def test_a_conjugated_phase_row_fails_the_modulus_3_anchor(monkeypatch, capsys, uncached_groups):
@@ -133,6 +134,7 @@ def test_a_conjugated_phase_row_fails_the_modulus_3_anchor(monkeypatch, capsys, 
     assert main(["verify", "--suite", "all", "--json"]) == 2
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     failed = {r["check"]: r["detail"] for r in records if not r["ok"]}
+    assert not [d for d in failed.values() if d.startswith("error:")], failed
     assert failed["gauss-root"].startswith("tau at modulus 3 is "), failed["gauss-root"]
     assert sorted(failed) == ["addtomult-prim", "dirichlet-fe", "gauss-root", "gl31-decomp",
                               "synthetic-fe"]
@@ -323,8 +325,9 @@ def test_counts_decide_on_fewer_characters(monkeypatch, check_id, detail):
     """Without the first primitive character of each modulus every residual
     still passes; each check fails on its count fixed by construction (22,
     192 and 24), with its usual detail."""
-    primitive_chars = registry._primitive_chars
-    monkeypatch.setattr(registry, "_primitive_chars", lambda q: primitive_chars(q)[1:])
+    primitive_characters = characters.CharGroup.primitive_characters
+    monkeypatch.setattr(characters.CharGroup, "primitive_characters",
+                        lambda group: primitive_characters(group)[1:])
     check = next(c for c in CHECKS if c.check_id == check_id)
     res = run_check(check, RunConfig())
     assert not res.ok, res.detail
