@@ -22,7 +22,7 @@ from operator import mul
 
 from .arith import divisors, euler_phi, factorize, primitive_root, radical, valuation
 from .cyclotomic import CycloElement, sum_is_zero
-from .scalars import EXACT, FLOAT, check_mode
+from .scalars import EXACT, FLOAT, check_mode, rational
 
 #: e(k/n) at the orders n = 1, 2, 4, where cmath.exp is only approximate
 _EXACT_ROOTS = {(0, 1): complex(1), (1, 2): complex(-1), (1, 4): 1j, (3, 4): -1j}
@@ -291,10 +291,10 @@ def gauss_classical(chi: DirichletCharacter, mode: str = EXACT):
 
 
 def gauss_beta(chi: DirichletCharacter, beta: Fraction, mode: str = EXACT):
-    """tau_q(chi, beta) = sum over d in (Z/q)^* of chi(d) e(d * beta)."""
+    """tau_q(chi, beta) = sum over d in (Z/q)^* of chi(d) e(d * beta), beta an int or a Fraction."""
     check_mode(mode)
     q = chi.group.q
-    beta = Fraction(beta)
+    beta = rational(beta)
     if mode == EXACT:
         big, weights = next(exponent_maps(chi, beta.denominator, [beta.numerator]))
         return CycloElement.from_exponents(big, weights)

@@ -262,7 +262,7 @@ def cmd_funceq(args) -> int:
          "residual": res if math.isfinite(res) else None}
         for s, res in zip(points, residuals)))
     # all(<), not max(): a NaN residual compares False and so fails
-    return 0 if all(res < 1e-8 for res in residuals) else 2
+    return 0 if all(res < fe.FE_TOL for res in residuals) else 2
 
 
 # -- wiring -------------------------------------------------------------------

@@ -8,8 +8,8 @@ inverse local factors.  The headline check is the convolution identity
 
 with lam_pair the coefficient of the expanded 6-factor product.  Every
 value is exact: a parameter is an int or a Fraction, and anything else
-raises TypeError where it is coerced.  An index below 1 raises ValueError,
-in `arith.factorize`.
+raises TypeError when the `CoeffData` is made.  An index below 1 raises
+ValueError, in `arith.factorize`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class _LocalTables:
     """The tables of one parameter set (alphas, gammas, central value), grown
     on demand: the power series of the inverse pi, tau and pair factors,
     expanded from their roots (inverse_series), and the Schur values
-    s_(k1+k2, k1, 0)(alphas) (schur3).
+    s_(k1+k2, k1, 0)(alphas) (schur3).  A whole value is stored as an int.
     Neither table is filled from the other."""
 
     __slots__ = ("alphas", "gammas", "central", "series", "schur")
@@ -45,27 +45,25 @@ class _LocalTables:
         if table is None or len(table) <= k:
             roots = {"pi": self.alphas, "tau": self.gammas,
                      "pair": [a * g for a in self.alphas for g in self.gammas]}[factor]
-            table = self.series[factor] = inverse_series(roots, max(k, 16), EXACT)
+            table = self.series[factor] = [_whole(x) for x in
+                                           inverse_series(roots, max(k, 16), EXACT)]
         return table[k]
 
     def schur_value(self, k1: int, k2: int):
         value = self.schur.get((k1, k2))
         if value is None:
-            value = self.schur[k1, k2] = schur3(Partition3(k1 + k2, k1, 0), self.alphas)
+            value = self.schur[k1, k2] = _whole(schur3(Partition3(k1 + k2, k1, 0), self.alphas))
         return value
 
 
-def modulus_convention_central(gammas):
-    """Central value at p: g1 * g2 when both parameters are nonzero, else 0.
+def _whole(x):
+    return x.numerator if x.denominator == 1 else x  # never rounded
 
-    The zero at ramified primes is a convention callers may override by
-    supplying their own central value in a CoeffData's local map.
-    """
-    g1 = coerce(gammas[0], EXACT)
-    g2 = coerce(gammas[1], EXACT)
-    if g1 == 0 or g2 == 0:
-        return Fraction(0)
-    return g1 * g2
+
+def modulus_convention_central(gammas):
+    """Central value at p: g1 * g2, so 0 at a ramified p, a convention callers
+    may override by supplying their own central value in a CoeffData's local map."""
+    return gammas[0] * gammas[1]
 
 
 class CoeffData:
@@ -73,54 +71,45 @@ class CoeffData:
     central), the three degree-3 parameters, the two degree-2 parameters and
     the value of the central character at p (callers must supply it at
     ramified p -- modulus_convention_central gives the conventional choice).
+    Each entry is checked and coerced once, when the data are made, and
+    primes with equal parameters share one table.
     """
 
     __slots__ = ("local", "_tables")
 
     def __init__(self, local: Mapping[int, tuple]):
-        for p, (alphas, gammas, _) in local.items():
-            if len(alphas) != 3 or len(gammas) != 2:
-                raise ValueError(f"need 3 degree-3 and 2 degree-2 parameters at p={p}")
-        self.local = local
-        #: p -> the local tables at p, and the coerced parameter set -> the same
-        #: tables, so that primes with equal parameters share one
-        self._tables: dict = {}
+        self.local, self._tables = local, {}  # _tables: p -> the local tables at p
+        made: dict = {}  # the id of an entry (held by `local`), or parameters -> tables
+        for p, entry in local.items():
+            tables = made.get(id(entry))
+            if tables is None:
+                alphas, gammas, central = entry
+                if len(alphas) != 3 or len(gammas) != 2:
+                    raise ValueError(f"need 3 degree-3 and 2 degree-2 parameters at p={p}")
+                key = (tuple(coerce(a, EXACT) for a in alphas),
+                       tuple(coerce(g, EXACT) for g in gammas), coerce(central, EXACT))
+                tables = made[id(entry)] = made.setdefault(key, _LocalTables(*key))
+            self._tables[p] = tables
 
     @classmethod
     def constant(cls, alphas, gammas, n_max: int) -> "CoeffData":
         """Same parameters at every prime up to n_max, central value g1*g2."""
-        alphas = tuple(coerce(a, EXACT) for a in alphas)
-        gammas = tuple(coerce(g, EXACT) for g in gammas)
         triple = (alphas, gammas, modulus_convention_central(gammas))
         return cls({p: triple for p in primes_up_to(n_max)})
 
     def _local(self, p: int) -> _LocalTables:
-        """The tables at p; the parameters are coerced once, on first use."""
-        local = self._tables.get(p)
-        if local is None:
-            try:
-                alphas, gammas, central = self.local[p]
-            except KeyError:
-                raise ValueError(f"no local data at p={p}") from None
-            key = (tuple(coerce(a, EXACT) for a in alphas),
-                   tuple(coerce(g, EXACT) for g in gammas),
-                   coerce(central, EXACT))
-            local = self._tables[p] = self._tables.setdefault(key, _LocalTables(*key))
-        return local
+        try:
+            return self._tables[p]
+        except KeyError:
+            raise ValueError(f"no local data at p={p}") from None
 
 
 def lambda_double(m1: int, m2: int, data: CoeffData):
     """Double-indexed coefficient lam(m1, m2) = prod_p s_(k1+k2, k1, 0)(alpha_p)
     with k1 = v_p(m1), k2 = v_p(m2)."""
-    acc = Fraction(1)
-    exps: dict[int, list[int]] = {}
-    for p, e in factorize(m1):
-        exps[p] = [e, 0]
-    for p, e in factorize(m2):
-        exps.setdefault(p, [0, 0])[1] = e
-    for p, (k1, k2) in exps.items():
-        acc *= data._local(p).schur_value(k1, k2)
-    return acc
+    k1 = dict(factorize(m1))
+    return multiplicative(m1 * m2, lambda p, k: data._local(p).schur_value(
+        k1.get(p, 0), k - k1.get(p, 0)), EXACT)
 
 
 def _expansion_stream(n: int, data: CoeffData, factor: str):
@@ -172,53 +161,59 @@ def double_sum_check(n: int, data: CoeffData):
     return c_pi_tau(n, data) - lambda_rs(n, data)
 
 
+def _unit_map(data: CoeffData, units) -> dict:
+    """{p: u_p} over the primes of data, from a map or one value for all."""
+    if isinstance(units, Mapping):
+        return {p: coerce(units[p], EXACT) for p in data.local}
+    return dict.fromkeys(data.local, coerce(units, EXACT))
+
+
 def twist_tau(data: CoeffData, units: Mapping[int, object] | int | Fraction) -> CoeffData:
     """Twist the degree-2 side by unit values u_p: parameters scale by u_p,
     central values by u_p^2."""
-    if not isinstance(units, Mapping):
-        units = {p: units for p in data.local}
     local = {}
-    for p, (alphas, gammas, central) in data.local.items():
-        u = coerce(units[p], EXACT)
+    for p, u in _unit_map(data, units).items():
         if u == 0:
             raise ValueError(f"twist value at p={p} must be a unit")
-        local[p] = (alphas, tuple(coerce(g, EXACT) * u for g in gammas),
-                    coerce(central, EXACT) * u * u)
+        t = data._local(p)
+        local[p] = (t.alphas, tuple(g * u for g in t.gammas), t.central * u * u)
     return CoeffData(local)
-
-
-def _whole(x):
-    return x.numerator if x.denominator == 1 else x  # never rounded
 
 
 class CoeffStreams:
     """Every n <= n_max at once, beside the single-index functions: each
     multiplicative stream by `euler.sieve_stream`, and c by the global
-    double sum.  Alphas are scaled by D_alpha, gammas by
-    D_gamma (lcms over the primes <= n_max), so a value of degree i, j in them
-    carries (D_alpha^i D_gamma^j)^Omega(n) (see scale) and is an int if whole."""
+    double sum.  Its tables, one per table of the data, are those of alphas
+    times D_alpha, gammas times D_gamma and central values times D_gamma^2
+    (lcms over the primes <= n_max), so a value of degree i, j in alphas,
+    gammas carries (D_alpha^i D_gamma^j)^Omega(n) (see scale) and is an int
+    if whole."""
 
     def __init__(self, data: CoeffData, n_max: int):
-        self.n_max, self.tables = n_max, {p: data._local(p) for p in primes_up_to(n_max)}
-        self.d_alpha = lcm(*(a.denominator for t in self.tables.values() for a in t.alphas))
-        self.d_gamma = lcm(*(g.denominator for t in self.tables.values() for g in t.gammas))
+        local = {p: data._local(p) for p in primes_up_to(n_max)}
+        unique = {id(t): t for t in local.values()}
+        da = self.d_alpha = lcm(*(a.denominator for t in unique.values() for a in t.alphas))
+        dg = self.d_gamma = lcm(*(g.denominator for t in unique.values() for g in t.gammas))
+        scaled = {key: _LocalTables(tuple(_whole(a * da) for a in t.alphas),
+                                    tuple(_whole(g * dg) for g in t.gammas),
+                                    _whole(t.central * dg * dg)) for key, t in unique.items()}
+        self.n_max, self.tables = n_max, {p: scaled[id(t)] for p, t in local.items()}
         self.powers = largest_prime_powers(n_max)
 
     def stream(self, value, keys: Mapping | None = None) -> list:
         """a(0) = 0, a(1), ..., a(n_max) of the multiplicative a with a(p^k) =
-        value(keys[p], k), keys the local tables by default."""
+        value(keys[p], k), keys the scaled tables by default."""
         local = prime_power_tables(keys or self.tables, self.n_max,
-                                   lambda key, k: [_whole(value(key, j)) for j in range(k + 1)])
+                                   lambda key, k: [value(key, j) for j in range(k + 1)])
         return [0, *sieve_stream(local, self.powers, 1)]
 
     def expansion(self, factor: str) -> list:
         """The scaled coefficients of the "pi", "tau" or "pair" expansion."""
-        d = {"pi": self.d_alpha, "tau": self.d_gamma, "pair": self.d_alpha * self.d_gamma}[factor]
-        return self.stream(lambda t, k: t.expansion(factor, k) * d**k)
+        return self.stream(lambda t, k: t.expansion(factor, k))
 
     def schur(self) -> list:
         """The scaled lambda(1, n), from the Schur tables."""
-        return self.stream(lambda t, k: t.schur_value(0, k) * self.d_alpha**k)
+        return self.stream(lambda t, k: t.schur_value(0, k))
 
     def scale(self, d: int) -> list:
         return self.stream(lambda d, k: d**k, dict.fromkeys(self.tables, d))
@@ -226,18 +221,17 @@ class CoeffStreams:
     def c(self) -> list:
         """The scaled sum over m1^2 m2 = n of lambda(m1, m2) mu(m2) omega(m1),
         m2 = u w with u on the primes of m1 and w prime to m1."""
-        mu, da, dg = self.expansion("tau"), self.d_alpha, self.d_gamma
+        mu = self.expansion("tau")
         paired = [s * t for s, t in zip(self.schur(), mu)]  # lambda(1, w) mu(w)
         c = paired[:]  # m1 = 1
         for m1 in range(2, isqrt(self.n_max) + 1):
             bound, terms = self.n_max // (m1 * m1), [(1, 1)]  # (u, omega(m1) lambda(m1, u))
             for p, j in factorize(m1):
                 t = self.tables[p]
-                terms = [(u * p**k, v * (t.central * dg * dg * da * da) ** j * t.schur_value(j, k)
-                          * da**k) for u, v in terms for k in range(bound.bit_length())
-                         if u * p**k <= bound]
+                terms = [(u * p**k, v * t.central**j * t.schur_value(j, k))
+                         for u, v in terms for k in range(bound.bit_length()) if u * p**k <= bound]
             for u, v in terms:
-                v, step = _whole(v) * mu[u], m1 * m1 * u
+                v, step = v * mu[u], m1 * m1 * u
                 for w in range(1, bound // u + 1):
                     if gcd(w, m1) == 1:
                         c[step * w] += v * paired[w]
@@ -248,8 +242,7 @@ def twist_compatibility_check(n_max: int, data: CoeffData, units) -> list:
     """Residuals of c_twisted(n) = u(n) * c(n) under an unramified unit twist,
     for n = 1..n_max; each side is unscaled by its own denominators."""
     plain, twisted = CoeffStreams(data, n_max), CoeffStreams(twist_tau(data, units), n_max)
-    u = plain.stream(lambda x, k: x**k, {p: coerce(units[p] if isinstance(units, Mapping)
-                                                   else units, EXACT) for p in plain.tables})
+    u = plain.stream(lambda x, k: x**k, _unit_map(data, units))
     cols = zip(twisted.c(), twisted.scale(twisted.d_alpha * twisted.d_gamma), u, plain.c(),
                plain.scale(plain.d_alpha * plain.d_gamma))
     return [Fraction(t, dt) - v * Fraction(c, dp) for n, (t, dt, v, c, dp) in enumerate(cols) if n]

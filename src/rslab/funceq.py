@@ -41,6 +41,7 @@ _STIRLING_TERMS = 10
 FE_RE_RADIUS = 2.0
 FE_IM_MAX = 100.0
 POLE_MARGIN = 1e-6
+FE_TOL = 1e-8  # the residual below which `funceq`, dirichlet-fe and synthetic-fe pass
 
 
 @lru_cache(maxsize=None)

@@ -63,8 +63,11 @@ def rs_full_local(blk1: SteinbergBlock, blk2: SteinbergBlock, p: int) -> EulerFa
 
     For unramified twists it is
         prod_{i=0}^{min(b,m)-1} (1 - u1 u2 p^{-(max(b,m)-1+i)} X),
-    and it degenerates to 1 as soon as either twist is ramified.
+    and it degenerates to 1 when one twist is ramified.  Two ramified twists
+    raise ValueError: the factor is 1 only while eta1 eta2 stays ramified.
     """
+    if blk1.ramified and blk2.ramified:
+        raise ValueError("both twists are ramified, and eta1*eta2 is not recorded")
     if blk1.ramified or blk2.ramified:
         return EulerFactorPoly.one()
     u = coerce(blk1.eta, EXACT) * coerce(blk2.eta, EXACT)

@@ -248,7 +248,7 @@ class FactorizationInstance:
 
     q, n >= 1 with gcd(n, q) = 1; beta2 = r/q with gcd(r, q) = 1;
     v satisfies n*r*v = -1 mod q (v != 0); u = q*v*w for an integer w.
-    a_j, a_k are nonzero scale parameters (1 in the rational setting)."""
+    a_j, a_k are nonzero int or Fraction scale parameters (1 in the rational setting)."""
 
     __slots__ = ("q", "n", "r", "v", "w", "a_j", "a_k")
 
@@ -264,6 +264,7 @@ class FactorizationInstance:
             raise ValueError("need n*r*v = -1 mod q")
         if v == 0:
             raise ValueError("v must be nonzero")
+        a_j, a_k = rational(a_j), rational(a_k)
         if a_j == 0 or a_k == 0:
             raise ValueError("scale parameters must be nonzero")
         self.q, self.n, self.r, self.v, self.w, self.a_j, self.a_k = q, n, r, v, w, a_j, a_k
@@ -274,7 +275,7 @@ class FactorizationInstance:
         """Solve for the smallest admissible v > 0 and build the instance
         (v = 1 when q = 1, where every v is admissible)."""
         v = (-pow(n * r, -1, q)) % q or q
-        return cls(q, n, r, v, w, Fraction(a_j), Fraction(a_k))
+        return cls(q, n, r, v, w, a_j, a_k)
 
     @property
     def beta2(self) -> Fraction:

@@ -531,7 +531,7 @@ def _run_dirichlet_fe(cfg: RunConfig, rng: random.Random):
     worst = _worst(funceq.fe_residual_dirichlet(chi, s)
                    for q in (3, 4, 5) for chi in char_group(q).primitive_characters()[:2]
                    for s in (0.5, 0.5 + 1j, 0.25 + 2j))
-    ok = worst < 1e-8
+    ok = worst < funceq.FE_TOL
     return ok, f"completed-function reflection residual <= {worst:.2e}"
 
 
@@ -545,7 +545,7 @@ def _run_synthetic_fe(cfg: RunConfig, rng: random.Random):
     if not abs(abs(report.eps) - 1) <= 1e-9:
         return False, f"|composite eps| = {abs(report.eps)}"
     worst = _worst(r for _, r in report.residuals)
-    ok = worst < 1e-8 and len(report.residuals) == 3
+    ok = worst < funceq.FE_TOL and len(report.residuals) == 3
     return ok, f"degree-6 reflection residual <= {worst:.2e}"
 
 

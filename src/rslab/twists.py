@@ -217,13 +217,13 @@ def fe_root_number(eps_pi: complex, eps_tau: complex, chi_omega_pi_q: complex,
         eps_pi^2 eps_tau chi_{w_pi}(q) w_tau(n q^2) mu~(q^2)
             * conj(tau_q(chi, beta2')) / tau_q(chi, beta2).
 
-    All inputs are plain numbers except the character and the two rational
-    twist points; unitary inputs give |result| = 1.
+    All inputs are plain numbers except the character and the two twist
+    points, ints or Fractions; unitary inputs give |result| = 1.
     """
-    tau_b = gauss_beta(chi_tau, Fraction(beta2), FLOAT)
+    tau_b = gauss_beta(chi_tau, beta2, FLOAT)
     if abs(tau_b) < 1e-12:
         raise ValueError("tau_q(chi, beta2) vanishes; beta2 outside the window?")
-    tau_bp = gauss_beta(chi_tau, Fraction(beta2p), FLOAT)
+    tau_bp = gauss_beta(chi_tau, beta2p, FLOAT)
     return (
         eps_pi**2
         * eps_tau

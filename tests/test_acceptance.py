@@ -13,6 +13,8 @@ import time
 from fractions import Fraction
 from math import gcd, lcm, sqrt
 
+import pytest
+
 from rslab.arith import divisors, primes_up_to, radical
 from rslab.characters import (
     addtomult_residuals,
@@ -134,13 +136,18 @@ def test_schur_bialternant_equals_tableaux_grid():
 def test_block_pairing_division_grid():
     """Exact divisibility of the full pairing by the naive factor across the
     b, m <= 4 grid with both ramification patterns; the Steinberg(3) x
-    Steinberg(2) quotient is 1 - p^{-2} X; the collapsed cases hold."""
+    Steinberg(2) quotient is 1 - p^{-2} X; the collapsed cases hold, and a
+    pair of ramified twists, whose product is not recorded, is refused."""
     p = 3
     for b in range(1, 5):
         for m in range(1, 5):
             for eta1 in (1, None):
                 for eta2 in (1, None):
                     b1, b2 = SteinbergBlock(b, eta1), SteinbergBlock(m, eta2)
+                    if eta1 is None and eta2 is None:  # eta1*eta2 is not recorded
+                        with pytest.raises(ValueError, match="both twists are ramified"):
+                            rs_quotient_poly(b1, b2, p)
+                        continue
                     full = rs_full_local(b1, b2, p)
                     naive = rs_naive_local(block_params(b1, p), block_params(b2, p))
                     quot = poly_divide_exact(full, naive)  # raises on remainder

@@ -344,6 +344,15 @@ def test_gauss_beta_integer_shift():
     assert (a - b).is_zero()
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_gauss_beta_refuses_a_float_beta(mode):
+    """A float beta is refused in both modes: Fraction(0.1) would be its
+    binary value, whose denominator is 2^55, not 1/10."""
+    chi = char_group(5).primitive_characters()[0]
+    with pytest.raises(TypeError, match="expected an int or a Fraction, got float"):
+        gauss_beta(chi, 0.1, mode)
+
+
 def test_gauss_beta_q1():
     chi = char_group(1).trivial()
     val = gauss_beta(chi, Fraction(0), mode=EXACT)

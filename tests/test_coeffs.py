@@ -231,9 +231,12 @@ def _central_off_the_lattice():
     return CoeffData(local)
 
 
-@pytest.mark.parametrize("make", [lambda: _varying_data()[1], _zero_gamma_data, _twisted_data,
-                                  _central_off_the_lattice],
-                         ids=["varying", "zero-gamma", "twisted", "central-off-lattice"])
+DATA = pytest.mark.parametrize(
+    "make", [lambda: _varying_data()[1], _zero_gamma_data, _twisted_data, _central_off_the_lattice],
+    ids=["varying", "zero-gamma", "twisted", "central-off-lattice"])
+
+
+@DATA
 def test_streams_equal_the_per_n_functions(make):
     """Every stream of the engine, over its scale, is the per-n value for
     n <= 200: lambda_std from the "pi" expansion, lambda(1, n) from the Schur
@@ -253,6 +256,41 @@ def test_streams_equal_the_per_n_functions(make):
         assert len(values) == 201
         for n in range(1, 201):
             assert Fraction(values[n], scale[n]) == per_n(n), (n, d)
+
+
+@DATA
+def test_streams_scale_the_parameters(make):
+    """The engine on data with denominators gives the streams it gives on the
+    same data scaled by hand, alphas by D_alpha, gammas by D_gamma and
+    central values by D_gamma^2, whose own scale factors are 1."""
+    data = make()
+    streams = CoeffStreams(data, 200)
+    da, dg = streams.d_alpha, streams.d_gamma
+    scaled = {p: (tuple(a * da for a in alphas), tuple(g * dg for g in gammas), central * dg * dg)
+              for p, (alphas, gammas, central) in data.local.items()}
+    by_hand = CoeffStreams(CoeffData(scaled), 200)
+    assert (by_hand.d_alpha, by_hand.d_gamma) == (1, 1)
+    for factor in ("pi", "tau", "pair"):
+        assert streams.expansion(factor) == by_hand.expansion(factor), factor
+    assert streams.schur() == by_hand.schur()
+    assert streams.c() == by_hand.c()
+
+
+def test_equal_parameters_share_one_table(monkeypatch):
+    """Primes whose parameters are equal share one table, also when the map
+    holds distinct tuples for them; a parameter set that many primes hold
+    as one object is coerced once."""
+    data = CoeffData({2: ((1, 2, 3), (1, 2), 2), 3: ((1, 2, 3), (1, 2), 2),
+                      5: ((Fraction(1), 2, 3), (1, Fraction(4, 2)), Fraction(2)),
+                      7: ((1, 2, 3), (1, 3), 3)})
+    assert data._local(2) is data._local(3) is data._local(5)
+    assert data._local(7) is not data._local(2)
+    calls = []
+    real = coeffs.coerce
+    monkeypatch.setattr(coeffs, "coerce", lambda x, mode: calls.append(x) or real(x, mode))
+    data = CoeffData.constant((1, 2, 3), (1, 2), 10**5)
+    assert len(calls) == 6  # three alphas, two gammas and the central value
+    assert len({id(data._local(p)) for p in primes_up_to(10**5)}) == 1
 
 
 def test_stream_denominators_span_every_prime():
@@ -275,11 +313,11 @@ def test_constant_refuses_float_or_complex_parameters(bad):
 
 def test_streams_refuse_float_data_and_missing_primes():
     """A float or complex parameter, a central value included, raises
-    TypeError at the first prime the streams read; a prime missing from the
-    local map, ValueError."""
+    TypeError when the data are made, also at a prime no stream reads; a
+    prime missing from the local map raises ValueError at the streams."""
     for bad in (0.5, 0.5j):
-        for local in ({2: ((1, 2, bad), (1, 2), 2)}, {2: ((1, 2, 3), (1, 2), bad)}):
+        for entry in (((1, 2, bad), (1, 2), 2), ((1, 2, 3), (bad, 2), 2), ((1, 2, 3), (1, 2), bad)):
             with pytest.raises(TypeError, match="expected an int or a Fraction"):
-                CoeffStreams(CoeffData(local), 2)
+                CoeffData({2: ((1, 2, 3), (1, 2), 2), 101: entry})
     with pytest.raises(ValueError, match="no local data at p=11"):
         CoeffStreams(CoeffData.constant((1, 2, 3), (1, 2), 10), 11)

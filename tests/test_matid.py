@@ -375,3 +375,9 @@ def test_3x3_factorization_custom_kappa():
 def test_factorization_instance_validation():
     with pytest.raises(ValueError):
         FactorizationInstance(q=3, n=1, r=3, v=2, w=1, a_j=Fraction(1), a_k=Fraction(1))
+    # a float scale parameter is refused, not read as its binary value
+    for make in (lambda: FactorizationInstance(3, 1, 1, 2, 1, 0.1, 1),
+                 lambda: FactorizationInstance(3, 1, 1, 2, 1, 1, 0.1),
+                 lambda: FactorizationInstance.make_consistent(3, 1, 1, 1, 0.1, 1)):
+        with pytest.raises(TypeError, match="expected an int or a Fraction, got float"):
+            make()

@@ -303,11 +303,11 @@ def test_twisted_prefactor_zeta_rules():
         twisted_prefactor(chi, 3, 3, 1, 3, data)
     # zeta = 9: sqrt(81) / lcm(27, 3) * tau * mu(9), mu(9) = h_2(1, 2) = 7
     assert twisted_prefactor(chi, 3, 3, 1, 9, data) == tau * Fraction(7, 3)
-    # the prefactor is exact only: mu(9) reads the parameters at 3
+    # the prefactor is exact only: data with a float or complex parameter
+    # at 3, which mu(9) reads, are refused when they are made
     for bad in (0.5, 0.5j):
-        data = CoeffData({3: ((1, 2, 3), (1, bad), 2)})
         with pytest.raises(TypeError, match="expected an int or a Fraction"):
-            twisted_prefactor(chi, 3, 3, 1, 9, data)
+            CoeffData({3: ((1, 2, 3), (1, bad), 2)})
 
 
 def test_fe_root_number_unitary():
@@ -333,6 +333,13 @@ def test_fe_root_number_rejects_vanishing_gauss():
     chi0 = char_group(4).trivial()
     with pytest.raises(ValueError):
         fe_root_number(1, 1, 1, 1, 1, chi0, Fraction(1, 4), Fraction(1, 4))
+
+
+def test_fe_root_number_refuses_a_float_twist_point():
+    chi = char_group(5).primitive_characters()[0]
+    for b2, b2p in ((0.2, Fraction(1, 5)), (Fraction(1, 5), 0.4)):
+        with pytest.raises(TypeError, match="expected an int or a Fraction, got float"):
+            fe_root_number(1, 1, 1, 1, 1, chi, b2, b2p)
 
 
 def test_conductor_exponent_check():
