@@ -43,16 +43,35 @@ def largest_prime_powers(n: int) -> tuple[array, array, array]:
     return top, rest, exp
 
 
+#: Miller-Rabin to these bases (the first 12 primes) is exact below
+#: _MR_BOUND = psi_12 (Sorenson and Webster, 2015), about 3.18e23
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime: a deterministic Miller-Rabin test below
+    `_MR_BOUND`, trial division at and above it."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_BOUND:
+        return all(n % f for f in range(_MR_BASES[-1] + 2, isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
     return True
 
 

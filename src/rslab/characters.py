@@ -8,7 +8,9 @@ can be formed either as floats or as exact cyclotomic elements; every
 float tau(chi) mod q sums against one row of phases e(d/q).  Each group
 lists its units and its primitive characters once, for every other module.
 Exact twisted sums tau_q(chi, r/m) come from one kernel (`exponent_maps`)
-that takes chi's angles once per (chi, m) and yields an exponent map per r.
+that takes chi's angles once per (chi, m) and yields an exponent map per r;
+`vanishing_sums` reads their images mod a prime first, and builds a map only
+for an r whose image is 0.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import gcd, lcm, pi
 from operator import mul
 
 from .arith import divisors, euler_phi, factorize, primitive_root, radical, valuation
-from .cyclotomic import CycloElement, sum_is_zero
+from .cyclotomic import CycloElement, _image, sum_is_zero
 from .scalars import EXACT, FLOAT, check_mode, rational
 
 #: e(k/n) at the orders n = 1, 2, 4, where cmath.exp is only approximate
@@ -313,10 +315,7 @@ def exponent_maps(chi: DirichletCharacter, m: int, rs):
 
     chi's angles at the units, scaled to big, are computed once; each r
     then costs one pass over them and no CycloElement."""
-    group = chi.group
-    big = lcm(m, group.exponent)
-    scale, step = big // group.exponent, big // m
-    terms = [(k * scale, d * step) for k, d in zip(chi.angles(), group.phase_row()[0])]
+    big, terms = _twist_terms(chi, m)
     for r in rs:
         weights: dict[int, int] = {}
         for k, ds in terms:
@@ -325,10 +324,28 @@ def exponent_maps(chi: DirichletCharacter, m: int, rs):
         yield big, weights
 
 
+def _twist_terms(chi: DirichletCharacter, m: int) -> tuple[int, list[tuple[int, int]]]:
+    """(big, terms): big = lcm(m, L) and, per unit d, the pair (k, d * big/m)
+    with chi(d) = e(k/big), so tau_q(chi, r/m) = sum e((k + d r big/m)/big)."""
+    group = chi.group
+    big = lcm(m, group.exponent)
+    scale, step = big // group.exponent, big // m
+    return big, [(k * scale, d * step) for k, d in zip(chi.angles(), group.phase_row()[0])]
+
+
 def vanishing_sums(chi: DirichletCharacter, m: int, rs) -> list[int]:
-    """The r in rs (a list) with tau_q(chi, r/m) = 0, decided exactly: one
-    exponent map per r, each through `sum_is_zero`."""
-    return [r for r, (big, weights) in zip(rs, exponent_maps(chi, m, rs))
+    """The r in rs (a list) with tau_q(chi, r/m) = 0, decided exactly.
+
+    Each r costs one pass over chi's terms, summing the sum's image mod l
+    (`cyclotomic._image`), with no dict and no complex: a nonzero image
+    proves the sum nonzero.  Only an r whose image is 0 builds its exponent
+    map, for `sum_is_zero`."""
+    big, terms = _twist_terms(chi, m)
+    image = _image(big)
+    if image is not None:
+        ell, row = image
+        rs = [r for r in rs if not sum([row[(k + ds * r) % big] for k, ds in terms]) % ell]
+    return [r for r, (_, weights) in zip(rs, exponent_maps(chi, m, rs))
             if sum_is_zero(big, weights)]
 
 

@@ -30,16 +30,17 @@ from .scalars import FLOAT
 # so funceq bounds q times the number of points)
 GAUSS_Q_MAX = 225
 FUNCEQ_Q_MAX = 4 * 10**5
-# `coeffs --N` bound: N = 128000 takes 1.2 s and 83 MB on 2 vCPUs, 256000
-# 2.9-3.6 s and 151 MB, 400000 4.1-4.7 s and 225 MB (every row is built before
-# one is written)
+# `coeffs --N` bound: N = 128000 takes 0.9 s and 35 MB on 2 vCPUs, 256000
+# 2.0 s and 56 MB, 400000 2.5-3.3 s and 74 MB (the integer streams are held,
+# the rows are written one at a time)
 COEFFS_N_MAX = 4 * 10**5
 # `twist --N` bound, the largest prime a rep file may list: with a file of all
 # 78,498 primes below 10^6, N = 10 takes 0.4 s and 21 MB on 2 vCPUs, 10^5
 # 1.1-1.2 s and 25 MB, 3*10^5 2.5-2.6 s and 45 MB, 10^6 7.4-10.3 s and 93 MB
 TWIST_N_MAX = langlands.REP_P_MAX
-# CosetContext tests p and p_prime for primality by trial division: 0.08 s
-# at 10^12 and 0.65-0.84 s at 10^14 on 2 vCPUs
+# CosetContext tests p and p_prime for primality by Miller-Rabin
+# (`arith.is_prime`): 0.2 ms for both at 10^12 on 2 vCPUs, where trial
+# division took 84 ms, so `reduce` there runs as fast as at small entries
 REDUCE_CTX_MAX = 10**12
 # the largest decimal exponent a rational option may carry (1e4300 has as
 # many digits as Python prints an int with by default)
@@ -180,9 +181,8 @@ def cmd_coeffs(args) -> int:
     n_max = _in_range("--N", args.N, COEFFS_N_MAX)
     data = CoeffData.constant(alphas, gammas, n_max)
     rows = coefficient_rows(n_max, data)
-    lines = ["n,lambda,c,pair,residual"]
-    lines += [f"{n},{ls},{c},{lp},{res}" for n, ls, c, lp, res in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write("n,lambda,c,pair,residual\n")
+    sys.stdout.writelines(f"{n},{ls},{c},{lp},{res}\n" for n, ls, c, lp, res in rows)
     return 0
 
 

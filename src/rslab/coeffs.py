@@ -14,9 +14,10 @@ ValueError, in `arith.factorize`.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .arith import factorize, largest_prime_powers, primes_up_to
 from .euler import inverse_series, multiplicative, prime_power_tables, sieve_stream
@@ -248,11 +249,23 @@ def twist_compatibility_check(n_max: int, data: CoeffData, units) -> list:
     return [Fraction(t, dt) - v * Fraction(c, dp) for n, (t, dt, v, c, dp) in enumerate(cols) if n]
 
 
-def coefficient_rows(n_max: int, data: CoeffData) -> list[tuple]:
-    """Rows (n, lam_std, c, lam_pair, residual) for n = 1..n_max, from
-    CoeffStreams; here, to be printed, the values become Fractions."""
+def coefficient_rows(n_max: int, data: CoeffData) -> Iterator[tuple]:
+    """Rows (n, lam_std, c, lam_pair, residual) for n = 1..n_max, lazily,
+    from CoeffStreams; here, to be printed, the values become Fractions, one
+    row at a time.  A value with more digits than Python prints an int with
+    raises ValueError here, before any row is taken."""
     s = CoeffStreams(data, n_max)
-    cols = zip(s.expansion("pi"), s.scale(s.d_alpha), s.c(), s.expansion("pair"),
-               s.scale(s.d_alpha * s.d_gamma))
-    return [(n, Fraction(ls, sa), Fraction(c, sd), Fraction(lp, sd), Fraction(c - lp, sd))
-            for n, (ls, sa, c, lp, sd) in enumerate(cols) if n]
+    cols = (s.expansion("pi"), s.scale(s.d_alpha), s.c(), s.expansion("pair"),
+            s.scale(s.d_alpha * s.d_gamma))
+    rows = ((n, Fraction(ls, sa), Fraction(c, sd), Fraction(lp, sd), Fraction(c - lp, sd))
+            for n, (ls, sa, c, lp, sd) in enumerate(zip(*cols)) if n)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # every printed int divides a stream value or c - lp, so each prints when
+    # the streams stay below 10**limit / 2; else every row is formed and its
+    # ints turned to text here, so one too long raises before a row is written
+    if limit and 2 * max(max(max(col), -min(col)) for col in cols) >= 10**limit:
+        rows = list(rows)
+        for row in rows:
+            str(row)
+        return iter(rows)
+    return rows

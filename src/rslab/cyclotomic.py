@@ -2,12 +2,13 @@
 
 Elements are finite sums  sum_k c_k * zeta_N^k  stored as a sparse map
 exponent -> int or Fraction, kept as given.  Different ambient orders
-combine by embedding into the lcm.  Zero testing is rigorous: a cheap numeric
-bound certifies most elements nonzero, and the remaining candidates are
-decided exactly by a descent over the primes of N on the sparse map, one
-prime at a time down to a rational sum.  The test runs on a bare exponent
-map as well (`sum_is_zero`), so a caller that forms many sums need not
-build a CycloElement for each.
+combine by embedding into the lcm.  Zero testing is exact and reads no
+float: the ring map Z[zeta_N] -> F_l, zeta_N -> g (l = 1 mod N a prime, g of
+order N) certifies most elements nonzero, and the remaining candidates are
+decided by a descent over the primes of N on the sparse map, one prime at a
+time down to a rational sum.  The test runs on a bare exponent map as well
+(`sum_is_zero`), so a caller that forms many sums need not build a
+CycloElement for each.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, pi, prod
 import cmath
 
-from .arith import factorize
+from .arith import factorize, is_prime
 from .scalars import rational
-
-#: |value| above this multiple of the coefficient mass certifies nonzero
-_PREFILTER_REL = 1e-9
 
 
 @lru_cache(maxsize=32)
@@ -32,6 +30,52 @@ def _roots(n: int) -> tuple[int, list[complex], list[complex]]:
     low = [cmath.exp(2j * pi * (j / n)) for j in range(s)]
     high = [cmath.exp(2j * pi * (i * s / n)) for i in range((n - 1) // s + 1)]
     return s, high, low
+
+
+#: the largest order with an image: a row holds n ints, and the cache up to
+#: 32 rows, where the descent never needs a dense list of length n
+_IMAGE_N_MAX = 2**16
+
+
+@lru_cache(maxsize=32)
+def _image(n: int) -> tuple[int, list[int]] | None:
+    """(l, row): l the largest prime = 1 (mod n) below 2^30, and row[k] = g^k
+    mod l for 0 <= k < n, g the first h^((l - 1)/n), h = 2, 3, ..., of order
+    exactly n.  zeta_n -> g is a ring map Z[zeta_n] -> F_l, so a sum whose
+    image is nonzero mod l is nonzero; a nonzero sum maps to 0 with a chance
+    of about 1/l.  None above `_IMAGE_N_MAX`, where the descent decides alone."""
+    if n > _IMAGE_N_MAX:
+        return None
+    ell = (2**30 - 2) // n * n + 1
+    while not is_prime(ell):
+        ell -= n
+    primes = [p for p, _ in factorize(n)]
+    h = 2
+    while True:
+        g = pow(h, (ell - 1) // n, ell)
+        if all(pow(g, n // p, ell) != 1 for p in primes):
+            break
+        h += 1
+    row = [1] * n
+    for k in range(1, n):
+        row[k] = row[k - 1] * g % ell
+    return ell, row
+
+
+def _residue(weights, image) -> int:
+    """sum_k w_k g^k mod l for image = (l, row), a Fraction weight taken as
+    its numerator times its denominator's inverse mod l; 0, which certifies
+    nothing, when l divides a denominator."""
+    ell, row = image
+    acc = 0
+    for k, w in weights.items():
+        if isinstance(w, int):
+            acc += w * row[k]
+        elif w.denominator % ell:
+            acc += w.numerator * pow(w.denominator, -1, ell) * row[k]
+        else:
+            return 0
+    return acc % ell
 
 
 def _approx(n: int, weights) -> complex:
@@ -83,16 +127,16 @@ def _vanishes(n: int, weights, primes: list[int]) -> bool:
 
 def sum_is_zero(n: int, weights) -> bool:
     """Whether sum_k w_k e(k/n) = 0, for a map {k: w_k} with keys 0 <= k < n
-    and int or Fraction weights.  Decided exactly.
+    and int or Fraction weights.  Decided exactly; no float takes part.
 
-    Fast path: if the value read from a table of roots is larger than
-    roundoff could ever make a true zero, the sum is certainly nonzero.
-    Otherwise the exact descent over n's primes (`_vanishes`) decides.
+    Certificate: if the sum's image under zeta_n -> g in F_l (`_image`) is
+    nonzero, so is the sum.  Every other sum, each true zero among them, is
+    decided by the exact descent over n's primes (`_vanishes`).
     """
     if not weights:
         return True
-    mass = float(sum(map(abs, weights.values())))
-    if abs(_approx(n, weights)) > _PREFILTER_REL * max(1.0, mass):
+    image = _image(n)
+    if image is not None and _residue(weights, image):
         return False
     return _vanishes(n, weights, [p for p, e in factorize(n) for _ in range(e)])
 

@@ -10,6 +10,7 @@ from rslab.arith import (
     factorize,
     frac_gcd,
     is_prime,
+    prime_sieve,
     primes_up_to,
     primitive_root,
     radical,
@@ -29,9 +30,18 @@ def test_primes_count_to_10000():
 
 
 def test_is_prime_matches_sieve():
-    table = set(primes_up_to(500))
-    for n in range(-3, 501):
-        assert is_prime(n) == (n in table)
+    sieve = prime_sieve(10**6)
+    assert not any(is_prime(n) for n in range(-3, 2))
+    assert [n for n in range(2, 10**6 + 1) if is_prime(n) != sieve[n]] == []
+
+
+def test_is_prime_beyond_the_sieve():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, 7, 61
+    assert not is_prime(3215031751) and not is_prime(4759123141)
+    assert is_prime(2**61 - 1) and not is_prime((2**61 - 1) * 65537)
+    assert is_prime(999999999989) and not is_prime(999999999989 * 999983)
+    # above the Miller-Rabin bound, trial division decides
+    assert not is_prime(41**15) and not is_prime(43 * 47 * 53**12)
 
 
 def test_factorize_against_trial_division():

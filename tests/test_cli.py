@@ -359,6 +359,17 @@ def test_result_too_long_to_print_exits_3():
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+def test_result_within_the_digit_limit_prints():
+    """A stream value past 10**4300 / 2, but every printed int within 4300
+    digits: the rows are formed before one is written, and all print."""
+    code, out, err = run_cli("coeffs", "--alphas", "3e4299,0,0", "--gammas", "1,2", "--N", "3")
+    assert code == 0, err
+    rows = out.splitlines()
+    assert len(rows) == 4 and rows[2].split(",")[1] == str(3 * 10**4299)
+    assert max(len(v) for row in rows for v in row.split(",")) == 4300
+
+
 @pytest.mark.parametrize("name, extra", [
     ("coeffs_anchor.csv", ()),
     ("coeffs_mixed.csv", ("--alphas=-1/2,3,2/5", "--gammas=-3,1/7")),

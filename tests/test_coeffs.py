@@ -118,7 +118,7 @@ def test_lambda_double_requires_positive_indices():
 
 def test_coefficient_rows_shape():
     data = _anchor_data()
-    rows = coefficient_rows(10, data)
+    rows = list(coefficient_rows(10, data))
     assert len(rows) == 10
     n, lam, c, pair, residual = rows[1]
     assert n == 2

@@ -1,12 +1,15 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 
-from rslab.arith import divisors
-from rslab.characters import char_group, gauss_beta, gauss_classical
-from rslab.cyclotomic import CycloElement
+from rslab import characters, cyclotomic
+from rslab.arith import divisors, is_prime, primes_up_to
+from rslab.characters import char_group, gauss_beta, gauss_classical, vanishing_sums
+from rslab.cyclotomic import CycloElement, sum_is_zero
 from rslab.scalars import EXACT
 
 from cyclo_oracle import cyclotomic_poly, dense_as_rational, dense_is_zero
@@ -207,3 +210,105 @@ def test_gauss_sum_norm_is_q_at_large_order(q):
         assert dense_is_zero(norm.n, (norm - q).coeffs)
         assert norm.as_rational() == q
         assert not (norm - (q + 1)).is_zero()
+
+
+# -- the modular certificate of sum_is_zero -----------------------------------
+
+
+def test_image_is_a_prime_and_a_root_of_exact_order():
+    """For every n <= 2000: l is the largest prime = 1 (mod n) below 2^30,
+    prime by trial division over the sieve, and row holds the powers of a g
+    of order exactly n."""
+    small = primes_up_to(2**15)
+    for n in range(1, 2001):
+        ell, row = cyclotomic._image(n)
+        assert ell < 2**30 and (ell - 1) % n == 0, n
+        assert all(ell % p for p in small if p * p <= ell), (n, ell)
+        assert not any(is_prime(x) for x in range(ell + n, 2**30, n)), n
+        g = row[1 % n]
+        assert len(row) == n and row[0] == 1 and 1 not in row[1:], n
+        assert all(row[k] == row[k - 1] * g % ell for k in range(1, n)), n
+        assert row[-1] * g % ell == 1, n
+
+
+def test_orders_above_the_image_bound_go_to_the_descent():
+    """No row of 2^20 ints is built: the descent decides every sum alone."""
+    n = 2**20
+    assert cyclotomic._image(n) is None
+    for weights, zero in [({0: 1, n // 2: 1}, True), ({0: 1, n // 2: Fraction(-1, 2)}, False),
+                          ({1: 1}, False)]:
+        with mock.patch.object(cyclotomic, "_vanishes", wraps=cyclotomic._vanishes) as descent:
+            assert sum_is_zero(n, weights) == zero
+            assert descent.called
+
+
+def _chars_and_moduli():
+    for q in range(1, 31):
+        for chi in char_group(q).characters():
+            for m in divisors(q):
+                yield chi, m, [r for r in range(1, m + 1) if gcd(r, m) == 1]
+
+
+def _sample_maps():
+    """Seeded maps, half of them built to vanish, with int and Fraction weights."""
+    rng = random.Random(33)
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        z = _random_element(rng, n)
+        if rng.random() < 0.5 and n > 1:
+            z = z - z + _vanishing_element(rng, n) * Fraction(rng.randint(1, 5), rng.randint(1, 7))
+        yield n, dict(z.coeffs) if z.n == n else {k * (n // z.n): c for k, c in z.coeffs.items()}
+
+
+def test_no_float_takes_part_in_a_verdict(monkeypatch):
+    """With the float table made to raise, every sum_is_zero and
+    vanishing_sums answer is the same as before, and as the dense oracle's."""
+    maps = list(_sample_maps())
+    want_maps = [sum_is_zero(n, w) for n, w in maps]
+    assert want_maps == [dense_is_zero(n, w) for n, w in maps]
+    assert 50 < sum(want_maps) < 250
+    cases = list(_chars_and_moduli())
+    want_sums = [vanishing_sums(chi, m, rs) for chi, m, rs in cases]
+    assert any(want_sums)
+
+    def no_float(n, weights):
+        raise AssertionError("a float was read")
+
+    monkeypatch.setattr(cyclotomic, "_approx", no_float)
+    assert [sum_is_zero(n, w) for n, w in maps] == want_maps
+    assert [vanishing_sums(chi, m, rs) for chi, m, rs in cases] == want_sums
+    assert CycloElement.root(1, 3) + CycloElement.root(2, 3) == -1
+
+
+def test_a_sum_the_image_misses_is_decided_by_the_descent(monkeypatch):
+    """An image that maps every sum to 0 certifies nothing: every answer
+    still comes out right, from the descent; and a Fraction weight whose
+    denominator l divides skips the certificate too."""
+    maps = list(_sample_maps())
+    want_maps = [sum_is_zero(n, w) for n, w in maps]
+    cases = list(_chars_and_moduli())
+    want_sums = [vanishing_sums(chi, m, rs) for chi, m, rs in cases]
+    ell, row = cyclotomic._image(7)
+    assert not sum_is_zero(7, {0: Fraction(1, ell), 1: 1})
+
+    def blind(n):
+        ell, row = image(n)
+        return ell, [0] * n
+
+    image = cyclotomic._image
+    monkeypatch.setattr(cyclotomic, "_image", blind)
+    monkeypatch.setattr(characters, "_image", blind)
+    with mock.patch.object(cyclotomic, "_vanishes", wraps=cyclotomic._vanishes) as descent:
+        assert not sum_is_zero(7, {0: 1})
+        assert descent.called
+        assert [sum_is_zero(n, w) for n, w in maps] == want_maps
+    # every r builds its exponent map and goes through the exact test
+    monkeypatch.setattr(characters, "sum_is_zero", mock.Mock(wraps=sum_is_zero))
+    assert [vanishing_sums(chi, m, rs) for chi, m, rs in cases] == want_sums
+    assert characters.sum_is_zero.call_count == sum(len(rs) for _, _, rs in cases)
+    monkeypatch.undo()
+    with mock.patch.object(cyclotomic, "_vanishes", wraps=cyclotomic._vanishes) as descent:
+        assert not sum_is_zero(7, {0: Fraction(1, ell + 1), 1: 1})
+        assert not descent.called
+        assert not sum_is_zero(7, {0: Fraction(1, ell), 1: 1})
+        assert descent.called

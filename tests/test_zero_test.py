@@ -2,9 +2,10 @@
 exponent maps {k mod n: w_k}, with int and Fraction weights: random maps,
 maps built to vanish (orbit sums of roots, multiples of the n-th
 cyclotomic polynomial), and nonzero maps of tiny value.  It must agree with
-dense reduction modulo the n-th cyclotomic polynomial (`cyclo_oracle`), and
-a map its numeric prefilter cannot certify nonzero must reach the exact
-descent (`cyclotomic._vanishes`)."""
+dense reduction modulo the n-th cyclotomic polynomial (`cyclo_oracle`); a
+map built to vanish must reach the exact descent (`cyclotomic._vanishes`),
+and a tiny nonzero one, which no float bound could tell from zero, must be
+certified nonzero by its image mod a prime without it."""
 
 from fractions import Fraction
 from unittest import mock
@@ -79,6 +80,9 @@ def test_sum_is_zero_agrees_with_exact_reduction(case):
         assert got
     if kind == "tiny":
         assert not got
-    if kind != "sparse":
-        # no numeric bound can certify these nonzero: the exact descent decides
+    if kind == "zero":
+        # a true zero has image 0 mod every prime: only the descent says "zero"
         assert spy.called, (n, weights)
+    if kind == "tiny":
+        # nonzero however small: the image mod l certifies it, with no descent
+        assert not spy.called, (n, weights)
